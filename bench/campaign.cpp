@@ -8,12 +8,15 @@
 // suite the cell counts by verdict, the paper comparison for the table
 // suites, and aggregate message/bandwidth totals from the arena. Cells
 // are timed individually (in memory only — no JSONL is written, so the
-// record-level determinism guarantee is untouched) to score the sharding
-// policies: the shard-imbalance block reports max/mean shard wall time
-// for the 4-way cost (LPT) and index splits over the measured costs.
+// record-level determinism guarantee is untouched) to report each suite's
+// summed cell time (`cell_ms`, the input of scripts/perf_smoke.py's
+// table2/table1 ratio gate) and to score the sharding policies: the
+// shard-imbalance block reports max/mean shard wall time for the 4-way
+// cost (LPT) and index splits over the measured costs.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -44,6 +47,7 @@ struct SuiteSummary {
   std::int64_t rounds = 0;
   std::int64_t messages = 0;
   std::int64_t payload = 0;
+  double cell_ms = 0.0;  // summed per-cell wall time
 };
 
 void fold(const std::vector<CellRecord>& records,
@@ -72,6 +76,7 @@ void fold(const std::vector<CellRecord>& records,
     summary->rounds += record.rounds;
     summary->messages += record.messages;
     summary->payload += record.payload;
+    if (record.wall_ms >= 0.0) summary->cell_ms += record.wall_ms;
   }
 }
 
@@ -187,7 +192,8 @@ int main() {
         .field("approximate", s.approximate)
         .field("rounds", s.rounds)
         .field("messages", s.messages)
-        .field("payload_units", s.payload);
+        .field("payload_units", s.payload)
+        .field("cell_ms", static_cast<std::int64_t>(std::llround(s.cell_ms)));
     std::fprintf(out, "    %s%s\n", o.str().c_str(),
                  i + 1 < suites.size() ? "," : "");
   }

@@ -87,10 +87,12 @@ double CostModel::static_estimate(const Cell& cell) {
   }
 
   // Mechanism multiplier: what one round *does* with a delivery. The auto
-  // agent's symmetric no-help/leader cells run the history-tree exact solve
-  // (superquadratic per round); its other non-set cells run minimum-base or
-  // Q_N-rounding machinery (superlinear); explicit estimators and gossip
-  // are linear in deliveries.
+  // agent's symmetric no-help/leader cells run the history-tree exact solve,
+  // whose system has at most n unknowns (the deepest window level's
+  // classes); the n * n factor overstates that and is a known-stale
+  // estimate until it is refit against measured --timings. Its other
+  // non-set cells run minimum-base or Q_N-rounding machinery (superlinear);
+  // explicit estimators and gossip are linear in deliveries.
   double multiplier = 1.0;
   if (cell.agent == AgentKind::kAuto && cell.function != FunctionKind::kMax) {
     const bool history_tree =

@@ -465,8 +465,10 @@ AttemptResult run_metropolis_dynamic(const DynamicGraphPtr& network,
 // No-help and leader cells of the symmetric column: history-tree classes
 // (core/history_tree.hpp, after Di Luna & Viglietta [25, 26]) compute the
 // class cardinalities exactly with no bound on n and no outdegree
-// awareness. The exact solve is expensive per round, so the horizon is
-// capped at what stabilization needs — well past 2D + the solver window.
+// awareness. The 8n + 24 horizon, well past 2D + the solver window, is a
+// coordinate of the recorded verdicts rather than a cost bound: changing it
+// moves the rounds and messages these cells report, and can move their
+// stabilization round.
 AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
                                     const std::vector<std::int64_t>& inputs,
                                     const SymmetricFunction& f,

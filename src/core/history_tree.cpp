@@ -1,6 +1,7 @@
 #include "core/history_tree.hpp"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -62,130 +63,111 @@ ViewId parent_class(const ViewRegistry& registry, ViewId node) {
   throw std::logic_error("HistoryFrequencyAgent: node without parent chain");
 }
 
-// Number of round-k in-edges from members of class `from` (color-0 slots).
-int in_edge_count(const ViewRegistry& registry, ViewId node, ViewId from) {
-  int count = 0;
-  for (const auto& [child, color] : registry.children(node)) {
-    if (color == 0 && child == from) ++count;
+// Index of `id` in its level's ascending class list.
+std::size_t position(const std::vector<ViewId>& level, ViewId id) {
+  const auto it = std::lower_bound(level.begin(), level.end(), id);
+  if (it == level.end() || *it != id) {
+    throw std::logic_error("HistoryFrequencyAgent: class outside its level");
   }
-  return count;
+  return static_cast<std::size_t>(it - level.begin());
 }
 
 }  // namespace
 
-const std::optional<HistoryFrequencyAgent::Solution>&
-HistoryFrequencyAgent::solve() const {
-  if (solution_round_ == rounds_) return solution_;
-  solution_round_ = rounds_;
-  solution_.reset();
-  if (view_ == kInvalidView) return solution_;
+std::optional<HistoryClassSizes> solve_history_window(
+    const ViewRegistry& registry, ViewId view) {
+  if (view == kInvalidView) return std::nullopt;
 
   // Window of levels [t0, t1]: deep enough that the class sets are complete
   // (an agent sees every level-k class once k <= t - D), long enough to
   // carry the refinement relations. D is unknown; t/2 becomes valid once
   // t >= 2D, which the eventual-correctness contract absorbs.
-  const int t = registry_->depth(view_);
+  const int t = registry.depth(view);
   const int t1 = t / 2;
-  // Cap the window length: deep history adds variables without adding
-  // information once the classes have stabilized (each stable level repeats
-  // the same relations), and the exact solve is cubic in the variable count.
+  // The length cap is a coordinate of the recorded verdicts, not a cost
+  // bound: the window decides when the relations first pin the classes, so
+  // changing it can move every history cell's stabilization round.
   constexpr int kMaxWindowLevels = 12;
   const int t0 = std::max(t / 4, t1 - kMaxWindowLevels);
-  if (t1 - t0 < 1) return solution_;
+  if (t1 - t0 < 1) return std::nullopt;
 
   // Class sets per level: every embedded sub-view of depth k is some
   // agent's genuine round-k view (level-k history-tree node).
-  const std::vector<ViewId> subviews = registry_->subviews(view_);
-  std::vector<std::set<ViewId>> levels(static_cast<std::size_t>(t1 - t0 + 1));
-  for (ViewId s : subviews) {
-    const int k = registry_->depth(s);
+  std::vector<std::vector<ViewId>> levels(
+      static_cast<std::size_t>(t1 - t0 + 1));
+  for (ViewId s : registry.subviews(view)) {
+    const int k = registry.depth(s);
     if (k >= t0 && k <= t1) {
-      levels[static_cast<std::size_t>(k - t0)].insert(s);
+      levels[static_cast<std::size_t>(k - t0)].push_back(s);
     }
   }
-
-  // Variable index per (level, class).
-  std::map<std::pair<int, ViewId>, std::size_t> var;
-  std::vector<std::pair<int, ViewId>> var_keys;
-  for (int k = t0; k <= t1; ++k) {
-    for (ViewId c : levels[static_cast<std::size_t>(k - t0)]) {
-      var.emplace(std::pair{k, c}, var_keys.size());
-      var_keys.emplace_back(k, c);
-    }
+  for (std::vector<ViewId>& level : levels) {
+    std::sort(level.begin(), level.end());
   }
 
-  std::vector<std::vector<Rational>> rows;
-  auto child_count = [&](ViewId node, ViewId child) {
-    return in_edge_count(*registry_, node, child);
-  };
-
-  for (int k = t0 + 1; k <= t1; ++k) {
-    const auto& lower = levels[static_cast<std::size_t>(k - 1 - t0)];
-    const auto& upper = levels[static_cast<std::size_t>(k - t0)];
-    // Children-of-parents map for this level (the parent chain).
-    std::map<ViewId, std::vector<ViewId>> children_of;
-    for (ViewId c : upper) {
-      children_of[parent_class(*registry_, c)].push_back(c);
-    }
-    // Refinement: z_{parent} = Σ z_{children}.
-    for (ViewId parent : lower) {
-      std::vector<Rational> row(var_keys.size());
-      row[var.at({k - 1, parent})] = Rational(1);
-      auto it = children_of.find(parent);
-      if (it == children_of.end()) return solution_;  // incomplete window
-      for (ViewId child : it->second) {
-        row[var.at({k, child})] -= Rational(1);
-      }
-      rows.push_back(std::move(row));
-    }
-    // Symmetry double count, per unordered pair of level-(k-1) classes:
-    //   Σ_{C child of B} c_{C,D} z_C = Σ_{C child of D} c_{C,B} z_C.
-    std::vector<ViewId> lower_list(lower.begin(), lower.end());
-    for (std::size_t i = 0; i < lower_list.size(); ++i) {
-      for (std::size_t j = i; j < lower_list.size(); ++j) {
-        const ViewId b = lower_list[i];
-        const ViewId d = lower_list[j];
-        std::vector<Rational> row(var_keys.size());
-        bool nontrivial = false;
-        for (ViewId c : children_of[b]) {
-          const int count = child_count(c, d);
-          if (count != 0) {
-            row[var.at({k, c})] += Rational(count);
-            nontrivial = true;
-          }
-        }
-        for (ViewId c : children_of[d]) {
-          const int count = child_count(c, b);
-          if (count != 0) {
-            row[var.at({k, c})] -= Rational(count);
-            nontrivial = true;
-          }
-        }
-        // For b == d the row cancels only when both sums agree termwise;
-        // keep nontrivial rows, they still constrain unequal-class splits.
-        if (nontrivial) rows.push_back(std::move(row));
+  // The unknowns are the level-t1 classes. Walking down the window,
+  // `below[b]` collects the 0/1 indicator of class b's level-t1
+  // descendants, and each double-count row is accumulated over the same
+  // unknowns: child C of B with c_{C,D} in-edges from D adds c_{C,D} times
+  // C's descendant indicator to the row of the pair {B, D}.
+  const std::vector<ViewId>& deepest = levels.back();
+  const std::size_t m = deepest.size();
+  std::vector<std::vector<std::int64_t>> upper(
+      m, std::vector<std::int64_t>(m, 0));
+  for (std::size_t i = 0; i < m; ++i) upper[i][i] = 1;
+  std::set<std::vector<std::int64_t>> rows;
+  for (int k = t1; k > t0; --k) {
+    const std::vector<ViewId>& classes =
+        levels[static_cast<std::size_t>(k - t0)];
+    const std::vector<ViewId>& lower =
+        levels[static_cast<std::size_t>(k - 1 - t0)];
+    std::vector<std::vector<std::int64_t>> below(
+        lower.size(), std::vector<std::int64_t>(m, 0));
+    std::map<std::pair<std::size_t, std::size_t>, std::vector<std::int64_t>>
+        pair_rows;
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      const std::vector<std::int64_t>& z = upper[c];
+      const std::size_t b = position(lower, parent_class(registry, classes[c]));
+      for (std::size_t j = 0; j < m; ++j) below[b][j] += z[j];
+      for (const auto& [from, color] : registry.children(classes[c])) {
+        if (color != 0) continue;
+        const std::size_t d = position(lower, from);
+        if (d == b) continue;  // the b == d row is identically zero
+        std::vector<std::int64_t>& row =
+            pair_rows[{std::min(b, d), std::max(b, d)}];
+        row.resize(m, 0);
+        const std::int64_t sign = b < d ? 1 : -1;
+        for (std::size_t j = 0; j < m; ++j) row[j] += sign * z[j];
       }
     }
-  }
-  if (rows.empty()) return solution_;
-
-  RationalMatrix system(rows.size(), var_keys.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < var_keys.size(); ++c) {
-      system.at(r, c) = rows[r][c];
+    for (const std::vector<std::int64_t>& z : below) {
+      if (std::find(z.begin(), z.end(), 1) == z.end()) {
+        return std::nullopt;  // a class without children: incomplete window
+      }
     }
+    for (auto& [key, row] : pair_rows) rows.insert(std::move(row));
+    upper = std::move(below);
   }
-  const auto kernel = positive_coprime_kernel_vector(system);
-  if (!kernel.has_value()) return solution_;
+  // Each distinct relation once; a zero row (the pair's sums cancel after
+  // substitution) relates nothing.
+  rows.erase(std::vector<std::int64_t>(m, 0));
 
-  Solution solution;
-  for (std::size_t i = 0; i < var_keys.size(); ++i) {
-    if (var_keys[i].first == t1) {
-      solution.classes.push_back(var_keys[i].second);
-      solution.sizes.push_back((*kernel)[i]);
-    }
+  RationalMatrix system(rows.size(), m);
+  std::size_t r = 0;
+  for (const std::vector<std::int64_t>& row : rows) {
+    for (std::size_t j = 0; j < m; ++j) system.at(r, j) = Rational(row[j]);
+    ++r;
   }
-  if (!solution.classes.empty()) solution_ = std::move(solution);
+  auto kernel = positive_coprime_kernel_vector(system);
+  if (!kernel.has_value()) return std::nullopt;
+  return HistoryClassSizes{deepest, std::move(*kernel)};
+}
+
+const std::optional<HistoryClassSizes>& HistoryFrequencyAgent::solve() const {
+  if (solution_round_ != rounds_) {
+    solution_round_ = rounds_;
+    solution_ = solve_history_window(*registry_, view_);
+  }
   return solution_;
 }
 

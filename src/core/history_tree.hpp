@@ -21,9 +21,22 @@
 //     Σ_{C child of B'} c_{C,D'} · z_C  =  Σ_{C child of D'} c_{C,B'} · z_C,
 // together with the refinement identities z_{B'} = Σ_{C child of B'} z_C.
 // Every agent can read all coefficients off its own view; collecting the
-// relations over a window of levels and solving the homogeneous system
-// exactly (linalg/kernel.hpp) recovers the class cardinalities up to a
-// common factor — hence the frequency function, with no knowledge of n.
+// relations over a window of levels [t0, t1] and solving the homogeneous
+// system exactly (linalg/kernel.hpp) recovers the class cardinalities up to
+// a common factor — hence the frequency function, with no knowledge of n.
+//
+// The solve keeps only the deepest level's classes as unknowns. Through
+// the parent chain every lower class is the disjoint union of its level-t1
+// descendants, so substituting the refinement identities turns each
+// double-count row into a small integer row over at most n unknowns (the
+// rows with B' = D' vanish: both sums walk the same children with the same
+// counts). This is exactly the full (level, class) system:
+//   - the refinement rows fix every lower unknown from the level-t1 ones,
+//     so the two kernels are isomorphic;
+//   - lower entries are integer sums of level-t1 entries, so the gcd and
+//     the coprime scaling agree;
+//   - positive level-t1 entries force positive lower entries, so the sign
+//     checks (and every "no solution") agree.
 //
 // This module reproduces that mechanism and verifies it experimentally; the
 // *guarantees* of [25, 26] (linear-time stabilization, disconnected
@@ -47,6 +60,18 @@
 #include "views/view_registry.hpp"
 
 namespace anonet {
+
+// Cardinalities of the deepest window level's classes.
+struct HistoryClassSizes {
+  std::vector<ViewId> classes;  // ascending ids
+  std::vector<BigInt> sizes;    // positive, coprime, up to a common factor
+};
+
+// The window solve behind HistoryFrequencyAgent for the agent whose current
+// history-tree node is `view`; nullopt while the window is incomplete or
+// the relations do not pin a one-dimensional positive solution.
+[[nodiscard]] std::optional<HistoryClassSizes> solve_history_window(
+    const ViewRegistry& registry, ViewId view);
 
 class HistoryFrequencyAgent {
  public:
@@ -93,18 +118,14 @@ class HistoryFrequencyAgent {
   multiset_estimate(std::int64_t leader_count) const;
 
  private:
-  struct Solution {
-    std::vector<ViewId> classes;  // deepest-window-level classes
-    std::vector<BigInt> sizes;    // cardinalities up to a common factor
-  };
-  [[nodiscard]] const std::optional<Solution>& solve() const;
+  [[nodiscard]] const std::optional<HistoryClassSizes>& solve() const;
 
   std::shared_ptr<ViewRegistry> registry_;
   std::shared_ptr<LabelCodec> codec_;
   std::int64_t input_;
   ViewId view_ = kInvalidView;
   int rounds_ = 0;
-  mutable std::optional<Solution> solution_;
+  mutable std::optional<HistoryClassSizes> solution_;
   mutable int solution_round_ = -1;
 };
 

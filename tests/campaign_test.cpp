@@ -378,6 +378,32 @@ TEST(Campaign, Table1RunMatchesThePaper) {
             std::string::npos);
 }
 
+TEST(Campaign, Table2RunMatchesThePaper) {
+  // The full dynamic table, history-tree cells included.
+  const Runner runner{RunnerOptions{}};
+  const std::vector<CellRecord> records =
+      runner.run(Grid::preset("table2"));
+  for (const CellRecord& record : records) {
+    EXPECT_NE(record.verdict, "failed") << record.key << ": " << record.reason;
+  }
+  const TableComparison table = compare_table(records, "table2");
+  EXPECT_TRUE(table.all_match) << render_table(table);
+
+  // The history-tree cells (symmetric none/average, leaders/average and
+  // leaders/sum) stabilize at the rounds recorded for input sets v0-v2.
+  const std::vector<int> stabilization = {7, 5, 5};
+  int history_cells = 0;
+  for (const CellRecord& record : records) {
+    if (record.mechanism.rfind("history-tree", 0) != 0) continue;
+    ++history_cells;
+    EXPECT_TRUE(record.exact) << record.key;
+    EXPECT_EQ(record.stabilization_round,
+              stabilization[static_cast<std::size_t>(record.variant)])
+        << record.key;
+  }
+  EXPECT_EQ(history_cells, 9);
+}
+
 TEST(Campaign, CompareTableRequiresOpenCellsSkipped) {
   // Synthesized table2 records shaped exactly like the paper's grid.
   const std::vector<Knowledge> rows = {Knowledge::kNone, Knowledge::kUpperBound,

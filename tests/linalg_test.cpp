@@ -89,6 +89,16 @@ TEST(Kernel, RejectsHigherDimensionalKernel) {
   EXPECT_FALSE(positive_coprime_kernel_vector(zero).has_value());
 }
 
+TEST(Kernel, SystemsWithNoRows) {
+  // The history-tree solve hands over a 0 x m system when every relation
+  // is trivial: one unknown is pinned to [1], two are not pinned at all.
+  const auto single = positive_coprime_kernel_vector(RationalMatrix(0, 1));
+  ASSERT_TRUE(single.has_value());
+  EXPECT_EQ(*single, std::vector<BigInt>{BigInt(1)});
+  EXPECT_FALSE(
+      positive_coprime_kernel_vector(RationalMatrix(0, 2)).has_value());
+}
+
 TEST(Kernel, FibreMatrixKernelGivesFibreSizes) {
   // End-to-end Section 4.2 on a known lift: ker M must be R·(fibre sizes).
   for (std::uint64_t seed = 0; seed < 10; ++seed) {

@@ -126,7 +126,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     findings = engine.findings
-    root = baselines.find_repo_root(files[0])
+    root = baselines.ANALYZER_ROOT
 
     if args.json_out:
         baselines.write_findings_json(args.json_out, findings, root)

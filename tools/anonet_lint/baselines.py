@@ -22,29 +22,22 @@ BASELINE_VERSION = 1
 UNJUSTIFIED = "UNJUSTIFIED: add a justification before committing"
 
 
+# The checkout that holds this analyzer (tools/anonet_lint/../..). Paths
+# are made relative to it, whether or not the tree is a git checkout (a
+# source tarball, a copied tree, a submodule), so fingerprints match the
+# baseline everywhere the analyzer ships beside the sources it checks.
+ANALYZER_ROOT = os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__))))
+
+
 def repo_relative(path: str, root: str | None = None) -> str:
-    root = root or find_repo_root(path)
-    if root:
-        try:
-            rel = os.path.relpath(os.path.abspath(path), root)
-            if not rel.startswith(".."):
-                return rel.replace(os.sep, "/")
-        except ValueError:
-            pass
+    try:
+        rel = os.path.relpath(os.path.abspath(path), root or ANALYZER_ROOT)
+        if not rel.startswith(".."):
+            return rel.replace(os.sep, "/")
+    except ValueError:
+        pass
     return path.replace(os.sep, "/")
-
-
-def find_repo_root(path: str) -> str | None:
-    cur = os.path.abspath(path)
-    if os.path.isfile(cur):
-        cur = os.path.dirname(cur)
-    while True:
-        if os.path.isdir(os.path.join(cur, ".git")):
-            return cur
-        nxt = os.path.dirname(cur)
-        if nxt == cur:
-            return None
-        cur = nxt
 
 
 def fingerprint_findings(findings, root: str | None = None):

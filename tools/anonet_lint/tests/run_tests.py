@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -309,6 +310,30 @@ class RatchetCliTests(unittest.TestCase):
             self.assertEqual(run.returncode, 1)
             self.assertIn("NEW finding", run.stdout + run.stderr)
             self.assertIn("clock()", run.stdout + run.stderr)
+
+
+    def test_copy_without_git_fingerprints_like_the_checkout(self):
+        # A tree without .git (a source tarball, a copied checkout) must
+        # fingerprint like the git checkout: every baselined finding stays
+        # baselined instead of reporting as one NEW plus one stale entry.
+        baseline = baselines.load_baseline(os.path.join(TOOL, "baseline.json"))
+        sources = sorted({entry["path"] for entry in baseline.values()})
+        with tempfile.TemporaryDirectory() as tmp:
+            tool = os.path.join(tmp, "tools", "anonet_lint")
+            shutil.copytree(TOOL, tool, ignore=shutil.ignore_patterns(
+                "tests", "fixtures", "__pycache__"))
+            for rel in sources:
+                os.makedirs(os.path.dirname(os.path.join(tmp, rel)),
+                            exist_ok=True)
+                shutil.copy(os.path.join(REPO, rel), os.path.join(tmp, rel))
+            run = subprocess.run(
+                [sys.executable, os.path.join(tool, "anonet_lint.py"),
+                 "--baseline", os.path.join(tool, "baseline.json"),
+                 *[os.path.join(tmp, rel) for rel in sources]],
+                capture_output=True, text=True, check=False)
+        self.assertEqual(run.returncode, 0, run.stdout + run.stderr)
+        self.assertIn(f"{len(baseline)} baselined finding(s), 0 stale",
+                      run.stdout)
 
 
 class RawPayloadEscapeTests(unittest.TestCase):
