@@ -6,8 +6,7 @@
 // the bandwidth axis concrete on one static symmetric network, in *measured
 // wire bits*: every executor runs under a metered channel
 // (wire::ChannelPolicy::metered()), so each row is the canonical
-// MessageTraits encoding size of what was actually sent that round — not a
-// hand-maintained payload-unit estimate.
+// MessageTraits encoding size of what was actually sent that round.
 //
 //   - gossip / frequency estimators: per-message bits plateau at
 //     O(|support|) — the bounded-bandwidth regime;

@@ -6,7 +6,7 @@
 // asynchronous starts, crash-stop, message drops over churning
 // topologies) through campaign::Runner, and summarizes the outcome: per
 // suite the cell counts by verdict, the paper comparison for the table
-// suites, and aggregate message/bandwidth totals from the arena. Cells
+// suites, and aggregate round/message totals from the arena. Cells
 // are timed individually (in memory only — no JSONL is written, so the
 // record-level determinism guarantee is untouched) to report each suite's
 // summed cell time (`cell_ms`, the input of scripts/perf_smoke.py's
@@ -46,7 +46,6 @@ struct SuiteSummary {
   int approximate = 0;  // success without exact stabilization
   std::int64_t rounds = 0;
   std::int64_t messages = 0;
-  std::int64_t payload = 0;
   double cell_ms = 0.0;  // summed per-cell wall time
 };
 
@@ -75,7 +74,6 @@ void fold(const std::vector<CellRecord>& records,
     if (record.success && !record.exact) ++summary->approximate;
     summary->rounds += record.rounds;
     summary->messages += record.messages;
-    summary->payload += record.payload;
     if (record.wall_ms >= 0.0) summary->cell_ms += record.wall_ms;
   }
 }
@@ -192,7 +190,6 @@ int main() {
         .field("approximate", s.approximate)
         .field("rounds", s.rounds)
         .field("messages", s.messages)
-        .field("payload_units", s.payload)
         .field("cell_ms", static_cast<std::int64_t>(std::llround(s.cell_ms)));
     std::fprintf(out, "    %s%s\n", o.str().c_str(),
                  i + 1 < suites.size() ? "," : "");

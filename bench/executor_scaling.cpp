@@ -1,13 +1,9 @@
 // Round-engine scaling benchmark — emits BENCH_executor.json.
 //
-// Two sweeps, both on outdegree-aware Push-Sum (the workload behind the
-// Theorem 5.2 convergence experiments):
-//   (a) rounds/sec and messages/sec vs n on a static bidirectional ring,
-//       comparing the flat-arena engine against `legacy`, a faithful copy of
-//       the seed executor (per-round nested inbox allocation, per-round
-//       graph copy via at(t), per-round re-validation, shared mt19937_64);
-//   (b) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5};
-//   (c) block-grain sweep at n = 1e4 (set_block_grain override vs the
+// Two sweeps, both on outdegree-aware Push-Sum over a static bidirectional
+// ring (the workload behind the Theorem 5.2 convergence experiments):
+//   (a) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5};
+//   (b) block-grain sweep at n = 1e4 (set_block_grain override vs the
 //       adaptive policy), sizing the claim-amortization sweet spot.
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
@@ -18,8 +14,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <random>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -32,60 +26,6 @@
 using namespace anonet;
 
 namespace {
-
-// The seed implementation's round loop, kept verbatim (modulo the span
-// receive adapter) as the performance baseline.
-template <typename Alg>
-class LegacyExecutor {
- public:
-  LegacyExecutor(DynamicGraphPtr network, std::vector<Alg> agents,
-                 CommModel model, std::uint64_t shuffle_seed = 0x5eedull)
-      : network_(std::move(network)),
-        agents_(std::move(agents)),
-        model_(model),
-        rng_(shuffle_seed) {}
-
-  void step() {
-    using Message = typename Alg::Message;
-    const int t = rounds_ + 1;
-    const Digraph g = network_->at(t);  // per-round copy, as in the seed
-    if (!g.has_all_self_loops()) throw std::logic_error("missing self-loop");
-    const auto n = static_cast<std::size_t>(g.vertex_count());
-    std::vector<std::vector<Message>> inbox(n);  // per-round allocation
-    for (Vertex v = 0; v < g.vertex_count(); ++v) {
-      const auto out = g.out_edges(v);
-      const int d = static_cast<int>(out.size());
-      const Alg& agent = agents_[static_cast<std::size_t>(v)];
-      const int visible = sees_outdegree(model_) ? d : 0;
-      const Message message = agent.send(visible, 0);
-      for (EdgeId id : out) {
-        inbox[static_cast<std::size_t>(g.edge(id).target)].push_back(message);
-      }
-    }
-    for (Vertex v = 0; v < g.vertex_count(); ++v) {
-      auto& messages = inbox[static_cast<std::size_t>(v)];
-      std::shuffle(messages.begin(), messages.end(), rng_);
-      delivered_ += static_cast<std::int64_t>(messages.size());
-      agents_[static_cast<std::size_t>(v)].receive(
-          std::span<const Message>(messages));
-    }
-    ++rounds_;
-  }
-
-  void run(int rounds) {
-    for (int i = 0; i < rounds; ++i) step();
-  }
-  [[nodiscard]] std::int64_t delivered() const { return delivered_; }
-  [[nodiscard]] const std::vector<Alg>& agents() const { return agents_; }
-
- private:
-  DynamicGraphPtr network_;
-  std::vector<Alg> agents_;
-  CommModel model_;
-  std::mt19937_64 rng_;
-  int rounds_ = 0;
-  std::int64_t delivered_ = 0;
-};
 
 std::vector<PushSumAgent> make_agents(Vertex n) {
   std::vector<PushSumAgent> agents;
@@ -148,39 +88,10 @@ void print_row(const Row& row) {
 int main() {
   std::vector<Row> rows;
 
-  // Sweep (a): n scaling, arena vs legacy, single thread.
-  std::printf("executor_scaling (a) — static bidirectional ring, Push-Sum\n");
-  for (Vertex n : {100, 1000, 10000, 100000}) {
-    auto net = std::make_shared<StaticSchedule>(bidirectional_ring(n));
-    const int rounds = rounds_for(n);
-
-    rows.push_back(timed("ring", "arena", n, 1, rounds, [&](Row& row) {
-      Executor<PushSumAgent> exec(net, make_agents(n),
-                                  CommModel::kOutdegreeAware);
-      exec.run(rounds);
-      row.messages = exec.stats().messages_delivered;
-      double sum = 0.0;
-      for (const auto& a : exec.agents()) sum += a.output();
-      return sum;
-    }));
-    print_row(rows.back());
-
-    rows.push_back(timed("ring", "legacy", n, 1, rounds, [&](Row& row) {
-      LegacyExecutor<PushSumAgent> exec(net, make_agents(n),
-                                        CommModel::kOutdegreeAware);
-      exec.run(rounds);
-      row.messages = exec.delivered();
-      double sum = 0.0;
-      for (const auto& a : exec.agents()) sum += a.output();
-      return sum;
-    }));
-    print_row(rows.back());
-  }
-
-  // Sweep (b): serial vs pooled across n. `serial` is the executor with no
+  // Sweep (a): serial vs pooled across n. `serial` is the executor with no
   // pool (threads = 1); `pooled` rows share the identical engine with a
   // persistent worker pool, so the delta is pure pool overhead or speedup.
-  std::printf("executor_scaling (b) — serial vs pooled (host has %d hardware threads)\n",
+  std::printf("executor_scaling (a) — serial vs pooled (host has %d hardware threads)\n",
               ThreadPool::hardware_threads());
   for (Vertex n : {1000, 10000, 100000}) {
     auto net = std::make_shared<StaticSchedule>(bidirectional_ring(n));
@@ -201,12 +112,12 @@ int main() {
     }
   }
 
-  // Sweep (c): block-grain sensitivity at n = 1e4. grain = 0 is the adaptive
+  // Sweep (b): block-grain sensitivity at n = 1e4. grain = 0 is the adaptive
   // policy (per-phase EWMA targeting ~128us per claim); forced grains map the
   // claim-amortization curve that policy navigates.
   const Vertex n_grain_sweep = 10000;
   const int grain_threads = std::min(4, ThreadPool::hardware_threads());
-  std::printf("executor_scaling (c) — grain sweep at n=%d, threads=%d\n",
+  std::printf("executor_scaling (b) — grain sweep at n=%d, threads=%d\n",
               n_grain_sweep, grain_threads);
   {
     auto net =
@@ -231,18 +142,6 @@ int main() {
       std::printf("  grain=%-5lld", static_cast<long long>(grain));
       print_row(rows.back());
     }
-  }
-
-  // Speedup summary at n = 10^4.
-  double arena_1e4 = 0.0, legacy_1e4 = 0.0;
-  for (const Row& row : rows) {
-    if (row.n == 10000 && row.threads == 1 && row.workload == "ring") {
-      if (row.engine == "arena" && arena_1e4 == 0.0) arena_1e4 = row.seconds;
-      if (row.engine == "legacy") legacy_1e4 = row.seconds;
-    }
-  }
-  if (arena_1e4 > 0.0 && legacy_1e4 > 0.0) {
-    std::printf("speedup vs legacy at n=1e4: %.2fx\n", legacy_1e4 / arena_1e4);
   }
 
   FILE* out = std::fopen("BENCH_executor.json", "w");

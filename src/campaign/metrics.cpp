@@ -81,8 +81,7 @@ std::string MetricsSink::to_json(const CellRecord& record,
       .field("stabilization_round", record.stabilization_round)
       .field("error", record.error)
       .field("rounds", record.rounds)
-      .field("messages", record.messages)
-      .field("payload", record.payload);
+      .field("messages", record.messages);
   // Channel-off records omit the bandwidth fields entirely, keeping their
   // bytes identical to the pre-bandwidth format.
   if (record.bandwidth_bits != 0) {
@@ -279,7 +278,6 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
   integer("stabilization_round", record.stabilization_round);
   integer("rounds", record.rounds);
   integer("messages", record.messages);
-  integer("payload", record.payload);
   integer("bandwidth_bits", record.bandwidth_bits);
   integer("bits", record.bits);
   const auto boolean = [&tokens](const char* key, bool& out) {

@@ -78,7 +78,6 @@ struct CellRecord {
   double error = std::numeric_limits<double>::quiet_NaN();
   std::int64_t rounds = 0;    // rounds actually run (<= the cell's budget)
   std::int64_t messages = 0;  // arena deliveries, self-loops included
-  std::int64_t payload = 0;   // bandwidth proxy (message weight units)
   std::int64_t bits = -1;     // measured bits sent (metered cells; else -1)
   std::string mechanism;      // algorithm the cell ran (or skip reason class)
   double wall_ms = -1.0;      // < 0 = not recorded

@@ -139,7 +139,6 @@ void run_auto(const Cell& cell, CellRecord& record) {
   record.error = result.final_error;
   record.rounds = result.rounds_run;
   record.messages = result.messages_delivered;
-  record.payload = result.payload_units;
   record.bits = result.bits_total;
   record.mechanism = result.mechanism;
 }
@@ -147,7 +146,6 @@ void run_auto(const Cell& cell, CellRecord& record) {
 void finish_from_stats(const ExecutorStats& stats, CellRecord& record) {
   record.rounds = stats.rounds;
   record.messages = stats.messages_delivered;
-  record.payload = stats.payload_units;
 }
 
 // Flooding on the pinned schedule: exact (δ0) verdict. Known sets only

@@ -11,7 +11,6 @@
 #include "core/freq_static.hpp"
 #include "core/gossip.hpp"
 #include "core/history_tree.hpp"
-#include "core/metropolis.hpp"
 #include "core/minbase_agent.hpp"
 #include "core/pushsum.hpp"
 #include "core/uniform_consensus.hpp"
@@ -107,7 +106,6 @@ AttemptResult run_exact(Executor<Alg>& executor, const Attempt& attempt,
   result.mechanism = std::move(mechanism);
   result.rounds_run = executor.stats().rounds;
   result.messages_delivered = executor.stats().messages_delivered;
-  result.payload_units = executor.stats().payload_units;
   if (attempt.bandwidth_bits != 0) {
     result.bits_total = executor.bandwidth_meter().total_bits_sent();
   }
@@ -138,7 +136,6 @@ AttemptResult run_approximate(Executor<Alg>& executor, const Attempt& attempt,
   result.mechanism = std::move(mechanism);
   result.rounds_run = executor.stats().rounds;
   result.messages_delivered = executor.stats().messages_delivered;
-  result.payload_units = executor.stats().payload_units;
   if (attempt.bandwidth_bits != 0) {
     result.bits_total = executor.bandwidth_meter().total_bits_sent();
   }
@@ -363,34 +360,6 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
   return failure("unreachable");
 }
 
-AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
-                                    const std::vector<std::int64_t>& inputs,
-                                    const SymmetricFunction& f,
-                                    const Attempt& attempt,
-                                    const Rational& truth);
-
-// Asserts bidirectionality of every round graph: the symmetric-communications
-// network class of Section 2.1 as a checked wrapper.
-class SymmetricCheckedSchedule final : public DynamicGraph {
- public:
-  explicit SymmetricCheckedSchedule(DynamicGraphPtr inner)
-      : inner_(std::move(inner)) {}
-  [[nodiscard]] Vertex vertex_count() const override {
-    return inner_->vertex_count();
-  }
-  [[nodiscard]] Digraph at(int t) const override {
-    Digraph g = inner_->at(t);
-    if (!g.is_symmetric()) {
-      throw std::logic_error(
-          "Metropolis attempt: round graph is not symmetric");
-    }
-    return g;
-  }
-
- private:
-  DynamicGraphPtr inner_;
-};
-
 // Bounded-knowledge symmetric cells: uniform-weight consensus with step 1/N
 // is *degree-oblivious* — a genuine simple-broadcast sending function — so
 // these cells run strictly inside the symmetric-communications model, with
@@ -419,47 +388,6 @@ AttemptResult run_uniform_symmetric(const DynamicGraphPtr& network,
             "known n"
           : "uniform-weight consensus (degree-oblivious, after [11]) + Q_N "
             "rounding");
-}
-
-AttemptResult run_metropolis_dynamic(const DynamicGraphPtr& network,
-                                     const std::vector<std::int64_t>& inputs,
-                                     const SymmetricFunction& f,
-                                     const Attempt& attempt,
-                                     const Rational& truth) {
-  if (attempt.knowledge == Knowledge::kUpperBound ||
-      attempt.knowledge == Knowledge::kExactSize) {
-    return run_uniform_symmetric(network, inputs, f, attempt, truth);
-  }
-  if (attempt.knowledge == Knowledge::kNone ||
-      attempt.knowledge == Knowledge::kLeaders) {
-    return run_history_symmetric(network, inputs, f, attempt, truth);
-  }
-  std::vector<FrequencyMetropolisAgent> agents;
-  agents.reserve(inputs.size());
-  for (std::int64_t input : inputs) agents.emplace_back(input);
-  // Metropolis weights need round degrees, which the paper provides through
-  // outdegree awareness on a symmetric network (Section 5); we therefore run
-  // the executor in the outdegree-aware model but *verify* the schedule stays
-  // symmetric, matching the paper's setting.
-  Executor<FrequencyMetropolisAgent> executor(
-      std::make_shared<SymmetricCheckedSchedule>(network), std::move(agents),
-      under<CommModel::kOutdegreeAware>, attempt.seed);
-
-  switch (attempt.knowledge) {
-    case Knowledge::kNone:
-      // Handled before the Metropolis executor is built (history-tree
-      // classes; see run_history_symmetric).
-      return failure("unreachable: symmetric no-help handled elsewhere");
-    case Knowledge::kUpperBound:
-    case Knowledge::kExactSize:
-      // Handled before the Metropolis executor is built (degree-oblivious
-      // uniform-weight consensus; see run_uniform_symmetric).
-      return failure("unreachable: bounded symmetric handled elsewhere");
-    case Knowledge::kLeaders:
-      // Handled by run_history_symmetric.
-      return failure("unreachable: symmetric leaders handled elsewhere");
-  }
-  return failure("unreachable");
 }
 
 // No-help and leader cells of the symmetric column: history-tree classes
@@ -617,7 +545,11 @@ AttemptResult attempt_dynamic(const DynamicGraphPtr& network,
   if (attempt.model == CommModel::kOutdegreeAware) {
     return run_pushsum_dynamic(network, inputs, f, attempt, truth);
   }
-  return run_metropolis_dynamic(network, inputs, f, attempt, truth);
+  if (attempt.knowledge == Knowledge::kUpperBound ||
+      attempt.knowledge == Knowledge::kExactSize) {
+    return run_uniform_symmetric(network, inputs, f, attempt, truth);
+  }
+  return run_history_symmetric(network, inputs, f, attempt, truth);
 }
 
 }  // namespace anonet

@@ -62,11 +62,10 @@ struct AttemptResult {
   double final_error = std::numeric_limits<double>::quiet_NaN();
   std::string mechanism;  // algorithm (or impossibility reason) used
   // Executor accounting for the attempt (campaign metrics): rounds actually
-  // run, messages delivered, and payload units (the executor's bandwidth
-  // proxy). All zero when the attempt was rejected before running.
+  // run and messages delivered. Both zero when the attempt was rejected
+  // before running.
   std::int64_t rounds_run = 0;
   std::int64_t messages_delivered = 0;
-  std::int64_t payload_units = 0;
   // Measured wire bits sent over the whole attempt (canonical MessageTraits
   // sizes, each message counted once per out-edge); -1 when the channel was
   // off (bandwidth_bits == 0) or the attempt never ran.
@@ -81,8 +80,9 @@ struct AttemptResult {
     const SymmetricFunction& f, const Attempt& attempt);
 
 // Dynamic networks with finite dynamic diameter (Section 5): Push-Sum for
-// outdegree awareness, Metropolis for symmetric communications, gossip for
-// set-based functions everywhere.
+// outdegree awareness; under symmetric communications, degree-oblivious
+// uniform-weight consensus when a bound on n or n itself is known and
+// history-tree classes otherwise; gossip for set-based functions everywhere.
 [[nodiscard]] AttemptResult attempt_dynamic(
     const DynamicGraphPtr& network, const std::vector<std::int64_t>& inputs,
     const SymmetricFunction& f, const Attempt& attempt);

@@ -24,8 +24,6 @@ class ExactPushSumAgent {
   struct Message {
     Rational y_share;
     Rational z_share;
-
-    [[nodiscard]] std::int64_t weight_units() const { return 2; }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.

@@ -28,11 +28,6 @@ class SetGossipAgent {
  public:
   struct Message {
     std::vector<std::int64_t> values;  // sorted known-set snapshot
-
-    // Bandwidth accounting: one unit per carried value.
-    [[nodiscard]] std::int64_t weight_units() const {
-      return static_cast<std::int64_t>(values.size());
-    }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.

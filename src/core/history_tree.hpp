@@ -77,8 +77,6 @@ class HistoryFrequencyAgent {
  public:
   struct Message {
     ViewId view = kInvalidView;
-
-    [[nodiscard]] std::int64_t weight_units() const { return 1; }
   };
 
   // Degree-oblivious (simple broadcast sending function), but the whole

@@ -39,8 +39,6 @@ class MetropolisAgent {
   struct Message {
     double x = 0.0;
     int degree = 1;
-
-    [[nodiscard]] std::int64_t weight_units() const { return 2; }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.
@@ -83,10 +81,6 @@ class FrequencyMetropolisAgent {
     std::vector<std::int64_t> keys;
     std::vector<double> xs;
     int degree = 1;
-
-    [[nodiscard]] std::int64_t weight_units() const {
-      return 2 * static_cast<std::int64_t>(keys.size()) + 1;
-    }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.

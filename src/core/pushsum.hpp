@@ -42,8 +42,6 @@ class PushSumAgent {
   struct Message {
     double y_share = 0.0;
     double z_share = 0.0;
-
-    [[nodiscard]] std::int64_t weight_units() const { return 2; }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.
@@ -90,11 +88,6 @@ class FrequencyPushSumAgent {
     std::vector<double> ys;
     std::vector<double> zs;
     int outdegree = 1;
-
-    // Bandwidth: (value, y, z) per entry plus the outdegree field.
-    [[nodiscard]] std::int64_t weight_units() const {
-      return 3 * static_cast<std::int64_t>(keys.size()) + 1;
-    }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.

@@ -37,8 +37,6 @@ class UniformWeightAgent {
  public:
   struct Message {
     double x = 0.0;
-
-    [[nodiscard]] std::int64_t weight_units() const { return 1; }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.
@@ -73,10 +71,6 @@ class FrequencyUniformAgent {
  public:
   struct Message {
     std::map<std::int64_t, double> x;
-
-    [[nodiscard]] std::int64_t weight_units() const {
-      return 2 * static_cast<std::int64_t>(x.size());
-    }
   };
 
   // All state is per-agent: safe under the executor's thread-parallel phases.

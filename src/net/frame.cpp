@@ -44,14 +44,13 @@ std::string_view to_string(FrameType type) {
     case FrameType::kRoundBarrier: return "ROUND_BARRIER";
     case FrameType::kVerdict: return "VERDICT";
     case FrameType::kShutdown: return "SHUTDOWN";
-    case FrameType::kMessage: return "MESSAGE";
   }
   return "UNKNOWN";
 }
 
 bool frame_type_known(std::uint8_t raw) {
   return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kMessage);
+         raw <= static_cast<std::uint8_t>(FrameType::kShutdown);
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {

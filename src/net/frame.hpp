@@ -15,12 +15,9 @@
 // into a campaign record.
 //
 // Control frames (HELLO/WELCOME/ASSIGN/ROUND_BARRIER/VERDICT/SHUTDOWN)
-// drive the coordinator/worker protocol (net/protocol.hpp); MESSAGE frames
-// carry one wire-encoded agent message (wire/codecs.hpp) and exist so a
-// message can cross a real socket in exactly the bits the bandwidth meter
-// charges for it. Payload bodies are rendered with wire::BitWriter, the
-// same bit-level encoder the agent codecs use — the transport adds no
-// second serialization dialect.
+// drive the coordinator/worker protocol (net/protocol.hpp). Payload bodies
+// are rendered with wire::BitWriter, the same bit-level encoder the agent
+// codecs use — the transport adds no second serialization dialect.
 //
 // FrameDecoder is an incremental parser: feed() it whatever read() returned
 // and take complete frames off with next(). It never reads ahead of a
@@ -51,7 +48,6 @@ enum class FrameType : std::uint8_t {
   kRoundBarrier = 4,  // coordinator -> workers: epoch fence + pending count
   kVerdict = 5,       // worker -> coordinator: finished-cell record line
   kShutdown = 6,      // coordinator -> worker: campaign complete, exit
-  kMessage = 7,       // either way: one wire-encoded agent message
 };
 
 [[nodiscard]] std::string_view to_string(FrameType type);

@@ -1,5 +1,10 @@
 #include "net/protocol.hpp"
 
+#include <exception>
+#include <string>
+
+#include "wire/wire.hpp"
+
 namespace anonet::net {
 
 namespace {
@@ -28,10 +33,8 @@ Frame seal(FrameType type, const wire::BitWriter& writer) {
   return Frame{type, writer.bytes()};
 }
 
-}  // namespace
-
-namespace detail {
-
+// Shared scaffolding for the typed decoders: type check, reader setup,
+// trailing-data check, DecodeError -> FrameError translation.
 wire::BitReader open_payload(const Frame& frame, FrameType expected) {
   if (frame.type != expected) {
     throw FrameError(std::string("decode: expected ") +
@@ -51,12 +54,13 @@ void finish_payload(const wire::BitReader& reader, FrameType type) {
   }
 }
 
-void rethrow_as_frame_error(FrameType type, const std::exception& error) {
+[[noreturn]] void rethrow_as_frame_error(FrameType type,
+                                         const std::exception& error) {
   throw FrameError(std::string("decode ") + std::string(to_string(type)) +
                    ": " + error.what());
 }
 
-}  // namespace detail
+}  // namespace
 
 Frame encode_hello(const HelloPayload& payload) {
   wire::BitWriter writer;
@@ -68,17 +72,17 @@ Frame encode_hello(const HelloPayload& payload) {
 
 HelloPayload decode_hello(const Frame& frame) {
   try {
-    wire::BitReader reader = detail::open_payload(frame, FrameType::kHello);
+    wire::BitReader reader = open_payload(frame, FrameType::kHello);
     if (reader.read_uvarint() != kMagic) {
       throw FrameError("decode HELLO: bad magic (not an anonet peer)");
     }
     HelloPayload payload;
     payload.version = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.window = static_cast<std::uint32_t>(reader.read_uvarint());
-    detail::finish_payload(reader, FrameType::kHello);
+    finish_payload(reader, FrameType::kHello);
     return payload;
   } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kHello, error);
+    rethrow_as_frame_error(FrameType::kHello, error);
   }
 }
 
@@ -94,17 +98,17 @@ Frame encode_welcome(const WelcomePayload& payload) {
 
 WelcomePayload decode_welcome(const Frame& frame) {
   try {
-    wire::BitReader reader = detail::open_payload(frame, FrameType::kWelcome);
+    wire::BitReader reader = open_payload(frame, FrameType::kWelcome);
     WelcomePayload payload;
     payload.version = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.grid = read_string(reader);
     payload.include_timings = reader.read_bits(8) != 0;
     payload.bandwidth_bits = reader.read_svarint();
     payload.cell_timeout_ms = reader.read_double();
-    detail::finish_payload(reader, FrameType::kWelcome);
+    finish_payload(reader, FrameType::kWelcome);
     return payload;
   } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kWelcome, error);
+    rethrow_as_frame_error(FrameType::kWelcome, error);
   }
 }
 
@@ -118,15 +122,15 @@ Frame encode_assign(const AssignPayload& payload) {
 
 AssignPayload decode_assign(const Frame& frame) {
   try {
-    wire::BitReader reader = detail::open_payload(frame, FrameType::kAssign);
+    wire::BitReader reader = open_payload(frame, FrameType::kAssign);
     AssignPayload payload;
     payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.key = read_string(reader);
-    detail::finish_payload(reader, FrameType::kAssign);
+    finish_payload(reader, FrameType::kAssign);
     return payload;
   } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kAssign, error);
+    rethrow_as_frame_error(FrameType::kAssign, error);
   }
 }
 
@@ -140,14 +144,14 @@ Frame encode_barrier(const BarrierPayload& payload) {
 BarrierPayload decode_barrier(const Frame& frame) {
   try {
     wire::BitReader reader =
-        detail::open_payload(frame, FrameType::kRoundBarrier);
+        open_payload(frame, FrameType::kRoundBarrier);
     BarrierPayload payload;
     payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.pending = static_cast<std::uint32_t>(reader.read_uvarint());
-    detail::finish_payload(reader, FrameType::kRoundBarrier);
+    finish_payload(reader, FrameType::kRoundBarrier);
     return payload;
   } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kRoundBarrier, error);
+    rethrow_as_frame_error(FrameType::kRoundBarrier, error);
   }
 }
 
@@ -162,16 +166,16 @@ Frame encode_verdict(const VerdictPayload& payload) {
 
 VerdictPayload decode_verdict(const Frame& frame) {
   try {
-    wire::BitReader reader = detail::open_payload(frame, FrameType::kVerdict);
+    wire::BitReader reader = open_payload(frame, FrameType::kVerdict);
     VerdictPayload payload;
     payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.key = read_string(reader);
     payload.line = read_string(reader);
-    detail::finish_payload(reader, FrameType::kVerdict);
+    finish_payload(reader, FrameType::kVerdict);
     return payload;
   } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kVerdict, error);
+    rethrow_as_frame_error(FrameType::kVerdict, error);
   }
 }
 

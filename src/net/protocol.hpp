@@ -33,7 +33,6 @@
 #include <string>
 
 #include "net/frame.hpp"
-#include "wire/wire.hpp"
 
 namespace anonet::net {
 
@@ -98,56 +97,5 @@ struct VerdictPayload {
 [[nodiscard]] BarrierPayload decode_barrier(const Frame& frame);
 [[nodiscard]] VerdictPayload decode_verdict(const Frame& frame);
 void decode_shutdown(const Frame& frame);
-
-namespace detail {
-
-// Shared scaffolding for the typed decoders: type check, reader setup,
-// trailing-data check, DecodeError -> FrameError translation.
-[[nodiscard]] wire::BitReader open_payload(const Frame& frame,
-                                           FrameType expected);
-void finish_payload(const wire::BitReader& reader, FrameType type);
-[[noreturn]] void rethrow_as_frame_error(FrameType type,
-                                         const std::exception& error);
-
-}  // namespace detail
-
-// One wire-encoded agent message as a MESSAGE frame. The payload is the
-// message's exact canonical bit stream (wire/codecs.hpp) behind a uvarint
-// bit count — frames are byte-granular, encodings are bit-granular, and the
-// count preserves the exact size the bandwidth meter would charge. All
-// encoding routes through MessageTraits: the transport cannot invent a
-// second wire dialect for a payload type (enforced by anonet_lint W1).
-template <wire::WireEncodable M>
-[[nodiscard]] Frame make_message_frame(const M& message) {
-  wire::BitWriter writer;
-  writer.write_uvarint(static_cast<std::uint64_t>(wire::encoded_bits(message)));
-  wire::encode(message, writer);
-  return Frame{FrameType::kMessage, writer.bytes()};
-}
-
-template <wire::WireEncodable M>
-[[nodiscard]] M parse_message_frame(const Frame& frame) {
-  if (frame.type != FrameType::kMessage) {
-    throw FrameError("parse_message_frame: not a MESSAGE frame");
-  }
-  try {
-    wire::BitReader reader(frame.payload.data(),
-                           static_cast<std::int64_t>(frame.payload.size()) * 8);
-    const std::uint64_t declared_bits = reader.read_uvarint();
-    const std::int64_t body_start = reader.cursor();
-    if (declared_bits > static_cast<std::uint64_t>(reader.remaining())) {
-      throw FrameError("parse_message_frame: declared bit count exceeds frame");
-    }
-    M message = wire::decode<M>(reader);
-    if (static_cast<std::uint64_t>(reader.cursor() - body_start) !=
-        declared_bits) {
-      throw FrameError(
-          "parse_message_frame: decoded size disagrees with declared bits");
-    }
-    return message;
-  } catch (const wire::DecodeError& error) {
-    detail::rethrow_as_frame_error(FrameType::kMessage, error);
-  }
-}
 
 }  // namespace anonet::net

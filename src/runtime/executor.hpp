@@ -29,7 +29,6 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -48,37 +47,23 @@
 
 namespace anonet {
 
-// An agent exposes a message type, a sending function, and a transition.
+// An agent exposes a message type, a sending function, and a transition on
+// the received multiset (shuffled by the executor):
 //   Message send(int outdegree, int port) const;
 //     outdegree: 0 when the model hides it, else the round outdegree
 //       (self-loop included);
 //     port: 0 for isotropic models, else the output port in [1, outdegree].
-// and ONE of the two receive forms, a transition on the received multiset
-// (shuffled by the executor):
 //   void receive(std::span<const Message> messages);
 //     zero-copy: `messages` aliases the executor's arena and is only valid
-//     during the call. Preferred; every agent in src/core uses it.
-//   void receive(std::vector<Message> messages);
-//     compatibility form: the executor materializes a vector (one move per
-//     message) and hands over ownership.
+//     during the call.
 template <typename A>
-concept HasSpanReceive = requires(A agent,
+concept AnonymousAgent = requires(A agent, const A const_agent,
                                   std::span<const typename A::Message> m) {
-  { agent.receive(m) };
-};
-
-template <typename A>
-concept HasVectorReceive = requires(A agent,
-                                    std::vector<typename A::Message> m) {
-  { agent.receive(std::move(m)) };
-};
-
-template <typename A>
-concept AnonymousAgent = requires(const A const_agent) {
   typename A::Message;
   requires std::default_initializable<typename A::Message>;
   { const_agent.send(0, 0) } -> std::same_as<typename A::Message>;
-} && (HasSpanReceive<A> || HasVectorReceive<A>);
+  { agent.receive(m) };
+};
 
 // An agent opts into thread-parallel execution by declaring
 //     static constexpr bool kParallelSafe = true;
@@ -104,26 +89,8 @@ struct PhaseTimings {
 struct ExecutorStats {
   std::int64_t rounds = 0;
   std::int64_t messages_delivered = 0;  // self-loop deliveries included
-  // Sum of message weights (see message_weight below) over all deliveries —
-  // a bandwidth proxy. Equals messages_delivered when no message type
-  // declares a weight.
-  std::int64_t payload_units = 0;
   PhaseTimings timings;
 };
-
-// Bandwidth accounting hook: a message type may expose
-//     std::int64_t weight_units() const;
-// (e.g. number of scalar fields it carries); unit weight otherwise.
-template <typename M>
-[[nodiscard]] std::int64_t message_weight(const M& message) {
-  if constexpr (requires {
-                  { message.weight_units() } -> std::convertible_to<std::int64_t>;
-                }) {
-    return message.weight_units();
-  } else {
-    return 1;
-  }
-}
 
 // Throws std::invalid_argument unless every vertex's out-edges are colored
 // with exactly the ports 1..outdegree. The verdict is cached on the graph
@@ -384,9 +351,6 @@ class Executor {
       if (edge_outbox_.size() < edge_total) edge_outbox_.resize(edge_total);
     } else {
       if (outbox_.size() < n) outbox_.resize(n);
-      if constexpr (kWeighted) {
-        if (outbox_weight_.size() < n) outbox_weight_.resize(n);
-      }
     }
     if (arena_.size() < edge_total) arena_.resize(edge_total);
 
@@ -460,13 +424,6 @@ class Executor {
                  } else {
                    const int visible = sees_outdegree(model_) ? d : 0;
                    outbox_[static_cast<std::size_t>(i)] = agent.send(visible, 0);
-                   if constexpr (kWeighted) {
-                     // Isotropic broadcast replicates one message to all
-                     // out-neighbors: weigh it once per sender, not once per
-                     // delivery (heavy payloads make the difference).
-                     outbox_weight_[static_cast<std::size_t>(i)] =
-                         message_weight(outbox_[static_cast<std::size_t>(i)]);
-                   }
                    if (metering) {
                      // Measure once per sender; the channel carries it once
                      // per out-edge (self-loop included), matching the
@@ -547,17 +504,11 @@ class Executor {
                      const auto slot =
                          static_cast<std::size_t>(in_edge_[base + k]);
                      arena_[base + got] = edge_outbox_[slot];
-                     local.payload += message_weight(arena_[base + got]);
                      if (metering) local.recv_bits += edge_outbox_bits_[slot];
                    } else {
                      const auto src =
                          static_cast<std::size_t>(in_source_[base + k]);
                      arena_[base + got] = outbox_[src];
-                     if constexpr (kWeighted) {
-                       local.payload += outbox_weight_[src];
-                     } else {
-                       local.payload += 1;
-                     }
                      if (metering) local.recv_bits += outbox_bits_[src];
                    }
                    ++got;
@@ -577,25 +528,14 @@ class Executor {
                      std::swap(slice[k], slice[rng.bounded(k + 1)]);
                    }
                  }
-                 Alg& agent = agents_[static_cast<std::size_t>(i)];
-                 if constexpr (HasSpanReceive<Alg>) {
-                   agent.receive(
-                       std::span<const Message>(arena_.data() + base, got));
-                 } else {
-                   const auto slice_begin =
-                       arena_.begin() + static_cast<std::ptrdiff_t>(base);
-                   agent.receive(std::vector<Message>(
-                       std::make_move_iterator(slice_begin),
-                       std::make_move_iterator(
-                           slice_begin + static_cast<std::ptrdiff_t>(got))));
-                 }
+                 agents_[static_cast<std::size_t>(i)].receive(
+                     std::span<const Message>(arena_.data() + base, got));
                }
                partials_[static_cast<std::size_t>(b)] = local;
              });
     for (std::int64_t b = 0; b < deliver_blocks; ++b) {
       const Partial& p = partials_[static_cast<std::size_t>(b)];
       stats_.messages_delivered += p.messages;
-      stats_.payload_units += p.payload;
       round_bits.bits_received += p.recv_bits;
     }
     if (metering) meter_.record_round(round_bits);
@@ -628,10 +568,6 @@ class Executor {
   [[nodiscard]] int threads() const { return threads_; }
 
  private:
-  static constexpr bool kWeighted = requires(const Message& m) {
-    { m.weight_units() } -> std::convertible_to<std::int64_t>;
-  };
-
   // Per-block partial statistics, reduced in block order after each phase
   // (deterministic regardless of which worker ran which block). The same
   // array serves both phases: the send phase fills the bit fields when a
@@ -640,11 +576,10 @@ class Executor {
   // counts. Bit totals are integer sums and maxima, so the reduced values
   // are independent of thread count and block assignment by construction.
   // Padded to a cache line: adjacent blocks usually run on different
-  // workers, and the five counters would otherwise share lines and bounce
+  // workers, and the four counters would otherwise share lines and bounce
   // between cores on every delivery.
   struct alignas(64) Partial {
     std::int64_t messages = 0;
-    std::int64_t payload = 0;
     std::int64_t sent_bits = 0;  // send phase: bits pushed onto out-edges
     std::int64_t max_bits = 0;   // send phase: largest single message
     std::int64_t recv_bits = 0;  // deliver phase: bits gathered from in-edges
@@ -774,7 +709,6 @@ class Executor {
   std::vector<Vertex> in_source_;          // slot -> sender (isotropic path)
   std::vector<Message> arena_;             // delivered messages, receiver-major
   std::vector<Message> outbox_;            // one message per sender (isotropic)
-  std::vector<std::int64_t> outbox_weight_;  // per-sender weight (isotropic)
   std::vector<Message> edge_outbox_;       // one message per edge (port-aware)
   std::vector<Partial> partials_;          // per-block per-phase stats
   // Adaptive-grain state (grain_for): measured per-item phase cost EWMAs

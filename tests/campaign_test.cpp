@@ -268,7 +268,6 @@ TEST(Campaign, RecordJsonRoundTripsThroughParseLine) {
   record.error = 0.125;
   record.rounds = 400;
   record.messages = 12345;
-  record.payload = 67890;
   record.mechanism = "per-value Push-Sum (Algorithm 1)";
 
   const std::string line = MetricsSink::to_json(record, false);
@@ -289,7 +288,6 @@ TEST(Campaign, RecordJsonRoundTripsThroughParseLine) {
   EXPECT_EQ(parsed->error, record.error);
   EXPECT_EQ(parsed->rounds, record.rounds);
   EXPECT_EQ(parsed->messages, record.messages);
-  EXPECT_EQ(parsed->payload, record.payload);
   EXPECT_EQ(parsed->mechanism, record.mechanism);
   // Re-rendering the parsed record reproduces the exact bytes.
   EXPECT_EQ(MetricsSink::to_json(*parsed, false), line);
@@ -533,6 +531,35 @@ TEST(CampaignDeterminism, ResumeReusesFinishedCells) {
     }
   }
   EXPECT_TRUE(sentinel_seen);
+
+  // A file written while records still carried the `payload` field (right
+  // after `messages`): resume must reuse every line (the sentinel survives,
+  // nothing is recomputed) and the canonical rewrite drops the field.
+  std::istringstream complete_lines(complete);
+  std::string line;
+  std::string with_payload;
+  std::string expected;
+  for (int i = 0; std::getline(complete_lines, line); ++i) {
+    auto record = MetricsSink::parse_line(line);
+    ASSERT_TRUE(record.has_value());
+    if (i == 1) record->mechanism = "sentinel: payload-era record";
+    line = MetricsSink::to_json(*record, false);
+    expected += line + "\n";
+    const std::size_t messages = line.find("\"messages\":");
+    ASSERT_NE(messages, std::string::npos);
+    line.insert(line.find(',', messages),
+                ",\"payload\":" + std::to_string(7 * i));
+    with_payload += line + "\n";
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << with_payload;
+  }
+  Runner(options).run(grid);
+  const std::string rewritten = read_bytes(path);
+  EXPECT_NE(rewritten.find("sentinel: payload-era record"), std::string::npos);
+  EXPECT_EQ(rewritten.find("\"payload\""), std::string::npos);
+  EXPECT_EQ(rewritten, expected);
 
   // A half-written (truncated mid-line) file: the broken line is recomputed
   // and the final file converges back to the canonical bytes.

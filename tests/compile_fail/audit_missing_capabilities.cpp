@@ -5,7 +5,7 @@
 // core agent and the build dies exactly like this TU does.
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "runtime/static_audit.hpp"
 
@@ -24,7 +24,7 @@ class UndeclaredAgent {
     return Message{value_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(std::span<const Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -6,7 +6,7 @@
 // any codec from wire/codecs.hpp and the library itself dies the same way.
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "runtime/capabilities.hpp"
 #include "runtime/static_audit.hpp"
@@ -28,7 +28,7 @@ class CodeclessAgent {
     return Message{value_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(std::span<const Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -7,7 +7,7 @@
 // turns that silence into this compile error.
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "runtime/capabilities.hpp"
 #include "runtime/static_audit.hpp"
@@ -28,7 +28,7 @@ class SilentAgent {
     return Message{value_};
   }
 
-  void receive(const std::vector<Message>& messages) {
+  void receive(std::span<const Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -37,10 +37,20 @@ struct ProbeAgent {
     ports_seen.push_back(port);
     return Message{id, port};
   }
-  void receive(std::vector<Message> messages) {
-    last_inbox = std::move(messages);
+  void receive(std::span<const Message> messages) {
+    last_inbox.assign(messages.begin(), messages.end());
   }
 };
+
+// The span is the only receive form: an agent that takes an owned vector
+// is not an AnonymousAgent.
+struct VectorReceiveAgent {
+  struct Message {};
+  Message send(int, int) const { return {}; }
+  void receive(std::vector<Message> /*messages*/) {}
+};
+static_assert(AnonymousAgent<ProbeAgent>);
+static_assert(!AnonymousAgent<VectorReceiveAgent>);
 
 TEST(Executor, RequiresOneAgentPerVertex) {
   auto net = std::make_shared<StaticSchedule>(directed_ring(3));
@@ -156,27 +166,6 @@ TEST(Executor, StatsCountRoundsAndMessages) {
   exec.run(5);
   EXPECT_EQ(exec.stats().rounds, 5);
   EXPECT_EQ(exec.stats().messages_delivered, 5 * 16);
-  // ProbeAgent declares no weight: payload defaults to one unit/message.
-  EXPECT_EQ(exec.stats().payload_units, 5 * 16);
-}
-
-// Message type with a declared bandwidth weight.
-struct WeightedAgent {
-  struct Message {
-    int payload = 3;
-    [[nodiscard]] std::int64_t weight_units() const { return 7; }
-  };
-  Message send(int, int) const { return {}; }
-  void receive(std::vector<Message>) {}
-};
-
-TEST(Executor, PayloadUnitsUseDeclaredWeights) {
-  auto net = std::make_shared<StaticSchedule>(complete_graph(3));
-  Executor<WeightedAgent> exec(net, std::vector<WeightedAgent>(3),
-                               CommModel::kSimpleBroadcast);
-  exec.run(2);
-  EXPECT_EQ(exec.stats().messages_delivered, 2 * 9);
-  EXPECT_EQ(exec.stats().payload_units, 7 * 2 * 9);
 }
 
 TEST(Executor, ShuffleSeedChangesDeliveryOrderNotContent) {
@@ -302,8 +291,6 @@ TEST(ExecutorDeterminism, ThreadCountInvariantForAllModels) {
       EXPECT_EQ(serial_stats.rounds, parallel_stats.rounds) << c.name;
       EXPECT_EQ(serial_stats.messages_delivered,
                 parallel_stats.messages_delivered)
-          << c.name;
-      EXPECT_EQ(serial_stats.payload_units, parallel_stats.payload_units)
           << c.name;
     }
   }

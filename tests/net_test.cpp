@@ -1,8 +1,8 @@
 // Socket transport tests (src/net/, docs/transport.md): frame integrity
 // under corruption and truncation, protocol payload round-trips, handshake
-// rejection, agent MESSAGE frames routed through MessageTraits, and —
-// through real loopback sockets — coordinator/worker campaign parity with
-// the in-process Runner, including a worker killed mid-campaign.
+// rejection, and — through real loopback sockets — coordinator/worker
+// campaign parity with the in-process Runner, including a worker killed
+// mid-campaign.
 
 #include <gtest/gtest.h>
 
@@ -16,14 +16,12 @@
 #include "campaign/metrics.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
-#include "core/gossip.hpp"
-#include "core/pushsum.hpp"
 #include "net/coordinator.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/worker.hpp"
-#include "wire/codecs.hpp"
+#include "wire/wire.hpp"
 
 namespace {
 
@@ -53,8 +51,7 @@ Frame sample_frame() {
 TEST(NetFrame, RoundTripsEveryTypeThroughTheDecoder) {
   for (const FrameType type :
        {FrameType::kHello, FrameType::kWelcome, FrameType::kAssign,
-        FrameType::kRoundBarrier, FrameType::kVerdict, FrameType::kShutdown,
-        FrameType::kMessage}) {
+        FrameType::kRoundBarrier, FrameType::kVerdict, FrameType::kShutdown}) {
     Frame frame;
     frame.type = type;
     if (type != FrameType::kShutdown) {
@@ -140,7 +137,7 @@ TEST(NetFrame, RejectsOversizedDeclaredLengthBeforeBuffering) {
 
 TEST(NetFrame, RejectsPayloadOverCapOnEncode) {
   Frame frame;
-  frame.type = FrameType::kMessage;
+  frame.type = FrameType::kVerdict;
   frame.payload.resize(kMaxFramePayload + 1);
   EXPECT_THROW((void)encode_frame(frame), FrameError);
 }
@@ -199,44 +196,6 @@ TEST(NetProtocol, HelloWithWrongMagicIsRejected) {
   writer.write_uvarint(1);
   const Frame impostor{FrameType::kHello, writer.bytes()};
   EXPECT_THROW((void)decode_hello(impostor), FrameError);
-}
-
-TEST(NetProtocol, AgentMessageFramesRouteThroughMessageTraits) {
-  SetGossipAgent::Message gossip;
-  gossip.values = {-3, 0, 41};
-  const Frame gossip_frame = make_message_frame(gossip);
-  EXPECT_EQ(gossip_frame.type, FrameType::kMessage);
-  EXPECT_EQ(parse_message_frame<SetGossipAgent::Message>(gossip_frame).values,
-            gossip.values);
-
-  FrequencyPushSumAgent::Message push;
-  push.keys = {7};
-  push.ys = {0.25};
-  push.zs = {0.5};
-  push.outdegree = 2;
-  const Frame push_frame = make_message_frame(push);
-  const auto decoded =
-      parse_message_frame<FrequencyPushSumAgent::Message>(push_frame);
-  ASSERT_EQ(decoded.keys, push.keys);
-  EXPECT_EQ(decoded.ys, push.ys);
-  EXPECT_EQ(decoded.zs, push.zs);
-  EXPECT_EQ(decoded.outdegree, push.outdegree);
-}
-
-TEST(NetProtocol, MessageFrameWithCorruptBitCountIsAFrameError) {
-  SetGossipAgent::Message gossip;
-  gossip.values = {1, 2};
-  Frame frame = make_message_frame(gossip);
-  // Forge the declared bit count (first uvarint byte) far past the frame.
-  frame.payload[0] = 0xFF;
-  frame.payload.insert(frame.payload.begin() + 1, 0x7F);
-  EXPECT_THROW((void)parse_message_frame<SetGossipAgent::Message>(frame),
-               FrameError);
-  Frame wrong_type = frame;
-  wrong_type.type = FrameType::kAssign;
-  EXPECT_THROW(
-      (void)parse_message_frame<SetGossipAgent::Message>(wrong_type),
-      FrameError);
 }
 
 // --- sockets --------------------------------------------------------------

@@ -456,10 +456,10 @@ class RuleEngine:
     # bit_cast bypasses the canonical codec — the bits on the wire are no
     # longer the bits the bandwidth meter charges, and layout becomes ABI-
     # dependent. Agent payloads must route through MessageTraits
-    # (wire::encode / wire::decode / make_message_frame); statements that
-    # mention those are exempt, and transport *control* frames (HELLO,
-    # ASSIGN, ... — structs of non-agent classes) never match because the
-    # pattern keys on the qualified `<Agent>::Message` spelling.
+    # (wire::encode / wire::decode); statements that mention those are
+    # exempt, and transport *control* frames (HELLO, ASSIGN, ... — structs
+    # of non-agent classes) never match because the pattern keys on the
+    # qualified `<Agent>::Message` spelling.
     def _rule_w1_raw_payload(self):
         agent_names = [info.name for info in self.index.classes.values()
                        if info.is_agent and info.has_message and
@@ -478,8 +478,7 @@ class RuleEngine:
                     stmt_end = len(text)
                 stmt = text[stmt_start:stmt_end]
                 if ("MessageTraits" in stmt or "wire::encode" in stmt
-                        or "wire::decode" in stmt
-                        or "make_message_frame" in stmt):
+                        or "wire::decode" in stmt):
                     continue
                 for name in agent_names:
                     if f"{name}::Message" in stmt:

@@ -2,8 +2,9 @@
 //
 // One binary, two roles:
 //
-//   # coordinator: listen, wait for 2 workers, run the smoke grid
-//   anonet_node --listen 127.0.0.1:0 --port-file port.txt \
+//   # coordinator (one command): listen, wait for 2 workers, run the
+//   # smoke grid
+//   anonet_node --listen 127.0.0.1:0 --port-file port.txt
 //               --workers 2 --grid smoke --out out.jsonl
 //
 //   # worker: connect and serve cells until SHUTDOWN
