@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -15,6 +15,7 @@
 #include "dynamics/adversarial.hpp"
 #include "dynamics/perturbation.hpp"
 #include "dynamics/schedules.hpp"
+#include "runtime/convergence.hpp"
 #include "runtime/executor.hpp"
 #include "support/thread_pool.hpp"
 #include "wire/codecs.hpp"
@@ -98,8 +99,8 @@ void configure_perturbations(Executor<Agent>& executor, const Cell& cell) {
 
 // The computability-harness path (AgentKind::kAuto): the harness picks the
 // paper's algorithm for the (model, knowledge, function) cell, exactly as
-// the bench table probes do.
-void run_auto(const Cell& cell, CellRecord& record) {
+// the bench table probes do, and runs its whole horizon.
+AttemptResult run_auto(const Cell& cell, const SymmetricFunction& f) {
   Attempt attempt;
   attempt.model = cell.model;
   attempt.knowledge = cell.knowledge;
@@ -127,78 +128,19 @@ void run_auto(const Cell& cell, CellRecord& record) {
       }
       break;
   }
-  const SymmetricFunction f = make_function(cell.function);
-  const AttemptResult result =
-      cell.schedule == ScheduleKind::kStaticPanel
-          ? attempt_static(make_static_panel(cell.model, cell.variant).graph,
-                           inputs, f, attempt)
-          : attempt_dynamic(make_cell_schedule(cell), inputs, f, attempt);
-  record.success = result.success;
-  record.exact = result.success && result.stabilization_round >= 0;
-  record.stabilization_round = result.stabilization_round;
-  record.error = result.final_error;
-  record.rounds = result.rounds_run;
-  record.messages = result.messages_delivered;
-  record.bits = result.bits_total;
-  record.mechanism = result.mechanism;
+  return cell.schedule == ScheduleKind::kStaticPanel
+             ? attempt_static(make_static_panel(cell.model, cell.variant).graph,
+                              inputs, f, attempt)
+             : attempt_dynamic(make_cell_schedule(cell), inputs, f, attempt);
 }
 
-void finish_from_stats(const ExecutorStats& stats, CellRecord& record) {
-  record.rounds = stats.rounds;
-  record.messages = stats.messages_delivered;
-}
-
-// Flooding on the pinned schedule: exact (δ0) verdict. Known sets only
-// grow, so the first all-agents-exact round is permanent and we can stop.
-void run_gossip(const Cell& cell, CellRecord& record) {
-  std::vector<SetGossipAgent> agents;
-  agents.reserve(cell.inputs.size());
-  for (std::int64_t input : cell.inputs) agents.emplace_back(input);
-  Executor<SetGossipAgent> executor(make_cell_schedule(cell),
-                                    std::move(agents), cell.model, cell.seed);
-  executor.set_deadline(cell.timeout_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(cell.bandwidth_bits));
-  configure_perturbations(executor, cell);
-  const SymmetricFunction f = make_function(cell.function);
-  const Rational truth = ground_truth(cell.inputs, f, Knowledge::kNone);
-  int stabilized = -1;
-  for (int t = 1; t <= cell.rounds; ++t) {
-    executor.step();
-    bool all_exact = true;
-    for (const SetGossipAgent& agent : executor.agents()) {
-      if (agent.output(f) != truth) {
-        all_exact = false;
-        break;
-      }
-    }
-    if (all_exact) {
-      stabilized = t;
-      break;
-    }
-  }
-  double error = 0.0;
-  for (const SetGossipAgent& agent : executor.agents()) {
-    error = std::max(error, std::abs(agent.output(f).to_double() -
-                                     truth.to_double()));
-  }
-  record.exact = stabilized >= 0;
-  record.success = record.exact;
-  record.stabilization_round = stabilized;
-  record.error = error;
-  record.mechanism = "set gossip (flooding)";
-  finish_from_stats(executor.stats(), record);
-  if (cell.bandwidth_bits != 0) {
-    record.bits = executor.bandwidth_meter().total_bits_sent();
-  }
-}
-
-// Shared δ2 loop for the frequency estimators: step until the sup-error of
-// the estimated function value drops within tolerance or the round budget
-// (the cell's timeout) is exhausted.
-template <typename Agent, typename EstimateFn>
-void run_frequency_estimator(const Cell& cell, CellRecord& record,
-                             const char* mechanism, EstimateFn&& estimate) {
+// An explicit agent kind on the cell's schedule and perturbations, observed
+// until its first successful round: gossip known sets only grow, so the
+// first all-exact round is permanent, and an estimator within tolerance is
+// the verdict asked for.
+template <typename Agent, typename OutputFn>
+AttemptResult run_explicit(const Cell& cell, const SymmetricFunction& f,
+                           OutputFn output, const char* mechanism) {
   std::vector<Agent> agents;
   agents.reserve(cell.inputs.size());
   for (std::int64_t input : cell.inputs) agents.emplace_back(input);
@@ -208,28 +150,41 @@ void run_frequency_estimator(const Cell& cell, CellRecord& record,
   executor.set_channel_policy(
       wire::channel_policy_from_bits(cell.bandwidth_bits));
   configure_perturbations(executor, cell);
+  const Rational truth = ground_truth(cell.inputs, f, Knowledge::kNone);
+  AttemptResult result = observe(executor, cell.rounds, truth, cell.tolerance,
+                                 output, StopRule::kFirstSuccess);
+  result.mechanism = mechanism;
+  return result;
+}
+
+AttemptResult run_agent(const Cell& cell) {
   const SymmetricFunction f = make_function(cell.function);
-  const double truth = ground_truth(cell.inputs, f, Knowledge::kNone)
-                           .to_double();
-  double error = std::numeric_limits<double>::infinity();
-  for (int t = 1; t <= cell.rounds; ++t) {
-    executor.step();
-    error = 0.0;
-    for (const Agent& agent : executor.agents()) {
-      const double value = f.eval_approximate(estimate(agent));
-      error = std::max(error, std::abs(value - truth));
-    }
-    if (error <= cell.tolerance) break;
+  switch (cell.agent) {
+    case AgentKind::kAuto:
+      return run_auto(cell, f);
+    case AgentKind::kSetGossip:
+      return run_explicit<SetGossipAgent>(
+          cell, f,
+          [&f](const SetGossipAgent& agent) -> std::optional<Rational> {
+            return agent.output(f);
+          },
+          "set gossip (flooding)");
+    case AgentKind::kFrequencyPushSum:
+      return run_explicit<FrequencyPushSumAgent>(
+          cell, f,
+          [&f](const FrequencyPushSumAgent& agent) {
+            return f.eval_approximate(agent.normalized_estimates());
+          },
+          "per-value Push-Sum (Algorithm 1)");
+    case AgentKind::kMetropolis:
+      return run_explicit<FrequencyMetropolisAgent>(
+          cell, f,
+          [&f](const FrequencyMetropolisAgent& agent) {
+            return f.eval_approximate(agent.estimates());
+          },
+          "Metropolis indicator averaging");
   }
-  record.success = error <= cell.tolerance;
-  record.exact = false;
-  record.stabilization_round = -1;
-  record.error = error;
-  record.mechanism = mechanism;
-  finish_from_stats(executor.stats(), record);
-  if (cell.bandwidth_bits != 0) {
-    record.bits = executor.bandwidth_meter().total_bits_sent();
-  }
+  throw std::invalid_argument("run_agent: unknown agent kind");
 }
 
 }  // namespace
@@ -301,28 +256,15 @@ CellRecord Runner::run_cell(const Cell& cell, bool record_wall_time) {
 
   const auto started = std::chrono::steady_clock::now();
   try {
-    switch (cell.agent) {
-      case AgentKind::kAuto:
-        run_auto(cell, record);
-        break;
-      case AgentKind::kSetGossip:
-        run_gossip(cell, record);
-        break;
-      case AgentKind::kFrequencyPushSum:
-        run_frequency_estimator<FrequencyPushSumAgent>(
-            cell, record, "per-value Push-Sum (Algorithm 1)",
-            [](const FrequencyPushSumAgent& agent) {
-              return agent.normalized_estimates();
-            });
-        break;
-      case AgentKind::kMetropolis:
-        run_frequency_estimator<FrequencyMetropolisAgent>(
-            cell, record, "Metropolis indicator averaging",
-            [](const FrequencyMetropolisAgent& agent) {
-              return agent.estimates();
-            });
-        break;
-    }
+    const AttemptResult result = run_agent(cell);
+    record.success = result.success;
+    record.exact = result.success && result.stabilization_round >= 0;
+    record.stabilization_round = result.stabilization_round;
+    record.error = result.final_error;
+    record.rounds = result.rounds_run;
+    record.messages = result.messages_delivered;
+    record.bits = result.bits_total;
+    record.mechanism = result.mechanism;
     record.verdict = "ok";
     if (record.predicted && !record.success) {
       // The breakdown the FaultTolerance table predicted: not a bug, the
@@ -333,8 +275,6 @@ CellRecord Runner::run_cell(const Cell& cell, bool record_wall_time) {
   } catch (const DeadlineExceeded& e) {
     record.verdict = "timeout";
     record.reason = e.what();
-    record.success = false;
-    record.exact = false;
     record.rounds = e.rounds_run();
     record.deadline_ms = cell.timeout_ms;
     if (record.predicted) {
@@ -349,14 +289,10 @@ CellRecord Runner::run_cell(const Cell& cell, bool record_wall_time) {
     // separate "impossible at this bandwidth" from "broken".
     record.verdict = "bandwidth_exceeded";
     record.reason = e.what();
-    record.success = false;
-    record.exact = false;
     record.rounds = e.rounds_run();
   } catch (const std::exception& e) {
     record.verdict = "failed";
     record.reason = e.what();
-    record.success = false;
-    record.exact = false;
   }
   if (record_wall_time) {
     record.wall_ms = std::chrono::duration<double, std::milli>(

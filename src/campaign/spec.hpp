@@ -243,9 +243,9 @@ class Grid {
   [[nodiscard]] const std::vector<Spec>& specs() const { return specs_; }
 
   // Deterministic flattening: blocks in insertion order; within a block the
-  // loop nest is knowledge (outer) > model > function > schedule > size >
-  // variant > seed > bandwidth > starts > faults (inner). Fills index,
-  // inputs, admissibility.
+  // loop nest is agent (outer) > knowledge > model > function > schedule >
+  // size > variant > seed > bandwidth > starts > faults (inner). Fills
+  // index, inputs, admissibility.
   [[nodiscard]] std::vector<Cell> expand() const;
 
   // Named grids: "table1", "table2", "tables" (both), "adversarial"

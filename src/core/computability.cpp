@@ -16,6 +16,7 @@
 #include "core/uniform_consensus.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/analysis.hpp"
+#include "runtime/convergence.hpp"
 #include "runtime/executor.hpp"
 #include "wire/codecs.hpp"
 #include "wire/meter.hpp"
@@ -35,110 +36,26 @@ std::vector<std::int64_t> decoded_inputs(
   return result;
 }
 
-// Per-round agreement tracker for δ0 (exact, stable) computation.
-class ExactnessTracker {
- public:
-  explicit ExactnessTracker(Rational truth) : truth_(std::move(truth)) {}
-
-  void observe(const std::vector<std::optional<Rational>>& outputs) {
-    ++round_;
-    const bool all_exact =
-        std::all_of(outputs.begin(), outputs.end(), [&](const auto& out) {
-          return out.has_value() && *out == truth_;
-        });
-    if (!all_exact) {
-      stable_since_ = -1;
-    } else if (stable_since_ == -1) {
-      stable_since_ = round_;
-    }
-    last_outputs_ = outputs;
-  }
-
-  [[nodiscard]] int stable_since() const { return stable_since_; }
-
-  [[nodiscard]] double final_error() const {
-    double error = 0.0;
-    for (const auto& out : last_outputs_) {
-      if (!out.has_value()) return std::numeric_limits<double>::quiet_NaN();
-      error = std::max(error,
-                       std::abs(out->to_double() - truth_.to_double()));
-    }
-    return error;
-  }
-
- private:
-  Rational truth_;
-  int round_ = 0;
-  int stable_since_ = -1;
-  std::vector<std::optional<Rational>> last_outputs_;
-};
-
 AttemptResult failure(std::string reason) {
   AttemptResult result;
   result.mechanism = std::move(reason);
   return result;
 }
 
-// Runs `executor` for attempt.rounds rounds, collecting per-agent exact
-// outputs with `outputs_fn(agent)` after every round. An Attempt deadline
-// and channel policy are armed on the executor, so DeadlineExceeded and
-// wire::BandwidthExceeded escape from step() here.
-template <typename Alg, typename OutputsFn>
-AttemptResult run_exact(Executor<Alg>& executor, const Attempt& attempt,
-                        const Rational& truth, OutputsFn outputs_fn,
-                        std::string mechanism) {
+// Arms the attempt's deadline and channel policy on `executor` and runs
+// the whole horizon through the observation loop (runtime/convergence.hpp),
+// so DeadlineExceeded and wire::BandwidthExceeded escape from here.
+template <typename Alg, typename OutputFn>
+AttemptResult run_attempt(Executor<Alg>& executor, const Attempt& attempt,
+                          const Rational& truth, OutputFn output,
+                          std::string mechanism) {
   executor.set_deadline(attempt.deadline_ms);
   executor.set_channel_policy(
       wire::channel_policy_from_bits(attempt.bandwidth_bits));
-  ExactnessTracker tracker(truth);
-  std::vector<std::optional<Rational>> outputs(executor.agents().size());
-  for (int r = 0; r < attempt.rounds; ++r) {
-    executor.step();
-    for (std::size_t i = 0; i < executor.agents().size(); ++i) {
-      outputs[i] = outputs_fn(executor.agents()[i]);
-    }
-    tracker.observe(outputs);
-  }
-  AttemptResult result;
-  result.stabilization_round = tracker.stable_since();
-  result.success = result.stabilization_round != -1;
-  result.final_error = tracker.final_error();
+  AttemptResult result = observe(executor, attempt.rounds, truth,
+                                 attempt.tolerance, output,
+                                 StopRule::kHorizon);
   result.mechanism = std::move(mechanism);
-  result.rounds_run = executor.stats().rounds;
-  result.messages_delivered = executor.stats().messages_delivered;
-  if (attempt.bandwidth_bits != 0) {
-    result.bits_total = executor.bandwidth_meter().total_bits_sent();
-  }
-  return result;
-}
-
-// Asymptotic (δ2) variant: judge only the final outputs.
-template <typename Alg, typename OutputsFn>
-AttemptResult run_approximate(Executor<Alg>& executor, const Attempt& attempt,
-                              const Rational& truth, OutputsFn outputs_fn,
-                              std::string mechanism) {
-  executor.set_deadline(attempt.deadline_ms);
-  executor.set_channel_policy(
-      wire::channel_policy_from_bits(attempt.bandwidth_bits));
-  executor.run(attempt.rounds);
-  double error = 0.0;
-  for (const Alg& agent : executor.agents()) {
-    const double out = outputs_fn(agent);
-    if (!std::isfinite(out)) {
-      error = std::numeric_limits<double>::infinity();
-      break;
-    }
-    error = std::max(error, std::abs(out - truth.to_double()));
-  }
-  AttemptResult result;
-  result.success = error <= attempt.tolerance;
-  result.final_error = error;
-  result.mechanism = std::move(mechanism);
-  result.rounds_run = executor.stats().rounds;
-  result.messages_delivered = executor.stats().messages_delivered;
-  if (attempt.bandwidth_bits != 0) {
-    result.bits_total = executor.bandwidth_meter().total_bits_sent();
-  }
   return result;
 }
 
@@ -154,7 +71,7 @@ AttemptResult run_gossip(const DynamicGraphPtr& network,
   // Under leader coding the set of *values* is the decoded support: agents
   // strip the (commonly known) flag bit before applying f.
   const bool leader_coded = attempt.knowledge == Knowledge::kLeaders;
-  return run_exact(
+  return run_attempt(
       executor, attempt, truth,
       [&f, leader_coded](const SetGossipAgent& agent)
           -> std::optional<Rational> {
@@ -273,9 +190,9 @@ AttemptResult run_minbase_static(const Digraph& g,
        : attempt.knowledge == Knowledge::kLeaders ? " + leaders (eq. 5)"
                                                   : "");
   if (attempt.knowledge == Knowledge::kLeaders) {
-    return run_exact(executor, attempt, truth, leader_output, mechanism);
+    return run_attempt(executor, attempt, truth, leader_output, mechanism);
   }
-  return run_exact(executor, attempt, truth, frequency_output, mechanism);
+  return run_attempt(executor, attempt, truth, frequency_output, mechanism);
 }
 
 // --- dynamic attempts --------------------------------------------------------
@@ -308,7 +225,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
             "impossible without a bound on n unless f is continuous in "
             "frequency (Cor. 5.5)");
       }
-      return run_approximate(
+      return run_attempt(
           executor, attempt, truth,
           [&f](const FrequencyPushSumAgent& agent) {
             return f.eval_approximate(agent.normalized_estimates());
@@ -318,7 +235,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
     case Knowledge::kUpperBound:
     case Knowledge::kExactSize: {
       const auto bound = static_cast<std::uint32_t>(attempt.parameter);
-      return run_exact(
+      return run_attempt(
           executor, attempt, truth,
           [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
             const auto nu = agent.rounded_frequency(bound);
@@ -331,7 +248,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
     }
     case Knowledge::kLeaders: {
       const std::int64_t leaders = attempt.parameter;
-      return run_exact(
+      return run_attempt(
           executor, attempt, truth,
           [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
             // ℓ·x[ω] -> integer multiplicities (Section 5.5); accept once
@@ -376,7 +293,7 @@ AttemptResult run_uniform_symmetric(const DynamicGraphPtr& network,
   Executor<FrequencyUniformAgent> executor(
       network, std::move(agents), under<CommModel::kSymmetricBroadcast>,
       attempt.seed);
-  return run_exact(
+  return run_attempt(
       executor, attempt, truth,
       [&](const FrequencyUniformAgent& agent) -> std::optional<Rational> {
         const auto nu = agent.rounded_frequency();
@@ -419,7 +336,7 @@ AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
 
   if (attempt.knowledge == Knowledge::kLeaders) {
     const std::int64_t leaders = attempt.parameter;
-    return run_exact(
+    return run_attempt(
         executor, capped, truth,
         [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
           const auto multiset = agent.multiset_estimate(leaders);
@@ -436,7 +353,7 @@ AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
         },
         "history-tree classes + leaders (after Di Luna & Viglietta [25])");
   }
-  return run_exact(
+  return run_attempt(
       executor, capped, truth,
       [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
         const auto nu = agent.frequency_estimate();

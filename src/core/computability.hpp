@@ -11,8 +11,6 @@
 // the reason; bench/lifting_obstruction demonstrates *why* they fail.
 
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +18,7 @@
 #include "functions/functions.hpp"
 #include "graph/digraph.hpp"
 #include "runtime/comm_model.hpp"
+#include "runtime/convergence.hpp"
 
 namespace anonet {
 
@@ -50,26 +49,6 @@ struct Attempt {
   // send phase and delivery; as with the deadline, the campaign runner
   // catches it for a distinguishable "bandwidth_exceeded" verdict.
   std::int64_t bandwidth_bits = 0;
-};
-
-struct AttemptResult {
-  bool success = false;
-  // First round from which every agent's output was exactly f(v) and stayed
-  // so (δ0 stabilization); -1 for asymptotic-only or failed attempts.
-  int stabilization_round = -1;
-  // Sup-distance of the final outputs from f(v) under δ2 (NaN when outputs
-  // are non-numeric failures).
-  double final_error = std::numeric_limits<double>::quiet_NaN();
-  std::string mechanism;  // algorithm (or impossibility reason) used
-  // Executor accounting for the attempt (campaign metrics): rounds actually
-  // run and messages delivered. Both zero when the attempt was rejected
-  // before running.
-  std::int64_t rounds_run = 0;
-  std::int64_t messages_delivered = 0;
-  // Measured wire bits sent over the whole attempt (canonical MessageTraits
-  // sizes, each message counted once per out-edge); -1 when the channel was
-  // off (bandwidth_bits == 0) or the attempt never ran.
-  std::int64_t bits_total = -1;
 };
 
 // Static strongly connected networks (Theorem 4.1, Corollaries 4.2-4.4).

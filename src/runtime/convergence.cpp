@@ -4,7 +4,10 @@ namespace anonet {
 
 double max_abs_error(std::span<const double> outputs, double target) {
   double result = 0.0;
-  for (double x : outputs) result = std::max(result, std::abs(x - target));
+  for (double x : outputs) {
+    if (!std::isfinite(x)) return std::numeric_limits<double>::infinity();
+    result = std::max(result, std::abs(x - target));
+  }
   return result;
 }
 

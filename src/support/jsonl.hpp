@@ -1,10 +1,10 @@
 #pragma once
 
 // Minimal JSON/JSONL formatting shared by every structured-metrics sink
-// (campaign::MetricsSink, TraceRecorder::to_jsonl). One escaping and number
-// formatting path keeps the emitted records byte-identical across producers,
-// which the campaign subsystem relies on for its shard-invariance guarantee:
-// a record's bytes must be a pure function of its field values.
+// (campaign::MetricsSink, wire::BandwidthMeter::to_jsonl). One escaping and
+// number formatting path keeps the emitted records byte-identical across
+// producers, which the campaign subsystem relies on for its shard-invariance
+// guarantee: a record's bytes must be a pure function of its field values.
 //
 // Scope is deliberately tiny — flat objects of string/int/double/bool
 // fields, one object per line — because that is all the repo emits. Parsing

@@ -137,8 +137,7 @@ class BandwidthMeter {
   }
 
   // One JSON object per round — {"round":t,"bits_sent":...} — through
-  // support/jsonl.hpp, the same formatting path as campaign metrics and
-  // traces.
+  // support/jsonl.hpp, the same formatting path as campaign metrics.
   [[nodiscard]] std::string to_jsonl() const;
 
  private:

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/cost_model.hpp"
@@ -32,6 +34,31 @@ std::string read_bytes(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+// FNV-1a over a run's canonical bytes: MetricsSink::to_json(record, false)
+// plus '\n' for each record in Runner::run order, which is what
+// `anonet_campaign --out` writes.
+std::uint64_t canonical_digest(const std::vector<CellRecord>& records) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const CellRecord& record : records) {
+    for (const char c : MetricsSink::to_json(record, false) + '\n') {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+// "Same verdicts" means byte-identical canonical records, so each preset
+// grid's bytes are pinned.
+void expect_pinned_bytes(const std::string& grid,
+                         const std::vector<CellRecord>& records,
+                         std::uint64_t pinned) {
+  const std::uint64_t digest = canonical_digest(records);
+  EXPECT_EQ(digest, pinned)
+      << "the canonical bytes of grid '" << grid << "' changed (digest 0x"
+      << std::hex << digest << "); a deliberate change must update the "
+      << "pinned constant and say why in CHANGES.md";
 }
 
 // A one-cell grid around an explicit Spec block.
@@ -362,6 +389,7 @@ TEST(Campaign, Table1RunMatchesThePaper) {
   }
   const TableComparison table = compare_table(records, "table1");
   EXPECT_TRUE(table.all_match) << render_table(table);
+  expect_pinned_bytes("table1", records, 0x25e9a8dc602058a7ull);
 
   // Sabotaging the measurements must flip the verdict.
   std::vector<CellRecord> broken = records;
@@ -386,6 +414,7 @@ TEST(Campaign, Table2RunMatchesThePaper) {
   }
   const TableComparison table = compare_table(records, "table2");
   EXPECT_TRUE(table.all_match) << render_table(table);
+  expect_pinned_bytes("table2", records, 0x71be315f3f1c7075ull);
 
   // The history-tree cells (symmetric none/average, leaders/average and
   // leaders/sum) stabilize at the rounds recorded for input sets v0-v2.
@@ -1346,6 +1375,18 @@ TEST(Campaign, FaultsPresetPredictionsAreExactAndNothingPlainFails) {
     }
   }
   EXPECT_GT(expected_failures, 0);
+  expect_pinned_bytes("faults", records, 0x5acbdcfc838edf5cull);
+}
+
+TEST(Campaign, SmokeAdversarialAndBandwidthGridsKeepTheirBytes) {
+  const std::pair<std::string, std::uint64_t> pins[] = {
+      {"smoke", 0x58b02bff683c7e30ull},
+      {"adversarial", 0xa08c16ed02be79b8ull},
+      {"bandwidth", 0x88c501e33f4ea58bull}};
+  for (const auto& [grid, pinned] : pins) {
+    expect_pinned_bytes(grid, Runner(RunnerOptions{}).run(Grid::preset(grid)),
+                        pinned);
+  }
 }
 
 TEST(CampaignDeterminism, FaultedGridThreadsAndShardsAreByteIdentical) {

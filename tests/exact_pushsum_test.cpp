@@ -6,13 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 
 #include "core/pushsum.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/trace.hpp"
 
 namespace anonet {
 namespace {
@@ -93,31 +91,6 @@ TEST(ExactPushSum, InputValidation) {
   EXPECT_THROW(ExactPushSumAgent(r(1), r(-1)), std::invalid_argument);
   ExactPushSumAgent agent(r(1), r(1));
   EXPECT_THROW(agent.send(0, 0), std::logic_error);
-}
-
-TEST(TraceRecorder, CsvRoundTripShape) {
-  TraceRecorder trace({"a", "b"});
-  trace.record(1, std::vector<double>{0.5, 1.5});
-  trace.record(2, std::vector<double>{0.25, 1.75});
-  EXPECT_EQ(trace.rows(), 2u);
-  const std::string csv = trace.to_csv();
-  EXPECT_NE(csv.find("round,a,b"), std::string::npos);
-  EXPECT_NE(csv.find("1,0.5,1.5"), std::string::npos);
-  EXPECT_NE(csv.find("2,0.25,1.75"), std::string::npos);
-  EXPECT_THROW(trace.record(3, std::vector<double>{1.0}),
-               std::invalid_argument);
-}
-
-TEST(TraceRecorder, DefaultLabelsAndFileOutput) {
-  TraceRecorder trace;
-  trace.record(1, std::vector<double>{1.0, 2.0, 3.0});
-  EXPECT_NE(trace.to_csv().find("round,agent0,agent1,agent2"),
-            std::string::npos);
-  const std::string path = "/tmp/anonet_trace_test.csv";
-  trace.write_csv(path);
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good());
-  EXPECT_THROW(trace.write_csv("/nonexistent-dir/x.csv"), std::runtime_error);
 }
 
 }  // namespace

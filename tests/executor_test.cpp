@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <span>
 
@@ -406,21 +408,119 @@ TEST(ExecutorDeterminism, PhaseTimingsAccumulate) {
 TEST(Convergence, Helpers) {
   const std::vector<double> outputs{1.0, 1.5, 0.5};
   EXPECT_DOUBLE_EQ(max_abs_error(outputs, 1.0), 0.5);
+  // A non-finite estimate is an infinite error, never a zero one.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(max_abs_error(std::vector<double>{1.0, std::nan("")}, 1.0), inf);
+  EXPECT_EQ(max_abs_error(std::vector<double>{1.0, inf}, 1.0), inf);
   EXPECT_DOUBLE_EQ(spread(outputs), 1.0);
   EXPECT_TRUE(all_equal_to<int>(std::vector<int>{2, 2}, 2));
   EXPECT_FALSE(all_equal_to<int>(std::vector<int>{2, 3}, 2));
 }
 
-TEST(Convergence, StabilizationDetector) {
-  StabilizationDetector<int> detector(7);
-  detector.observe(std::vector<int>{7, 6});
-  EXPECT_EQ(detector.stabilized_since(), -1);
-  detector.observe(std::vector<int>{7, 7});
-  EXPECT_EQ(detector.stabilized_since(), 2);
-  detector.observe(std::vector<int>{7, 7});
-  EXPECT_EQ(detector.stabilized_since(), 2);
-  detector.observe(std::vector<int>{7, 0});
-  EXPECT_EQ(detector.stabilized_since(), -1);
+// Counts the rounds it received in; the observation-loop tests script each
+// agent's output on (id, rounds).
+struct RoundCounter {
+  struct Message {};
+  int id = 0;
+  int rounds = 0;
+  Message send(int /*outdegree*/, int /*port*/) const { return {}; }
+  void receive(std::span<const Message> /*messages*/) { ++rounds; }
+};
+
+Executor<RoundCounter> counters(int n) {
+  std::vector<RoundCounter> agents(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) agents[static_cast<std::size_t>(i)].id = i;
+  return Executor<RoundCounter>(
+      std::make_shared<StaticSchedule>(complete_graph(n)), std::move(agents),
+      CommModel::kSimpleBroadcast);
+}
+
+TEST(Convergence, ObserveHorizonReportsTheFinalStableStreak) {
+  // Exact in round 1, inexact in round 2, exact from round 3 on: after the
+  // whole horizon the verdict dates from the start of the final streak.
+  const auto output = [](const RoundCounter& agent) -> std::optional<Rational> {
+    return Rational(agent.rounds == 2 ? 0 : 7);
+  };
+  auto exec = counters(3);
+  const AttemptResult result =
+      observe(exec, 6, Rational(7), 0.0, output, StopRule::kHorizon);
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(result.stabilization_round, 3);
+  EXPECT_EQ(result.final_error, 0.0);
+  EXPECT_EQ(result.rounds_run, 6);
+  EXPECT_GT(result.messages_delivered, 0);
+  EXPECT_EQ(result.messages_delivered, exec.stats().messages_delivered);
+  EXPECT_EQ(result.bits_total, -1);  // channel off
+  EXPECT_TRUE(result.mechanism.empty());
+
+  // Inexact at the last round: no verdict, and the error of those outputs.
+  auto cut = counters(3);
+  const AttemptResult late =
+      observe(cut, 2, Rational(7), 0.0, output, StopRule::kHorizon);
+  EXPECT_FALSE(late.success);
+  EXPECT_EQ(late.stabilization_round, -1);
+  EXPECT_EQ(late.final_error, 7.0);
+
+  // An agent without an output leaves the δ0 error NaN.
+  auto silent = counters(3);
+  const AttemptResult none = observe(
+      silent, 3, Rational(7), 0.0,
+      [](const RoundCounter& agent) -> std::optional<Rational> {
+        if (agent.id == 1) return std::nullopt;
+        return Rational(7);
+      },
+      StopRule::kHorizon);
+  EXPECT_FALSE(none.success);
+  EXPECT_TRUE(std::isnan(none.final_error));
+}
+
+TEST(Convergence, ObserveFirstSuccessStopsAtTheFirstSuccessfulRound) {
+  // δ0: every agent is exact first in round 3, so the loop stops there.
+  auto exact = counters(3);
+  const AttemptResult first = observe(
+      exact, 10, Rational(7), 0.0,
+      [](const RoundCounter& agent) -> std::optional<Rational> {
+        return Rational(agent.rounds >= 3 ? 7 : 0);
+      },
+      StopRule::kFirstSuccess);
+  EXPECT_TRUE(first.success);
+  EXPECT_EQ(first.stabilization_round, 3);
+  EXPECT_EQ(first.rounds_run, 3);
+  EXPECT_EQ(exact.stats().rounds, 3);
+
+  // δ2: the estimate 1 + 1/t is within 0.3 of 1 from round 4 on.
+  const auto estimate = [](const RoundCounter& agent) {
+    return 1.0 + 1.0 / agent.rounds;
+  };
+  auto early = counters(3);
+  const AttemptResult stopped =
+      observe(early, 10, Rational(1), 0.3, estimate, StopRule::kFirstSuccess);
+  EXPECT_TRUE(stopped.success);
+  EXPECT_EQ(stopped.stabilization_round, -1);
+  EXPECT_EQ(stopped.rounds_run, 4);
+  EXPECT_EQ(stopped.final_error, 0.25);
+  auto whole = counters(3);
+  const AttemptResult horizon =
+      observe(whole, 10, Rational(1), 0.3, estimate, StopRule::kHorizon);
+  EXPECT_TRUE(horizon.success);
+  EXPECT_EQ(horizon.rounds_run, 10);
+  EXPECT_NEAR(horizon.final_error, 0.1, 1e-12);
+}
+
+TEST(Convergence, ObserveNeverPassesANaNEstimate) {
+  // Agent 0 never has a finite estimate while the others are exact: under
+  // either stop rule the run fails with an infinite error.
+  const auto estimate = [](const RoundCounter& agent) {
+    return agent.id == 0 ? std::nan("") : 1.0;
+  };
+  for (const StopRule stop : {StopRule::kHorizon, StopRule::kFirstSuccess}) {
+    auto exec = counters(3);
+    const AttemptResult result =
+        observe(exec, 5, Rational(1), 0.5, estimate, stop);
+    EXPECT_FALSE(result.success);
+    EXPECT_EQ(result.final_error, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(result.rounds_run, 5);
+  }
 }
 
 }  // namespace

@@ -1,14 +1,18 @@
-// Tests for exact matrices, kernels, and the Perron helpers — the machinery
-// behind the Section 4.2 fibre-equation solve.
+// Tests for exact matrices and kernels — the machinery behind the Section
+// 4.2 fibre-equation solve — and for the spectral argument behind it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "core/freq_static.hpp"
 #include "fibration/minimum_base.hpp"
+#include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "linalg/kernel.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/perron.hpp"
 
 namespace anonet {
 namespace {
@@ -125,6 +129,70 @@ TEST(Kernel, FibreMatrixKernelGivesFibreSizes) {
       EXPECT_EQ(BigInt(fibres[i]), k * (*z)[i]) << seed << " i=" << i;
     }
   }
+}
+
+// The Section 4.2 argument, made executable. The proof shifts the fibre
+// matrix M by αI with α > -min_i M_{i,i} so that P = M + αI is
+// non-negative and irreducible, then concludes via Perron–Frobenius that
+// ker M is one-dimensional. The Perron tests check that the spectral radius
+// of P is exactly α on real fibre matrices (the Perron eigenvalue of M is 0).
+using DoubleMatrix = std::vector<std::vector<double>>;
+
+// P = M + αI with α = 1 - min_i M_{i,i} (any value > -min M_{i,i} works).
+DoubleMatrix perron_shift(const RationalMatrix& m, double* alpha_out) {
+  DoubleMatrix result(m.rows(), std::vector<double>(m.cols(), 0.0));
+  double min_diag = 0.0;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      result[i][j] = m.at(i, j).to_double();
+    }
+    min_diag = std::min(min_diag, result[i][i]);
+  }
+  const double alpha = 1.0 - min_diag;
+  for (std::size_t i = 0; i < m.rows(); ++i) result[i][i] += alpha;
+  *alpha_out = alpha;
+  return result;
+}
+
+// True when the matrix is non-negative and its associated graph (edge j->i
+// when M_{i,j} > 0, the paper's G_A convention) is strongly connected.
+bool is_irreducible_nonnegative(const DoubleMatrix& m) {
+  const auto n = static_cast<Vertex>(m.size());
+  Digraph g(n);
+  for (Vertex i = 0; i < n; ++i) {
+    for (Vertex j = 0; j < n; ++j) {
+      const double entry =
+          m[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
+      if (entry < 0.0) return false;
+      if (entry > 0.0) g.add_edge(j, i);
+    }
+  }
+  return is_strongly_connected(g);
+}
+
+// Spectral radius by power iteration, for non-negative irreducible matrices
+// with a positive diagonal (primitive), as perron_shift produces.
+double spectral_radius(const DoubleMatrix& m) {
+  const std::size_t n = m.size();
+  std::vector<double> v(n, 1.0 / static_cast<double>(n));
+  double radius = 0.0;
+  for (int it = 0; it < 10000; ++it) {
+    std::vector<double> next(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) next[i] += m[i][j] * v[j];
+    }
+    double norm = 0.0;
+    for (double x : next) norm += std::abs(x);
+    if (norm == 0.0) return 0.0;
+    for (double& x : next) x /= norm;
+    radius = norm;
+    // Early exit once the iterate stops moving.
+    double delta = 0.0;
+    for (std::size_t i = 0; i < n; ++i) delta += std::abs(next[i] - v[i]);
+    v = std::move(next);
+    if (delta < 1e-15) break;
+  }
+  return radius;
 }
 
 TEST(Perron, ShiftedFibreMatrixHasSpectralRadiusAlpha) {
