@@ -240,16 +240,13 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
   FlatLineParser parser(line);
   if (!parser.parse(strings, tokens)) return std::nullopt;
 
+  // Field-wise decoding keeps a field's default when it is missing or its
+  // token does not parse; the re-render check below rejects such lines.
   CellRecord record;
   const auto str = [&strings](const char* key, std::string& out) {
-    const std::string* v = find(strings, key);
-    if (v == nullptr) return false;
-    out = *v;
-    return true;
+    if (const std::string* v = find(strings, key)) out = *v;
   };
-  if (!str("key", record.key) || !str("verdict", record.verdict)) {
-    return std::nullopt;
-  }
+  str("key", record.key);
   str("suite", record.suite);
   str("agent", record.agent);
   str("model", record.model);
@@ -258,13 +255,10 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
   str("schedule", record.schedule);
   str("starts", record.starts);
   str("faults", record.faults);
+  str("verdict", record.verdict);
   str("reason", record.reason);
   str("mechanism", record.mechanism);
 
-  std::int64_t value = 0;
-  const std::string* token = find(tokens, "cell");
-  if (token == nullptr || !to_int64(*token, value)) return std::nullopt;
-  record.cell = static_cast<int>(value);
   const auto integer = [&tokens](const char* key, auto& out) {
     const std::string* t = find(tokens, key);
     std::int64_t v = 0;
@@ -272,6 +266,7 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
       out = static_cast<std::remove_reference_t<decltype(out)>>(v);
     }
   };
+  integer("cell", record.cell);
   integer("variant", record.variant);
   integer("n", record.n);
   integer("seed", record.seed);
@@ -281,22 +276,21 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
   integer("bandwidth_bits", record.bandwidth_bits);
   integer("bits", record.bits);
   const auto boolean = [&tokens](const char* key, bool& out) {
-    const std::string* t = find(tokens, key);
-    if (t != nullptr) out = (*t == "true");
+    if (const std::string* t = find(tokens, key)) out = (*t == "true");
   };
   boolean("success", record.success);
   boolean("exact", record.exact);
   boolean("predicted", record.predicted);
-  if (const std::string* t = find(tokens, "deadline_ms")) {
-    double d = 0.0;
-    if (to_double(*t, d)) record.deadline_ms = d;
-  }
-
+  const auto real = [&tokens](const char* key, double& out) {
+    const std::string* t = find(tokens, key);
+    double v = 0.0;
+    if (t != nullptr && to_double(*t, v)) out = v;
+  };
+  real("deadline_ms", record.deadline_ms);
+  real("wall_ms", record.wall_ms);
   // error is numeric, or the string spelling of a non-finite value.
-  if (const std::string* t = find(tokens, "error")) {
-    double e = 0.0;
-    if (to_double(*t, e)) record.error = e;
-  } else if (const std::string* s = find(strings, "error")) {
+  real("error", record.error);
+  if (const std::string* s = find(strings, "error")) {
     if (*s == "inf") {
       record.error = std::numeric_limits<double>::infinity();
     } else if (*s == "-inf") {
@@ -304,10 +298,19 @@ std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
     }
     // "nan" keeps the default quiet_NaN.
   }
-  if (const std::string* t = find(tokens, "wall_ms")) {
-    double w = 0.0;
-    if (to_double(*t, w)) record.wall_ms = w;
+
+  // Fail closed: a line is trusted only when the record renders back to it
+  // byte for byte, so no corrupt or missing field can import a value the
+  // line does not hold. The one field ignored is `payload`, which the
+  // format no longer writes (it followed `messages`).
+  std::string expected = line;
+  if (const std::string* payload = find(tokens, "payload")) {
+    const std::string field = ",\"payload\":" + *payload;
+    const std::size_t at = expected.find(field);
+    if (at == std::string::npos) return std::nullopt;
+    expected.erase(at, field.size());
   }
+  if (to_json(record, true) != expected) return std::nullopt;
   return record;
 }
 
@@ -348,8 +351,8 @@ void MetricsSink::write_canonical(const std::string& path,
 
 namespace {
 
-// Per-(knowledge, model, function) fold over variants, mirroring the
-// all-panels quantifier of the bench probes.
+// Per-(knowledge, model, function) fold over variants: a class is credited
+// only when every panel / input set computes it.
 struct FunctionFold {
   int runs = 0;
   int skipped = 0;

@@ -111,8 +111,10 @@ class MetricsSink {
   [[nodiscard]] static std::string to_json(const CellRecord& record,
                                            bool include_timings);
 
-  // Parses a line this writer produced. Returns nullopt for malformed or
-  // truncated lines (resume then recomputes those cells).
+  // Parses a line this writer produced. Returns nullopt for any line that
+  // to_json(record, true) does not render back byte for byte (malformed,
+  // truncated, or holding a value that does not parse), so resume
+  // recomputes those cells. A retired `payload` field is ignored.
   [[nodiscard]] static std::optional<CellRecord> parse_line(
       const std::string& line);
 
@@ -151,8 +153,7 @@ struct TableComparison {
 };
 
 // Folds "table1"/"table2" records into the strongest-computable-class label
-// per (knowledge, model) — the same probe logic as bench/table1_static and
-// bench/table2_dynamic: exact stabilization of max (set-based), average
+// per (knowledge, model): exact stabilization of max (set-based), average
 // (frequency-based) and sum (multiset-based) over every panel/input set,
 // with "frequency-based*" for asymptotic-only average under Table 2 rules.
 // Cells whose records are all skipped get the label "skipped".

@@ -98,8 +98,8 @@ void configure_perturbations(Executor<Agent>& executor, const Cell& cell) {
 }
 
 // The computability-harness path (AgentKind::kAuto): the harness picks the
-// paper's algorithm for the (model, knowledge, function) cell, exactly as
-// the bench table probes do, and runs its whole horizon.
+// paper's algorithm for the (model, knowledge, function) cell and runs its
+// whole horizon.
 AttemptResult run_auto(const Cell& cell, const SymmetricFunction& f) {
   Attempt attempt;
   attempt.model = cell.model;
@@ -187,6 +187,21 @@ AttemptResult run_agent(const Cell& cell) {
   throw std::invalid_argument("run_agent: unknown agent kind");
 }
 
+// Resume reuse policy. Most verdicts are pure functions of the cell's
+// coordinates, so a matching key is enough to reuse the record. "timeout" is
+// not: it only says the cell exceeded the *recorded* budget, so a resumed
+// run with a larger (or unlimited) budget must re-attempt the cell instead
+// of pinning the old verdict forever.
+bool reusable_on_resume(const CellRecord& record, const Cell& cell) {
+  if (record.verdict != "timeout") return true;
+  // A timeout is only conclusive for budgets no larger than the one that
+  // produced it. Records predating the deadline_ms field (<= 0) carry no
+  // budget to compare against, so they are re-attempted too — the cheap
+  // direction of the ambiguity.
+  return record.deadline_ms > 0.0 && cell.timeout_ms > 0.0 &&
+         cell.timeout_ms <= record.deadline_ms;
+}
+
 }  // namespace
 
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
@@ -201,16 +216,6 @@ void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
       if (cell.bandwidth_bits == 0) cell.bandwidth_bits = bandwidth_bits;
     }
   }
-}
-
-bool reusable_on_resume(const CellRecord& record, const Cell& cell) {
-  if (record.verdict != "timeout") return true;
-  // A timeout is only conclusive for budgets no larger than the one that
-  // produced it. Records predating the deadline_ms field (<= 0) carry no
-  // budget to compare against, so they are re-attempted too — the cheap
-  // direction of the ambiguity.
-  return record.deadline_ms > 0.0 && cell.timeout_ms > 0.0 &&
-         cell.timeout_ms <= record.deadline_ms;
 }
 
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
@@ -302,31 +307,28 @@ CellRecord Runner::run_cell(const Cell& cell, bool record_wall_time) {
   return record;
 }
 
-std::vector<CellRecord> Runner::run(const Grid& grid) const {
+CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
   std::vector<Cell> cells = grid.expand();
-  apply_cell_overrides(cells, options_.cell_timeout_ms,
-                       options_.bandwidth_bits);
+  apply_cell_overrides(cells, options.cell_timeout_ms, options.bandwidth_bits);
 
   // Cost model: measured wall times when a timings file is given, static
-  // estimates otherwise. Both sharding (under kCost) and the in-process
-  // work order below consult it.
-  CostModel costs;
-  if (!options_.cost_path.empty()) {
-    costs = CostModel::from_timings_file(options_.cost_path);
-  }
+  // estimates otherwise. Both sharding (under kCost) and the callers' work
+  // order consult it.
+  CampaignRun run;
+  run.costs = CostModel::from_timings_file(options.cost_path);
 
   std::vector<Cell> mine;
-  if (options_.shard_by == ShardBy::kCost) {
+  if (options.shard_by == ShardBy::kCost) {
     const std::vector<int> assignment =
-        assign_shards_by_cost(cells, costs, options_.shards);
+        assign_shards_by_cost(cells, run.costs, options.shards);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (assignment[i] == options_.shard_index) {
+      if (assignment[i] == options.shard_index) {
         mine.push_back(cells[i]);
       }
     }
   } else {
     for (const Cell& cell : cells) {
-      if (cell.index % options_.shards == options_.shard_index) {
+      if (cell.index % options.shards == options.shard_index) {
         mine.push_back(cell);
       }
     }
@@ -337,20 +339,18 @@ std::vector<CellRecord> Runner::run(const Grid& grid) const {
   // Records belonging to *other* shards are preserved verbatim, which lets
   // several shards target the same output file in turn — after the last
   // shard the file equals a single-shard run byte for byte.
-  std::vector<CellRecord> kept;
-  std::vector<CellRecord> foreign;
   std::unordered_set<std::string> finished;
   bool had_output = false;
-  if (!options_.out_path.empty() && options_.resume) {
+  if (!options.out_path.empty() && options.resume) {
     std::unordered_map<std::string, const Cell*> wanted;
     for (const Cell& cell : mine) wanted.emplace(cell.key(), &cell);
     std::unordered_set<std::string> seen;
-    for (CellRecord& record : MetricsSink::read_file(options_.out_path)) {
+    for (CellRecord& record : MetricsSink::read_file(options.out_path)) {
       had_output = true;
       if (!seen.insert(record.key).second) continue;
       const auto it = wanted.find(record.key);
       if (it == wanted.end()) {
-        foreign.push_back(std::move(record));
+        run.foreign.push_back(std::move(record));
         continue;
       }
       // Dropping (not keeping) a non-reusable record re-queues the cell;
@@ -358,27 +358,60 @@ std::vector<CellRecord> Runner::run(const Grid& grid) const {
       if (!reusable_on_resume(record, *it->second)) continue;
       record.cell = it->second->index;  // re-anchor to current expansion order
       finished.insert(record.key);
-      kept.push_back(std::move(record));
+      run.kept.push_back(std::move(record));
     }
   }
 
-  std::vector<Cell> pending;
   for (Cell& cell : mine) {
-    if (finished.count(cell.key()) == 0) pending.push_back(std::move(cell));
+    if (finished.count(cell.key()) == 0) run.pending.push_back(std::move(cell));
   }
 
-  std::unique_ptr<MetricsSink> sink;
-  if (!options_.out_path.empty()) {
-    sink = std::make_unique<MetricsSink>(
-        options_.out_path, options_.include_timings,
-        /*append=*/options_.resume && had_output);
+  if (!options.out_path.empty()) {
+    run.sink = std::make_unique<MetricsSink>(
+        options.out_path, options.include_timings,
+        /*append=*/options.resume && had_output);
   }
+  return run;
+}
+
+std::vector<CellRecord> finish_campaign(CampaignRun run,
+                                        std::vector<CellRecord> fresh,
+                                        const RunnerOptions& options) {
+  // Canonical order: cell index first, key as tie-break. Foreign records
+  // preserved across a grid reshape keep their *stale* indices, which can
+  // collide with current ones — without the key tie-break (and a stable
+  // sort) the merged file's order would depend on resume history.
+  std::vector<CellRecord> all = std::move(run.kept);
+  all.insert(all.end(), std::make_move_iterator(fresh.begin()),
+             std::make_move_iterator(fresh.end()));
+  std::stable_sort(all.begin(), all.end(),
+                   [](const CellRecord& a, const CellRecord& b) {
+                     if (a.cell != b.cell) return a.cell < b.cell;
+                     return a.key < b.key;
+                   });
+  if (run.sink != nullptr) {
+    run.sink->close();
+    std::vector<CellRecord> file_records = all;
+    file_records.insert(file_records.end(),
+                        std::make_move_iterator(run.foreign.begin()),
+                        std::make_move_iterator(run.foreign.end()));
+    MetricsSink::write_canonical(options.out_path, std::move(file_records),
+                                 options.include_timings);
+  }
+  return all;
+}
+
+std::vector<CellRecord> Runner::run(const Grid& grid) const {
+  CampaignRun run = start_campaign(grid, options_);
 
   // Work-stealing order: workers claim cells one block at a time from a
   // cost-descending permutation, so the most expensive cell starts first
   // and a slow cell pins at most the worker that claimed it.
-  const std::vector<std::size_t> order = cost_descending_order(pending, costs);
+  const std::vector<Cell>& pending = run.pending;
+  const std::vector<std::size_t> order =
+      cost_descending_order(pending, run.costs);
   std::vector<CellRecord> fresh(pending.size());
+  MetricsSink* const sink = run.sink.get();
   const bool timings = options_.include_timings;
   ThreadPool pool(options_.threads);
   pool.parallel_blocks(
@@ -392,30 +425,7 @@ std::vector<CellRecord> Runner::run(const Grid& grid) const {
           }
         }
       });
-
-  // Canonical order: cell index first, key as tie-break. Foreign records
-  // preserved across a grid reshape keep their *stale* indices, which can
-  // collide with current ones — without the key tie-break (and a stable
-  // sort) the merged file's order would depend on resume history.
-  const auto canonical_less = [](const CellRecord& a, const CellRecord& b) {
-    if (a.cell != b.cell) return a.cell < b.cell;
-    return a.key < b.key;
-  };
-  std::vector<CellRecord> all = std::move(kept);
-  all.insert(all.end(), std::make_move_iterator(fresh.begin()),
-             std::make_move_iterator(fresh.end()));
-  std::stable_sort(all.begin(), all.end(), canonical_less);
-  if (sink != nullptr) {
-    sink->close();
-    std::vector<CellRecord> file_records = all;
-    file_records.insert(file_records.end(),
-                        std::make_move_iterator(foreign.begin()),
-                        std::make_move_iterator(foreign.end()));
-    std::stable_sort(file_records.begin(), file_records.end(), canonical_less);
-    MetricsSink::write_canonical(options_.out_path, std::move(file_records),
-                                 options_.include_timings);
-  }
-  return all;
+  return finish_campaign(std::move(run), std::move(fresh), options_);
 }
 
 }  // namespace anonet::campaign

@@ -15,12 +15,14 @@
 // in the shard the sharding policy assigns it (`index % shards` by default,
 // or the CostModel's LPT assignment under ShardBy::kCost), and a cell whose
 // key already appears in the output file is reused, not recomputed — except
-// a "timeout" record facing a larger budget, which is re-attempted (see
-// reusable_on_resume). After
+// a "timeout" record facing a larger budget, which is re-attempted. After
 // a run the output file is rewritten in canonical (cell-index) order, so
 // the concatenation of all shards' files — or the same campaign resumed
 // any number of times — is byte-identical to a single-shard run, whichever
-// sharding policy produced it.
+// sharding policy produced it. start_campaign / finish_campaign hold that
+// lifecycle for both campaign executors, this runner and the socket
+// coordinator (net/coordinator.hpp); they differ only in how pending cells
+// are run.
 //
 // Inside one process, pending cells are consumed work-stealing style: the
 // worker pool claims cells one at a time from a cost-descending order, so
@@ -29,6 +31,7 @@
 // (`cell_timeout_ms`), even a hung cell ends as a "timeout" record instead
 // of blocking the campaign.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -75,14 +78,29 @@ struct RunnerOptions {
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
                           std::int64_t bandwidth_bits);
 
-// Resume reuse policy. Most verdicts are pure functions of the cell's
-// coordinates, so a matching key is enough to reuse the record. "timeout" is
-// not: it only says the cell exceeded the *recorded* budget, so a resumed
-// run with a larger (or unlimited) budget must re-attempt the cell instead
-// of pinning the old verdict forever. Shared by the in-process Runner and
-// the socket coordinator so both transports resume identically.
-[[nodiscard]] bool reusable_on_resume(const CellRecord& record,
-                                      const Cell& cell);
+// A campaign between its start and its canonical finish.
+struct CampaignRun {
+  std::vector<Cell> pending;          // owned cells with no reusable record
+  CostModel costs;                    // measured (cost_path) or static
+  std::unique_ptr<MetricsSink> sink;  // open on out_path; null without one
+  std::vector<CellRecord> kept;       // reused records of owned cells
+  std::vector<CellRecord> foreign;    // records of cells this run does not own
+};
+
+// Expands the grid with the options' overrides, loads the cost model, takes
+// the cells of shard `shard_index`, resumes from out_path (reusing a
+// finished cell's record, re-anchored to this expansion), and opens the
+// sink. The caller runs `pending` and appends each fresh record to `sink`.
+// The shard fields must pass the Runner constructor's checks.
+[[nodiscard]] CampaignRun start_campaign(const Grid& grid,
+                                         const RunnerOptions& options);
+
+// The canonical finish: returns kept + fresh records sorted by (cell index,
+// key) and, with an output file, rewrites it canonically with the foreign
+// records merged in.
+[[nodiscard]] std::vector<CellRecord> finish_campaign(
+    CampaignRun run, std::vector<CellRecord> fresh,
+    const RunnerOptions& options);
 
 class Runner {
  public:

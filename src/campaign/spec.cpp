@@ -353,8 +353,8 @@ StaticPanel make_static_panel(CommModel model, int variant) {
   if (variant < 0 || variant >= kStaticPanelCount) {
     throw std::invalid_argument("make_static_panel: variant out of range");
   }
-  // Mirrors bench/table1_static: graphs with genuinely collapsible symmetry
-  // (lifts) plus irregular graphs, symmetric where the model demands it.
+  // Graphs with genuinely collapsible symmetry (lifts) plus irregular
+  // graphs, symmetric where the model demands it.
   if (model == CommModel::kSymmetricBroadcast) {
     switch (variant) {
       case 0: return {bidirectional_ring(6), {1, 2, 1, 2, 1, 2}};
@@ -468,8 +468,8 @@ std::vector<Cell> Grid::expand() const {
                               break;
                             case InputSource::kFixedSets:
                               cell.inputs = table2_inputs(variant);
-                              // bench/table2_dynamic seeds the three input
-                              // sets consecutively from the base seed.
+                              // The input sets are seeded consecutively
+                              // from the base seed.
                               cell.seed =
                                   seed + static_cast<std::uint64_t>(variant);
                               break;
@@ -516,38 +516,49 @@ Grid Grid::preset(const std::string& name) {
     spec.input_source = InputSource::kPanel;
     spec.variants = kStaticPanelCount;
     spec.seeds = {1};
-    spec.rounds = 0;  // 3n + 10 per panel, as bench/table1_static
+    spec.rounds = 0;  // the Table 1 horizon, 3n + 10 per panel
     spec.tolerance = 1e-4;
     grid.add(std::move(spec));
   };
-  const auto add_table2 = [&grid] {
-    Spec base;
-    base.suite = "table2";
-    base.agents = {AgentKind::kAuto};
-    base.knowledges = {Knowledge::kNone, Knowledge::kUpperBound,
+  // Table 2's dynamic cells: the three fixed input sets, seeded 17, 18, 19.
+  const auto table2_spec = [](std::string suite) {
+    Spec spec;
+    spec.suite = std::move(suite);
+    spec.agents = {AgentKind::kAuto};
+    spec.knowledges = {Knowledge::kNone, Knowledge::kUpperBound,
                        Knowledge::kExactSize, Knowledge::kLeaders};
-    base.functions = {FunctionKind::kMax, FunctionKind::kAverage,
+    spec.functions = {FunctionKind::kMax, FunctionKind::kAverage,
                       FunctionKind::kSum};
-    base.input_source = InputSource::kFixedSets;
-    base.variants = kTable2InputSets;
-    base.seeds = {17};  // bench/table2_dynamic's base seed
-    base.rounds = 400;
-    base.tolerance = 1e-3;
-
-    Spec directed = base;
+    spec.schedules = {ScheduleKind::kRandomStronglyConnected};
+    spec.input_source = InputSource::kFixedSets;
+    spec.variants = kTable2InputSets;
+    spec.seeds = {17};
+    spec.rounds = 400;
+    spec.tolerance = 1e-3;
+    return spec;
+  };
+  const auto add_table2 = [&grid, &table2_spec] {
+    Spec directed = table2_spec("table2");
     directed.models = {CommModel::kSimpleBroadcast,
                        CommModel::kOutdegreeAware};
-    directed.schedules = {ScheduleKind::kRandomStronglyConnected};
     directed.open_cells = {
         {CommModel::kOutdegreeAware, Knowledge::kNone},
         {CommModel::kOutdegreeAware, Knowledge::kLeaders},
     };
     grid.add(std::move(directed));
 
-    Spec symmetric = base;
+    Spec symmetric = table2_spec("table2");
     symmetric.models = {CommModel::kSymmetricBroadcast};
     symmetric.schedules = {ScheduleKind::kRandomSymmetric};
     grid.add(std::move(symmetric));
+  };
+  // Measures exactly the cells `tables` records as open, at the same
+  // coordinates, in a suite of their own so the `tables` bytes stay put.
+  const auto add_open = [&grid, &table2_spec] {
+    Spec open = table2_spec("open");
+    open.models = {CommModel::kOutdegreeAware};
+    open.knowledges = {Knowledge::kNone, Knowledge::kLeaders};
+    grid.add(std::move(open));
   };
   const auto add_adversarial = [&grid] {
     Spec base;
@@ -692,6 +703,8 @@ Grid Grid::preset(const std::string& name) {
   } else if (name == "tables") {
     add_table1();
     add_table2();
+  } else if (name == "open") {
+    add_open();
   } else if (name == "adversarial") {
     add_adversarial();
   } else if (name == "bandwidth") {
@@ -715,13 +728,14 @@ Grid Grid::preset(const std::string& name) {
   } else {
     throw std::invalid_argument("Grid::preset: unknown grid '" + name +
                                 "' (expected one of: table1, table2, tables, "
-                                "adversarial, bandwidth, faults, smoke)");
+                                "open, adversarial, bandwidth, faults, "
+                                "smoke)");
   }
   return grid;
 }
 
 std::vector<std::string> Grid::preset_names() {
-  return {"table1", "table2", "tables",
+  return {"table1",      "table2",    "tables", "open",
           "adversarial", "bandwidth", "faults", "smoke"};
 }
 

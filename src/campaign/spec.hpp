@@ -72,8 +72,8 @@ enum class FaultsKind {
   kCrashDrop, // both
 };
 
-// One representative function per class of Section 2.3, mirroring the
-// strongest-class probes of bench/table1_static and bench/table2_dynamic.
+// One representative function per class of Section 2.3: the strongest
+// class compare_table (campaign/metrics.hpp) credits a cell with.
 enum class FunctionKind {
   kMax,     // set-based
   kAverage, // frequency-based
@@ -216,8 +216,8 @@ struct Spec {
   std::vector<OpenCell> open_cells;
 };
 
-// The Table 1 panel for (model, variant): the same three graphs + input
-// vectors bench/table1_static measures (symmetric models get symmetric
+// The Table 1 panel for (model, variant): one of the three graphs + input
+// vectors every table1 cell runs on (symmetric models get symmetric
 // graphs). variant in [0, 3).
 struct StaticPanel {
   Digraph graph;
@@ -248,8 +248,10 @@ class Grid {
   // index, inputs, admissibility.
   [[nodiscard]] std::vector<Cell> expand() const;
 
-  // Named grids: "table1", "table2", "tables" (both), "adversarial"
-  // (explicit agents on the worst-case schedules), "bandwidth" (explicit
+  // Named grids: "table1", "table2", "tables" (both), "open" (the cells of
+  // Table 2's two '?' entries, which "tables" records as skipped, measured
+  // at the same coordinates), "adversarial" (explicit agents on the
+  // worst-case schedules), "bandwidth" (explicit
   // estimators under metered and bounded channels), "faults" (the scenario
   // zoo: async starts x churn overlays x crash/drop, with theory-predicted
   // breakdowns), "smoke" (a fast sub-minute subset). Throws

@@ -8,7 +8,6 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "campaign/cost_model.hpp"
@@ -34,11 +33,6 @@ struct Peer {
   std::vector<std::size_t> inflight;
 };
 
-const auto canonical_less = [](const CellRecord& a, const CellRecord& b) {
-  if (a.cell != b.cell) return a.cell < b.cell;
-  return a.key < b.key;
-};
-
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -62,51 +56,22 @@ std::vector<CellRecord> Coordinator::run() {
   listen();
   stats_ = CoordinatorStats{};
 
-  // Expansion + overrides, identical to Runner::run. Workers re-expand the
-  // same grid from the WELCOME parameters, so (index, key) pairs agree on
-  // both ends of every socket.
-  std::vector<Cell> cells = campaign::Grid::preset(options_.grid).expand();
-  campaign::apply_cell_overrides(cells, options_.cell_timeout_ms,
-                                 options_.bandwidth_bits);
+  // The coordinator owns every cell of the grid. Workers re-expand the same
+  // grid with the same overrides from the WELCOME parameters, so (index,
+  // key) pairs agree on both ends of every socket.
+  campaign::RunnerOptions lifecycle;
+  lifecycle.out_path = options_.out_path;
+  lifecycle.resume = options_.resume;
+  lifecycle.include_timings = options_.include_timings;
+  lifecycle.cost_path = options_.cost_path;
+  lifecycle.cell_timeout_ms = options_.cell_timeout_ms;
+  lifecycle.bandwidth_bits = options_.bandwidth_bits;
+  campaign::CampaignRun run = campaign::start_campaign(
+      campaign::Grid::preset(options_.grid), lifecycle);
+  const std::vector<Cell>& pending = run.pending;
+  MetricsSink* const sink = run.sink.get();
 
-  campaign::CostModel costs;
-  if (!options_.cost_path.empty()) {
-    costs = campaign::CostModel::from_timings_file(options_.cost_path);
-  }
-
-  // Resume, mirroring Runner::run with this process owning every cell:
-  // matching records are reused and re-anchored, unmatched ("foreign")
-  // records are preserved verbatim for the canonical rewrite.
-  std::vector<CellRecord> kept;
-  std::vector<CellRecord> foreign;
-  std::unordered_set<std::string> finished;
-  bool had_output = false;
-  if (!options_.out_path.empty() && options_.resume) {
-    std::unordered_map<std::string, const Cell*> wanted;
-    for (const Cell& cell : cells) wanted.emplace(cell.key(), &cell);
-    std::unordered_set<std::string> seen;
-    for (CellRecord& record : MetricsSink::read_file(options_.out_path)) {
-      had_output = true;
-      if (!seen.insert(record.key).second) continue;
-      const auto it = wanted.find(record.key);
-      if (it == wanted.end()) {
-        foreign.push_back(std::move(record));
-        continue;
-      }
-      // Same reuse policy as the in-process Runner: a "timeout" facing a
-      // larger budget is dropped here so the cell is dispatched again.
-      if (!campaign::reusable_on_resume(record, *it->second)) continue;
-      record.cell = it->second->index;
-      finished.insert(record.key);
-      kept.push_back(std::move(record));
-    }
-  }
-
-  std::vector<Cell> pending;
   std::vector<std::string> pending_keys;  // computed once, reused per frame
-  for (Cell& cell : cells) {
-    if (finished.count(cell.key()) == 0) pending.push_back(std::move(cell));
-  }
   pending_keys.reserve(pending.size());
   for (const Cell& cell : pending) pending_keys.push_back(cell.key());
   std::unordered_map<std::uint32_t, std::size_t> pos_by_index;
@@ -114,25 +79,17 @@ std::vector<CellRecord> Coordinator::run() {
     pos_by_index.emplace(static_cast<std::uint32_t>(pending[i].index), i);
   }
 
-  std::unique_ptr<MetricsSink> sink;
-  if (!options_.out_path.empty()) {
-    sink = std::make_unique<MetricsSink>(
-        options_.out_path, options_.include_timings,
-        /*append=*/options_.resume && had_output);
-  }
-
   // Demand queue in the same cost-descending order the in-process pool
   // steals from; reassigned cells go to the *front* (they blocked a worker
   // already — they should not wait out the whole queue again).
   std::deque<std::size_t> queue;
-  for (std::size_t pos : campaign::cost_descending_order(pending, costs)) {
+  for (std::size_t pos : campaign::cost_descending_order(pending, run.costs)) {
     queue.push_back(pos);
   }
   std::vector<std::optional<CellRecord>> fresh(pending.size());
   std::size_t outstanding = 0;  // cells assigned but not yet recorded
 
   std::vector<std::unique_ptr<Peer>> peers;
-  std::uint32_t epoch = 1;
   int joined_now = 0;  // currently-connected greeted workers
   bool started = false;
 
@@ -164,7 +121,6 @@ std::vector<CellRecord> Coordinator::run() {
       ++outstanding;
       ++stats_.cells_assigned;
       AssignPayload assign;
-      assign.epoch = epoch;
       assign.cell_index = static_cast<std::uint32_t>(pending[pos].index);
       assign.key = pending_keys[pos];
       if (!send_frame(peer, encode_assign(assign))) return false;
@@ -172,22 +128,9 @@ std::vector<CellRecord> Coordinator::run() {
     return true;
   };
 
-  const auto broadcast_barrier = [&]() {
-    BarrierPayload barrier;
-    barrier.epoch = epoch;
-    barrier.pending =
-        static_cast<std::uint32_t>(queue.size() + outstanding);
-    const Frame frame = encode_barrier(barrier);
-    for (const std::unique_ptr<Peer>& peer : peers) {
-      if (peer->greeted && peer->socket.valid()) {
-        (void)send_frame(*peer, frame);  // failure surfaces as EOF next poll
-      }
-    }
-  };
-
-  // Disconnect handling: return in-flight cells to the queue front (in
-  // their original relative order), bump the epoch, fence the survivors.
-  // Idempotent — a peer closed mid-dispatch is swept through here again.
+  // Disconnect handling: return in-flight cells to the queue front, in
+  // their original relative order. Idempotent — a peer closed mid-dispatch
+  // is swept through here again.
   const auto drop_peer = [&](Peer& peer) {
     peer.socket.close();
     if (peer.greeted) {
@@ -195,18 +138,12 @@ std::vector<CellRecord> Coordinator::run() {
       --joined_now;
       peer.greeted = false;
     }
-    if (!peer.inflight.empty()) {
-      for (auto it = peer.inflight.rbegin(); it != peer.inflight.rend();
-           ++it) {
-        queue.push_front(*it);
-        --outstanding;
-        ++stats_.cells_reassigned;
-      }
-      peer.inflight.clear();
-      ++epoch;
-      stats_.epochs = epoch;
-      if (started) broadcast_barrier();
+    for (auto it = peer.inflight.rbegin(); it != peer.inflight.rend(); ++it) {
+      queue.push_front(*it);
+      --outstanding;
+      ++stats_.cells_reassigned;
     }
+    peer.inflight.clear();
   };
 
   // Frame dispatch for one peer. Returns false when the peer violated the
@@ -225,7 +162,6 @@ std::vector<CellRecord> Coordinator::run() {
       if (!send_frame(peer, encode_welcome(welcome))) return false;
       if (!started && joined_now >= options_.workers) {
         started = true;
-        broadcast_barrier();
         for (const std::unique_ptr<Peer>& other : peers) {
           if (other->greeted && other->socket.valid() &&
               !assign_work(*other)) {
@@ -236,17 +172,8 @@ std::vector<CellRecord> Coordinator::run() {
         }
         return peer.socket.valid();
       }
-      if (started) {
-        // Late joiner (or a replacement): fence it to the current epoch
-        // and put it to work immediately.
-        BarrierPayload barrier;
-        barrier.epoch = epoch;
-        barrier.pending =
-            static_cast<std::uint32_t>(queue.size() + outstanding);
-        if (!send_frame(peer, encode_barrier(barrier))) return false;
-        if (!assign_work(peer)) return false;
-      }
-      return true;
+      // A late joiner (or a replacement) goes to work immediately.
+      return !started || assign_work(peer);
     }
     if (frame.type != FrameType::kVerdict) {
       throw FrameError(std::string("coordinator: unexpected ") +
@@ -268,7 +195,7 @@ std::vector<CellRecord> Coordinator::run() {
       --outstanding;
     }
     if (fresh[pos].has_value()) {
-      ++stats_.duplicate_verdicts;  // settled in an earlier epoch
+      ++stats_.duplicate_verdicts;  // a reassigned cell, already recorded
     } else {
       std::optional<CellRecord> record = MetricsSink::parse_line(verdict.line);
       if (!record.has_value() || record->key != verdict.key) {
@@ -370,29 +297,16 @@ std::vector<CellRecord> Coordinator::run() {
   peers.clear();
   listener_.close();
 
-  // Canonical finish, identical to Runner::run: kept + fresh sorted by
-  // (cell, key); the file additionally merges foreign records.
-  std::vector<CellRecord> all = std::move(kept);
-  all.reserve(all.size() + fresh.size());
+  std::vector<CellRecord> fresh_records;
+  fresh_records.reserve(fresh.size());
   for (std::optional<CellRecord>& record : fresh) {
     if (!record.has_value()) {
       throw std::runtime_error("Coordinator: campaign ended with a hole");
     }
-    all.push_back(std::move(*record));
+    fresh_records.push_back(std::move(*record));
   }
-  std::stable_sort(all.begin(), all.end(), canonical_less);
-  if (sink != nullptr) {
-    sink->close();
-    std::vector<CellRecord> file_records = all;
-    file_records.insert(file_records.end(),
-                        std::make_move_iterator(foreign.begin()),
-                        std::make_move_iterator(foreign.end()));
-    std::stable_sort(file_records.begin(), file_records.end(),
-                     canonical_less);
-    MetricsSink::write_canonical(options_.out_path, std::move(file_records),
-                                 options_.include_timings);
-  }
-  return all;
+  return campaign::finish_campaign(std::move(run), std::move(fresh_records),
+                                   lifecycle);
 }
 
 }  // namespace anonet::net

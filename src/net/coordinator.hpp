@@ -3,9 +3,10 @@
 // Campaign coordinator for distributed runs (docs/transport.md).
 //
 // The coordinator is the distributed twin of campaign::Runner::run(): it
-// expands the grid, resumes from an existing output file, and canonicalizes
-// the result identically — but instead of a thread pool it feeds cells to
-// worker *processes* over TCP (net/protocol.hpp), demand-driven in the same
+// shares the runner's lifecycle (campaign::start_campaign and
+// finish_campaign: expansion, resume, sink, canonical rewrite) and owns
+// only the dispatch — instead of a thread pool it feeds cells to worker
+// *processes* over TCP (net/protocol.hpp), demand-driven in the same
 // cost-descending LPT order the in-process pool steals from. A worker with
 // window W holds at most W cells in flight; finishing one (VERDICT) pulls
 // the next, so fast workers naturally take more of the queue — the online
@@ -13,11 +14,9 @@
 //
 // Fault model: a worker disconnect (EOF, reset, corrupt frame) returns its
 // in-flight cells to the *front* of the queue — each such cell is
-// reassigned exactly once per loss — and bumps the epoch, fencing the new
-// wave behind a ROUND_BARRIER so every surviving worker knows records from
-// older epochs are settled. Verdicts are deduplicated by cell key and the
-// sink flushes every verdict-bearing record (campaign/metrics.hpp), so a
-// crash on either side never loses an acknowledged cell and the final
+// reassigned exactly once per loss. Verdicts are deduplicated by cell and
+// the sink flushes every verdict-bearing record (campaign/metrics.hpp), so
+// a crash on either side never loses an acknowledged cell and the final
 // canonical file is byte-identical to a fault-free single-process run.
 
 #include <cstdint>
@@ -50,7 +49,6 @@ struct CoordinatorStats {
   std::int64_t cells_reassigned = 0;  // cells returned by a lost worker
   std::int64_t verdicts = 0;          // fresh verdicts recorded
   std::int64_t duplicate_verdicts = 0;
-  std::uint32_t epochs = 1;    // final epoch (1 + reassignment waves)
 };
 
 class Coordinator {

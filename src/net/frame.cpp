@@ -41,7 +41,6 @@ std::string_view to_string(FrameType type) {
     case FrameType::kHello: return "HELLO";
     case FrameType::kWelcome: return "WELCOME";
     case FrameType::kAssign: return "ASSIGN";
-    case FrameType::kRoundBarrier: return "ROUND_BARRIER";
     case FrameType::kVerdict: return "VERDICT";
     case FrameType::kShutdown: return "SHUTDOWN";
   }

@@ -14,7 +14,7 @@
 // corruption) fails loudly as a FrameError instead of decoding garbage
 // into a campaign record.
 //
-// Control frames (HELLO/WELCOME/ASSIGN/ROUND_BARRIER/VERDICT/SHUTDOWN)
+// Control frames (HELLO/WELCOME/ASSIGN/VERDICT/SHUTDOWN)
 // drive the coordinator/worker protocol (net/protocol.hpp). Payload bodies
 // are rendered with wire::BitWriter, the same bit-level encoder the agent
 // codecs use — the transport adds no second serialization dialect.
@@ -42,12 +42,11 @@ class FrameError : public std::runtime_error {
 };
 
 enum class FrameType : std::uint8_t {
-  kHello = 1,         // worker -> coordinator: version + desired window
-  kWelcome = 2,       // coordinator -> worker: campaign parameters
-  kAssign = 3,        // coordinator -> worker: run this cell
-  kRoundBarrier = 4,  // coordinator -> workers: epoch fence + pending count
-  kVerdict = 5,       // worker -> coordinator: finished-cell record line
-  kShutdown = 6,      // coordinator -> worker: campaign complete, exit
+  kHello = 1,     // worker -> coordinator: version + desired window
+  kWelcome = 2,   // coordinator -> worker: campaign parameters
+  kAssign = 3,    // coordinator -> worker: run this cell
+  kVerdict = 4,   // worker -> coordinator: finished-cell record line
+  kShutdown = 5,  // coordinator -> worker: campaign complete, exit
 };
 
 [[nodiscard]] std::string_view to_string(FrameType type);

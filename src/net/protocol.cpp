@@ -114,7 +114,6 @@ WelcomePayload decode_welcome(const Frame& frame) {
 
 Frame encode_assign(const AssignPayload& payload) {
   wire::BitWriter writer;
-  writer.write_uvarint(payload.epoch);
   writer.write_uvarint(payload.cell_index);
   write_string(writer, payload.key);
   return seal(FrameType::kAssign, writer);
@@ -124,7 +123,6 @@ AssignPayload decode_assign(const Frame& frame) {
   try {
     wire::BitReader reader = open_payload(frame, FrameType::kAssign);
     AssignPayload payload;
-    payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.key = read_string(reader);
     finish_payload(reader, FrameType::kAssign);
@@ -134,30 +132,8 @@ AssignPayload decode_assign(const Frame& frame) {
   }
 }
 
-Frame encode_barrier(const BarrierPayload& payload) {
-  wire::BitWriter writer;
-  writer.write_uvarint(payload.epoch);
-  writer.write_uvarint(payload.pending);
-  return seal(FrameType::kRoundBarrier, writer);
-}
-
-BarrierPayload decode_barrier(const Frame& frame) {
-  try {
-    wire::BitReader reader =
-        open_payload(frame, FrameType::kRoundBarrier);
-    BarrierPayload payload;
-    payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
-    payload.pending = static_cast<std::uint32_t>(reader.read_uvarint());
-    finish_payload(reader, FrameType::kRoundBarrier);
-    return payload;
-  } catch (const wire::DecodeError& error) {
-    rethrow_as_frame_error(FrameType::kRoundBarrier, error);
-  }
-}
-
 Frame encode_verdict(const VerdictPayload& payload) {
   wire::BitWriter writer;
-  writer.write_uvarint(payload.epoch);
   writer.write_uvarint(payload.cell_index);
   write_string(writer, payload.key);
   write_string(writer, payload.line);
@@ -168,7 +144,6 @@ VerdictPayload decode_verdict(const Frame& frame) {
   try {
     wire::BitReader reader = open_payload(frame, FrameType::kVerdict);
     VerdictPayload payload;
-    payload.epoch = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
     payload.key = read_string(reader);
     payload.line = read_string(reader);

@@ -16,11 +16,9 @@
 //   worker  -> HELLO{magic, version, window}
 //   coord   -> WELCOME{version, grid, include_timings, bandwidth_bits,
 //                      cell_timeout_ms}         (or drops on mismatch)
-//   coord   -> ROUND_BARRIER{epoch, pending}    (campaign start fence)
-//   coord   -> ASSIGN{epoch, cell_index, key}   (demand-driven, LPT order)
-//   worker  -> VERDICT{epoch, cell_index, key, line}
+//   coord   -> ASSIGN{cell_index, key}          (demand-driven, LPT order)
+//   worker  -> VERDICT{cell_index, key, line}
 //   ...                                         (ASSIGN/VERDICT repeats)
-//   coord   -> ROUND_BARRIER{epoch+1, pending}  (after a reassignment wave)
 //   coord   -> SHUTDOWN                         (queue drained)
 //
 // Workers never receive cells by value: WELCOME names a grid preset, both
@@ -38,7 +36,7 @@ namespace anonet::net {
 
 // "ANET" — rejects peers that speak TCP but not this protocol.
 inline constexpr std::uint32_t kMagic = 0x414E4554;
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 struct HelloPayload {
   std::uint32_t version = kProtocolVersion;
@@ -59,22 +57,13 @@ struct WelcomePayload {
 };
 
 struct AssignPayload {
-  std::uint32_t epoch = 1;
   std::uint32_t cell_index = 0;  // Cell::index in expansion order
   std::string key;               // Cell::key() echo (skew detection)
 
   bool operator==(const AssignPayload&) const = default;
 };
 
-struct BarrierPayload {
-  std::uint32_t epoch = 1;   // bumped after every reassignment wave
-  std::uint32_t pending = 0; // cells not yet durably recorded
-
-  bool operator==(const BarrierPayload&) const = default;
-};
-
 struct VerdictPayload {
-  std::uint32_t epoch = 1;
   std::uint32_t cell_index = 0;
   std::string key;
   std::string line;  // MetricsSink::to_json rendering of the record
@@ -85,7 +74,6 @@ struct VerdictPayload {
 [[nodiscard]] Frame encode_hello(const HelloPayload& payload);
 [[nodiscard]] Frame encode_welcome(const WelcomePayload& payload);
 [[nodiscard]] Frame encode_assign(const AssignPayload& payload);
-[[nodiscard]] Frame encode_barrier(const BarrierPayload& payload);
 [[nodiscard]] Frame encode_verdict(const VerdictPayload& payload);
 [[nodiscard]] Frame encode_shutdown();
 
@@ -94,7 +82,6 @@ struct VerdictPayload {
 [[nodiscard]] HelloPayload decode_hello(const Frame& frame);
 [[nodiscard]] WelcomePayload decode_welcome(const Frame& frame);
 [[nodiscard]] AssignPayload decode_assign(const Frame& frame);
-[[nodiscard]] BarrierPayload decode_barrier(const Frame& frame);
 [[nodiscard]] VerdictPayload decode_verdict(const Frame& frame);
 void decode_shutdown(const Frame& frame);
 

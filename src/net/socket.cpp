@@ -40,8 +40,8 @@ sockaddr_in resolve_ipv4(const std::string& host, std::uint16_t port) {
 }
 
 void set_nodelay(int fd) {
-  // Control frames are tiny and latency-sensitive (a barrier fence should
-  // not wait out Nagle); throughput frames are batched by the caller.
+  // Control frames are tiny and latency-sensitive (an ASSIGN should not
+  // wait out Nagle); throughput frames are batched by the caller.
   int on = 1;
   (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &on, sizeof(on));
 }

@@ -78,7 +78,6 @@ bool WorkerNode::run() {
   std::deque<AssignPayload> tasks;
   bool closing = false;
   std::mutex write_mutex;
-  std::atomic<std::uint32_t> epoch{0};
   std::atomic<std::int64_t> cells_run{0};
   std::mutex error_mutex;
   std::string pool_error;  // first send failure; frame loop surfaces it
@@ -96,7 +95,6 @@ bool WorkerNode::run() {
       const CellRecord record =
           campaign::Runner::run_cell(cells[task.cell_index], timings);
       VerdictPayload verdict;
-      verdict.epoch = epoch.load(std::memory_order_relaxed);
       verdict.cell_index = task.cell_index;
       verdict.key = std::move(task.key);
       verdict.line = MetricsSink::to_json(record, timings);
@@ -159,12 +157,6 @@ bool WorkerNode::run() {
             tasks.push_back(std::move(assign));
           }
           queue_cv.notify_one();
-          break;
-        }
-        case FrameType::kRoundBarrier: {
-          const BarrierPayload barrier = decode_barrier(*frame);
-          epoch.store(barrier.epoch, std::memory_order_relaxed);
-          stats_.epoch = barrier.epoch;
           break;
         }
         case FrameType::kShutdown:

@@ -42,7 +42,6 @@ struct WorkerOptions {
 
 struct WorkerStats {
   std::int64_t cells_run = 0;
-  std::uint32_t epoch = 0;  // last ROUND_BARRIER epoch observed
   bool clean_shutdown = false;
 };
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -79,6 +80,90 @@ Spec derived_spec() {
   spec.seeds = {1};
   spec.rounds = 50;
   return spec;
+}
+
+// The records the RecordJsonRoundTrips* tests render; the parser's mutation
+// check runs over the same lines.
+CellRecord failed_record() {
+  CellRecord record;
+  record.cell = 42;
+  record.key = "suite/agent/model/none/max/sched/n6/v1/s17";
+  record.suite = "table2";
+  record.agent = "auto";
+  record.model = "outdegree-aware";
+  record.knowledge = "leaders";
+  record.function = "sum";
+  record.schedule = "random-strong";
+  record.variant = 2;
+  record.n = 6;
+  record.seed = 19;
+  record.verdict = "failed";
+  record.reason = "quote \" backslash \\ newline \n control \x02 done";
+  record.success = true;
+  record.exact = true;
+  record.stabilization_round = 13;
+  record.error = 0.125;
+  record.rounds = 400;
+  record.messages = 12345;
+  record.mechanism = "per-value Push-Sum (Algorithm 1)";
+  return record;
+}
+
+CellRecord bandwidth_record() {
+  CellRecord record;
+  record.cell = 7;
+  record.key = "bw/freq-pushsum/outdegree-aware/none/average/random-strong/"
+               "n6/v0/s1/b128";
+  record.suite = "bw";
+  record.verdict = "bandwidth_exceeded";
+  record.bandwidth_bits = 128;
+  record.bits = 4096;
+  return record;
+}
+
+CellRecord perturbed_record() {
+  CellRecord record;
+  record.cell = 3;
+  record.key = "faults/set-gossip/simple-broadcast/none/max/pref-churn/"
+               "n8/v0/s1/fcrash";
+  record.suite = "faults";
+  record.starts = "sync";
+  record.faults = "crash";
+  record.verdict = "expected_failure";
+  record.reason = "crash-stop outside the agent's tolerance claim";
+  record.predicted = true;
+  return record;
+}
+
+// Splits a one-line flat object rendered by to_json into its
+// `"name":value` fields, in order.
+std::vector<std::string> json_fields(const std::string& line) {
+  std::vector<std::string> fields(1);
+  bool in_string = false;
+  for (std::size_t i = 1; i + 1 < line.size(); ++i) {
+    const char c = line[i];
+    if (in_string && c == '\\') {
+      fields.back() += c;
+      fields.back() += line[++i];
+      continue;
+    }
+    if (c == '"') in_string = !in_string;
+    if (!in_string && c == ',') {
+      fields.emplace_back();
+      continue;
+    }
+    fields.back() += c;
+  }
+  return fields;
+}
+
+std::string join_fields(const std::vector<std::string>& fields) {
+  std::string line = "{";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) line += ',';
+    line += fields[i];
+  }
+  return line + "}";
 }
 
 TEST(Campaign, ExpansionIsDeterministicWithStableIndices) {
@@ -197,12 +282,12 @@ TEST(Campaign, ForbiddenPairingsBecomeSkippedRows) {
 TEST(Campaign, TablesGridSkipsExactlyTheOpenCells) {
   // Table 2's two "?" pairings x 3 functions x 3 input sets = 18 open-skips.
   const std::vector<Cell> cells = Grid::preset("tables").expand();
-  int open_skips = 0;
+  std::vector<Cell> open_skips;
   int other_skips = 0;
   for (const Cell& cell : cells) {
     if (cell.admissible) continue;
     if (cell.skip_reason.find("open in the paper") != std::string::npos) {
-      ++open_skips;
+      open_skips.push_back(cell);
       EXPECT_EQ(cell.suite, "table2");
       EXPECT_EQ(cell.model, CommModel::kOutdegreeAware);
       EXPECT_TRUE(cell.knowledge == Knowledge::kNone ||
@@ -211,8 +296,46 @@ TEST(Campaign, TablesGridSkipsExactlyTheOpenCells) {
       ++other_skips;
     }
   }
-  EXPECT_EQ(open_skips, 18);
+  EXPECT_EQ(open_skips.size(), 18u);
   EXPECT_EQ(other_skips, 0);
+
+  // The `open` preset measures exactly those cells, at their coordinates.
+  const std::vector<Cell> open = Grid::preset("open").expand();
+  ASSERT_EQ(open.size(), open_skips.size());
+  for (std::size_t i = 0; i < open.size(); ++i) {
+    const Cell& skipped = open_skips[i];
+    EXPECT_EQ(open[i].suite, "open");
+    EXPECT_TRUE(open[i].admissible) << open[i].skip_reason;
+    EXPECT_EQ(open[i].agent, skipped.agent);
+    EXPECT_EQ(open[i].model, skipped.model);
+    EXPECT_EQ(open[i].knowledge, skipped.knowledge);
+    EXPECT_EQ(open[i].function, skipped.function);
+    EXPECT_EQ(open[i].schedule, skipped.schedule);
+    EXPECT_EQ(open[i].variant, skipped.variant);
+    EXPECT_EQ(open[i].inputs, skipped.inputs);
+    EXPECT_EQ(open[i].seed, skipped.seed);
+    EXPECT_EQ(open[i].rounds, skipped.rounds);
+    EXPECT_EQ(open[i].tolerance, skipped.tolerance);
+  }
+
+  // What the Section 5 machinery achieves in the two '?' cells. No help:
+  // max exact, average only asymptotically (frequency-based*), sum ruled
+  // out. Leaders: all three exact (multiset-based).
+  const std::vector<CellRecord> records =
+      Runner(RunnerOptions{}).run(Grid::preset("open"));
+  ASSERT_EQ(records.size(), 18u);
+  for (const CellRecord& record : records) {
+    EXPECT_EQ(record.verdict, "ok") << record.key << ": " << record.reason;
+    if (record.knowledge == "leaders" || record.function == "max") {
+      EXPECT_TRUE(record.exact) << record.key;
+    } else if (record.function == "average") {
+      EXPECT_TRUE(record.success) << record.key;
+      EXPECT_FALSE(record.exact) << record.key;
+    } else {
+      EXPECT_FALSE(record.success) << record.key;
+      EXPECT_EQ(record.mechanism.rfind("impossible", 0), 0u) << record.key;
+    }
+  }
 }
 
 TEST(Campaign, RunCellRecordsSkipsWithoutRunning) {
@@ -275,28 +398,7 @@ TEST(Campaign, JsonEscapingAndNumbers) {
 }
 
 TEST(Campaign, RecordJsonRoundTripsThroughParseLine) {
-  CellRecord record;
-  record.cell = 42;
-  record.key = "suite/agent/model/none/max/sched/n6/v1/s17";
-  record.suite = "table2";
-  record.agent = "auto";
-  record.model = "outdegree-aware";
-  record.knowledge = "leaders";
-  record.function = "sum";
-  record.schedule = "random-strong";
-  record.variant = 2;
-  record.n = 6;
-  record.seed = 19;
-  record.verdict = "failed";
-  record.reason = "quote \" backslash \\ newline \n control \x02 done";
-  record.success = true;
-  record.exact = true;
-  record.stabilization_round = 13;
-  record.error = 0.125;
-  record.rounds = 400;
-  record.messages = 12345;
-  record.mechanism = "per-value Push-Sum (Algorithm 1)";
-
+  const CellRecord record = failed_record();
   const std::string line = MetricsSink::to_json(record, false);
   const auto parsed = MetricsSink::parse_line(line);
   ASSERT_TRUE(parsed.has_value());
@@ -342,6 +444,58 @@ TEST(Campaign, ParseLineRejectsTruncatedLines) {
   }
   EXPECT_FALSE(MetricsSink::parse_line("not json").has_value());
   EXPECT_FALSE(MetricsSink::parse_line("{}").has_value());  // missing fields
+
+  // Corrupt values fail closed. One byte of every integer, boolean and
+  // double token is replaced in turn: the mutated line must be rejected, or
+  // be exactly the line its record renders to. Dropping a field that
+  // to_json always writes must be rejected.
+  CellRecord nan_error = failed_record();
+  nan_error.error = std::numeric_limits<double>::quiet_NaN();
+  CellRecord timed = perturbed_record();
+  timed.verdict = "timeout";
+  timed.deadline_ms = 50.0;
+  CellRecord measured = perturbed_record();
+  measured.deadline_ms = 12.5;
+  measured.wall_ms = 3.25;
+  measured.error = std::numeric_limits<double>::infinity();
+  std::set<std::string> always_written;
+  for (const std::string& field :
+       json_fields(MetricsSink::to_json(CellRecord{}, true))) {
+    always_written.insert(field.substr(0, field.find("\":") + 1));
+  }
+  const auto faithful = [](const std::string& text) {
+    const auto parsed = MetricsSink::parse_line(text);
+    return !parsed.has_value() || MetricsSink::to_json(*parsed, true) == text;
+  };
+  for (const CellRecord& sample :
+       {failed_record(), nan_error, bandwidth_record(), perturbed_record(),
+        timed, measured}) {
+    const std::string whole = MetricsSink::to_json(sample, true);
+    ASSERT_TRUE(MetricsSink::parse_line(whole).has_value()) << whole;
+    const std::vector<std::string> fields = json_fields(whole);
+    ASSERT_EQ(join_fields(fields), whole);
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      const std::size_t value = fields[f].find("\":") + 2;
+      std::vector<std::string> dropped = fields;
+      dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(f));
+      if (always_written.count(fields[f].substr(0, value - 1)) > 0) {
+        EXPECT_FALSE(MetricsSink::parse_line(join_fields(dropped)).has_value())
+            << join_fields(dropped);
+      }
+      EXPECT_TRUE(faithful(join_fields(dropped))) << join_fields(dropped);
+      if (fields[f][value] == '"') continue;  // string values stay intact
+      for (std::size_t at = value; at < fields[f].size(); ++at) {
+        for (const char bad : {'x', '+', '-', '.'}) {
+          std::vector<std::string> mutated = fields;
+          mutated[f][at] = bad;
+          EXPECT_TRUE(faithful(join_fields(mutated))) << join_fields(mutated);
+        }
+      }
+    }
+  }
+  std::string bogus = MetricsSink::to_json(failed_record(), true);
+  bogus.replace(bogus.find("\"error\":0.125") + 8, 5, "\"bogus\"");
+  EXPECT_FALSE(MetricsSink::parse_line(bogus).has_value()) << bogus;
 }
 
 TEST(Campaign, SinkWritesReadableCanonicalFiles) {
@@ -589,6 +743,19 @@ TEST(CampaignDeterminism, ResumeReusesFinishedCells) {
   EXPECT_NE(rewritten.find("sentinel: payload-era record"), std::string::npos);
   EXPECT_EQ(rewritten.find("\"payload\""), std::string::npos);
   EXPECT_EQ(rewritten, expected);
+
+  // A corrupt value is never imported: the line is recomputed and the file
+  // converges back to the canonical bytes.
+  std::string corrupt = complete;
+  const std::size_t rounds = corrupt.find("\"rounds\":150");
+  ASSERT_LT(rounds, corrupt.find('\n'));
+  corrupt.replace(rounds + 9, 3, "1x0");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << corrupt;
+  }
+  Runner(options).run(grid);
+  EXPECT_EQ(read_bytes(path), complete);
 
   // A half-written (truncated mid-line) file: the broken line is recomputed
   // and the final file converges back to the canonical bytes.
@@ -1026,14 +1193,7 @@ TEST(Campaign, BoundedCellRecordsBandwidthExceededVerdict) {
 }
 
 TEST(Campaign, RecordJsonRoundTripsBandwidthFields) {
-  CellRecord record;
-  record.cell = 7;
-  record.key = "bw/freq-pushsum/outdegree-aware/none/average/random-strong/"
-               "n6/v0/s1/b128";
-  record.suite = "bw";
-  record.verdict = "bandwidth_exceeded";
-  record.bandwidth_bits = 128;
-  record.bits = 4096;
+  const CellRecord record = bandwidth_record();
   const std::string line = MetricsSink::to_json(record, false);
   EXPECT_NE(line.find("\"bandwidth_bits\":128"), std::string::npos);
   EXPECT_NE(line.find("\"bits\":4096"), std::string::npos);
@@ -1219,16 +1379,7 @@ TEST(Campaign, PredictFailureFollowsTheToleranceClaims) {
 }
 
 TEST(Campaign, RecordJsonRoundTripsPerturbationFields) {
-  CellRecord record;
-  record.cell = 3;
-  record.key = "faults/set-gossip/simple-broadcast/none/max/pref-churn/"
-               "n8/v0/s1/fcrash";
-  record.suite = "faults";
-  record.starts = "sync";
-  record.faults = "crash";
-  record.verdict = "expected_failure";
-  record.reason = "crash-stop outside the agent's tolerance claim";
-  record.predicted = true;
+  const CellRecord record = perturbed_record();
   const std::string line = MetricsSink::to_json(record, false);
   // Default starts stay out of the line; the armed faults coordinate and
   // the prediction flag appear.
@@ -1381,6 +1532,7 @@ TEST(Campaign, FaultsPresetPredictionsAreExactAndNothingPlainFails) {
 TEST(Campaign, SmokeAdversarialAndBandwidthGridsKeepTheirBytes) {
   const std::pair<std::string, std::uint64_t> pins[] = {
       {"smoke", 0x58b02bff683c7e30ull},
+      {"open", 0xbb599f1562dde0c9ull},
       {"adversarial", 0xa08c16ed02be79b8ull},
       {"bandwidth", 0x88c501e33f4ea58bull}};
   for (const auto& [grid, pinned] : pins) {

@@ -51,7 +51,7 @@ Frame sample_frame() {
 TEST(NetFrame, RoundTripsEveryTypeThroughTheDecoder) {
   for (const FrameType type :
        {FrameType::kHello, FrameType::kWelcome, FrameType::kAssign,
-        FrameType::kRoundBarrier, FrameType::kVerdict, FrameType::kShutdown}) {
+        FrameType::kVerdict, FrameType::kShutdown}) {
     Frame frame;
     frame.type = type;
     if (type != FrameType::kShutdown) {
@@ -66,6 +66,17 @@ TEST(NetFrame, RoundTripsEveryTypeThroughTheDecoder) {
     EXPECT_EQ(decoder.buffered(), 0u);
     EXPECT_FALSE(decoder.next().has_value());
   }
+
+  // Raw type 6, one past SHUTDOWN, is unknown even under a valid CRC.
+  std::vector<std::uint8_t> unknown = encode_frame(Frame{});
+  unknown[4] = 6;
+  const std::uint32_t crc = crc32(&unknown[4], 1);
+  for (int i = 0; i < 4; ++i) {
+    unknown[5 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  FrameDecoder decoder;
+  decoder.feed(unknown.data(), unknown.size());
+  EXPECT_THROW((void)decoder.next(), FrameError);
 }
 
 TEST(NetFrame, ReassemblesFramesFedOneByteAtATime) {
@@ -157,18 +168,11 @@ TEST(NetProtocol, ControlPayloadsRoundTrip) {
   EXPECT_EQ(decode_welcome(encode_welcome(welcome)), welcome);
 
   AssignPayload assign;
-  assign.epoch = 3;
   assign.cell_index = 41;
   assign.key = "smoke/auto/SB/none/max/static_panel/n5/v0/s1";
   EXPECT_EQ(decode_assign(encode_assign(assign)), assign);
 
-  BarrierPayload barrier;
-  barrier.epoch = 9;
-  barrier.pending = 12;
-  EXPECT_EQ(decode_barrier(encode_barrier(barrier)), barrier);
-
   VerdictPayload verdict;
-  verdict.epoch = 2;
   verdict.cell_index = 5;
   verdict.key = "k";
   verdict.line = R"({"cell":5,"verdict":"ok"})";
@@ -179,7 +183,7 @@ TEST(NetProtocol, ControlPayloadsRoundTrip) {
 
 TEST(NetProtocol, DecodersRejectTypeMismatchAndTrailingBytes) {
   EXPECT_THROW((void)decode_hello(encode_shutdown()), FrameError);
-  EXPECT_THROW((void)decode_assign(encode_barrier(BarrierPayload{})),
+  EXPECT_THROW((void)decode_assign(encode_verdict(VerdictPayload{})),
                FrameError);
   Frame hello = encode_hello(HelloPayload{});
   hello.payload.push_back(0x00);  // a whole trailing byte = skewed peer
@@ -320,8 +324,6 @@ TEST(NetDeterminism, WorkerDisconnectReassignsItsCellExactlyOnce) {
     worker_options.port = port;
     WorkerNode worker(worker_options);
     EXPECT_TRUE(worker.run());
-    // Its final barrier epoch reflects the reassignment wave.
-    EXPECT_EQ(worker.stats().epoch, 2u);
   });
   const std::vector<campaign::CellRecord> got = coordinator.run();
   deserter.join();
@@ -332,7 +334,6 @@ TEST(NetDeterminism, WorkerDisconnectReassignsItsCellExactlyOnce) {
   EXPECT_EQ(stats.workers_lost, 1);
   EXPECT_EQ(stats.cells_reassigned, 1);  // exactly the abandoned cell
   EXPECT_EQ(stats.duplicate_verdicts, 0);
-  EXPECT_EQ(stats.epochs, 2u);
   EXPECT_EQ(stats.verdicts, static_cast<std::int64_t>(want.size()));
 
   expect_same_records(got, want);
@@ -388,8 +389,8 @@ TEST(NetDeterminism, ReplacementJoinerIsFedAfterAReapWithoutAVerdict) {
       EXPECT_EQ(worker.stats().cells_run, 8);
     });
 
-    // Absorb the kickoff (BARRIER plus the 8 ASSIGNs aimed at our
-    // window), then die without a verdict.
+    // Absorb the kickoff (the 8 ASSIGNs aimed at our window), then die
+    // without a verdict.
     int assigns = 0;
     while (assigns < 8) {
       std::optional<Frame> f = read_frame(victim, victim_decoder);

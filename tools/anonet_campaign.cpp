@@ -31,7 +31,7 @@ void usage(const char* argv0) {
       "usage: %s --grid NAME [options]\n"
       "\n"
       "options:\n"
-      "  --grid NAME         grid preset: table1, table2, tables,\n"
+      "  --grid NAME         grid preset: table1, table2, tables, open,\n"
       "                      adversarial, bandwidth, faults, smoke\n"
       "                      (required)\n"
       "  --out PATH          JSONL output file (resumable; omit to only\n"

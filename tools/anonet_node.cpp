@@ -214,12 +214,12 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "campaign '%s': %zu cells over %d worker(s) (%lld assigned, "
-          "%lld reassigned after %d loss(es), epoch %u, %d failed)\n",
+          "%lld reassigned after %d loss(es), %d failed)\n",
           coordinator_options.grid.c_str(), records.size(),
           stats.workers_joined,
           static_cast<long long>(stats.cells_assigned),
           static_cast<long long>(stats.cells_reassigned), stats.workers_lost,
-          stats.epochs, failed);
+          failed);
       if (!coordinator_options.out_path.empty()) {
         std::printf("records: %s\n", coordinator_options.out_path.c_str());
       }
@@ -228,8 +228,8 @@ int main(int argc, char** argv) {
     WorkerNode worker(worker_options);
     const bool clean = worker.run();
     const WorkerStats& stats = worker.stats();
-    std::printf("worker: ran %lld cell(s), epoch %u, %s\n",
-                static_cast<long long>(stats.cells_run), stats.epoch,
+    std::printf("worker: ran %lld cell(s), %s\n",
+                static_cast<long long>(stats.cells_run),
                 clean ? "clean shutdown" : "abandoned (fault injection)");
     return 0;
   } catch (const std::exception& e) {
