@@ -10,15 +10,17 @@
 // are timed individually (in memory only — no JSONL is written, so the
 // record-level determinism guarantee is untouched) to report each suite's
 // summed cell time (`cell_ms`, the input of scripts/perf_smoke.py's
-// table2/table1 ratio gate) and to score the sharding policies: the
-// shard-imbalance block reports max/mean shard wall time for the 4-way
-// cost (LPT) and index splits over the measured costs.
+// table2/table1 ratio gate), the summed time of table2's history-tree and
+// set-gossip cells (its history/gossip gate), and to score the sharding
+// policies: the shard-imbalance block reports max/mean shard wall time for
+// the 4-way cost (LPT) and index splits over the measured costs.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/cost_model.hpp"
@@ -76,6 +78,20 @@ void fold(const std::vector<CellRecord>& records,
     summary->messages += record.messages;
     if (record.wall_ms >= 0.0) summary->cell_ms += record.wall_ms;
   }
+}
+
+// Summed wall time of the table2 cells whose mechanism starts with
+// `prefix`.
+double table2_cell_ms(const std::vector<CellRecord>& records,
+                      std::string_view prefix) {
+  double ms = 0.0;
+  for (const CellRecord& record : records) {
+    if (record.suite == "table2" && record.wall_ms >= 0.0 &&
+        record.mechanism.starts_with(prefix)) {
+      ms += record.wall_ms;
+    }
+  }
+  return ms;
 }
 
 // max/mean shard wall time of `assignment` over the measured costs — 1.0
@@ -170,6 +186,12 @@ int main() {
                table1.all_match ? "true" : "false");
   std::fprintf(out, "  \"table2_matches_paper\": %s,\n",
                table2.all_match ? "true" : "false");
+  // Both sums come from this one run, so their ratio does not depend on
+  // the host's speed.
+  std::fprintf(out, "  \"table2_history_cell_ms\": %lld,\n",
+               std::llround(table2_cell_ms(tables, "history-tree")));
+  std::fprintf(out, "  \"table2_gossip_cell_ms\": %lld,\n",
+               std::llround(table2_cell_ms(tables, "gossip")));
   std::fprintf(out, "  \"shard_imbalance\": {\"shards\": %d, "
                "\"cost_max_over_mean\": %.4f, "
                "\"index_max_over_mean\": %.4f},\n",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """CI perf smoke gates over BENCH_executor.json and BENCH_campaign.json.
 
-Two ratio gates, each comparing runs made on the same host by the same
-binary, so neither depends on how fast the host is:
+Three ratio gates, each comparing runs made on the same host by the same
+binary, so none depends on how fast the host is:
 
   - Executor: fails when the pooled round engine at n = 10^4 is slower than
     the serial engine by more than the tolerance — i.e. the persistent-worker
@@ -11,9 +11,14 @@ binary, so neither depends on how fast the host is:
     pooled path degenerates to the serial one plus pool bookkeeping, and a
     throughput comparison measures the host, not the code.
   - Campaign: fails when the table2 suite's summed cell time exceeds the
-    table1 suite's by more than MAX_TABLE2_OVER_TABLE1. Table 2's
-    history-tree cells solve their class relations every round; this keeps
-    that solve from growing back into the dominant cost of the tables grid.
+    table1 suite's by more than MAX_TABLE2_OVER_TABLE1, which keeps the
+    dynamic table from growing into the dominant cost of the tables grid.
+  - History solve: fails when table2's history-tree cells take more than
+    MAX_HISTORY_OVER_GOSSIP times the summed cell time of its set-gossip
+    cells from the same run. The history-tree agents solve their class
+    relations every round; this keeps that solve from growing back, and
+    reads it directly rather than through table1, whose own speed-ups
+    would move the table2/table1 ratio.
 
 Intended to run against freshly generated files (scripts/bench.sh), not the
 committed snapshots, so the gates measure the checkout under test.
@@ -27,6 +32,7 @@ import sys
 TOLERANCE = 0.10  # pooled may trail serial by at most 10%
 N_GATE = 10000
 MAX_TABLE2_OVER_TABLE1 = 4.0
+MAX_HISTORY_OVER_GOSSIP = 1.5
 
 
 def executor_gate(bench, path) -> bool:
@@ -104,12 +110,38 @@ def campaign_gate(bench, path) -> bool:
     return True
 
 
+def history_gate(bench, path) -> bool:
+    history = bench.get("table2_history_cell_ms")
+    gossip = bench.get("table2_gossip_cell_ms")
+    if history is None or not gossip:
+        print(
+            f"perf_smoke: no table2 history/gossip cell_ms in {path}; "
+            "regenerate with scripts/bench.sh"
+        )
+        return False
+
+    ratio = history / gossip
+    print(
+        f"perf_smoke: table2 summed cell time history-tree {history} ms, "
+        f"set gossip {gossip} ms, ratio {ratio:.2f} "
+        f"(ceiling {MAX_HISTORY_OVER_GOSSIP:.1f})"
+    )
+    if ratio > MAX_HISTORY_OVER_GOSSIP:
+        print(
+            "perf_smoke: FAIL — table2 history-tree cells cost more than "
+            f"{MAX_HISTORY_OVER_GOSSIP:.1f}x its set-gossip cells"
+        )
+        return False
+    return True
+
+
 def main() -> int:
     executor_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_executor.json"
     campaign_path = sys.argv[2] if len(sys.argv) > 2 else "BENCH_campaign.json"
     ok = True
     for path, gate in ((executor_path, executor_gate),
-                       (campaign_path, campaign_gate)):
+                       (campaign_path, campaign_gate),
+                       (campaign_path, history_gate)):
         with open(path, encoding="utf-8") as fh:
             ok = gate(json.load(fh), path) and ok
     if not ok:

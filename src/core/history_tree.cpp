@@ -1,6 +1,7 @@
 #include "core/history_tree.hpp"
 
 #include <algorithm>
+#include <any>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -72,41 +73,13 @@ std::size_t position(const std::vector<ViewId>& level, ViewId id) {
   return static_cast<std::size_t>(it - level.begin());
 }
 
-}  // namespace
-
-std::optional<HistoryClassSizes> solve_history_window(
-    const ViewRegistry& registry, ViewId view) {
-  if (view == kInvalidView) return std::nullopt;
-
-  // Window of levels [t0, t1]: deep enough that the class sets are complete
-  // (an agent sees every level-k class once k <= t - D), long enough to
-  // carry the refinement relations. D is unknown; t/2 becomes valid once
-  // t >= 2D, which the eventual-correctness contract absorbs.
-  const int t = registry.depth(view);
-  const int t1 = t / 2;
-  // The length cap is a coordinate of the recorded verdicts, not a cost
-  // bound: the window decides when the relations first pin the classes, so
-  // changing it can move every history cell's stabilization round.
-  constexpr int kMaxWindowLevels = 12;
-  const int t0 = std::max(t / 4, t1 - kMaxWindowLevels);
-  if (t1 - t0 < 1) return std::nullopt;
-
-  // Class sets per level: every embedded sub-view of depth k is some
-  // agent's genuine round-k view (level-k history-tree node).
-  std::vector<std::vector<ViewId>> levels(
-      static_cast<std::size_t>(t1 - t0 + 1));
-  for (ViewId s : registry.subviews(view)) {
-    const int k = registry.depth(s);
-    if (k >= t0 && k <= t1) {
-      levels[static_cast<std::size_t>(k - t0)].push_back(s);
-    }
-  }
-  for (std::vector<ViewId>& level : levels) {
-    std::sort(level.begin(), level.end());
-  }
-
-  // The unknowns are the level-t1 classes. Walking down the window,
-  // `below[b]` collects the 0/1 indicator of class b's level-t1
+// The solve proper over the window's ascending class lists, lowest level
+// first. It reads nothing but `levels` and the interned nodes they name.
+std::optional<HistoryClassSizes> solve_levels(
+    const ViewRegistry& registry,
+    const std::vector<std::vector<ViewId>>& levels) {
+  // The unknowns are the deepest level's classes. Walking down the window,
+  // `below[b]` collects the 0/1 indicator of class b's deepest
   // descendants, and each double-count row is accumulated over the same
   // unknowns: child C of B with c_{C,D} in-edges from D adds c_{C,D} times
   // C's descendant indicator to the row of the pair {B, D}.
@@ -116,11 +89,9 @@ std::optional<HistoryClassSizes> solve_history_window(
       m, std::vector<std::int64_t>(m, 0));
   for (std::size_t i = 0; i < m; ++i) upper[i][i] = 1;
   std::set<std::vector<std::int64_t>> rows;
-  for (int k = t1; k > t0; --k) {
-    const std::vector<ViewId>& classes =
-        levels[static_cast<std::size_t>(k - t0)];
-    const std::vector<ViewId>& lower =
-        levels[static_cast<std::size_t>(k - 1 - t0)];
+  for (std::size_t k = levels.size() - 1; k > 0; --k) {
+    const std::vector<ViewId>& classes = levels[k];
+    const std::vector<ViewId>& lower = levels[k - 1];
     std::vector<std::vector<std::int64_t>> below(
         lower.size(), std::vector<std::int64_t>(m, 0));
     std::map<std::pair<std::size_t, std::size_t>, std::vector<std::int64_t>>
@@ -161,6 +132,47 @@ std::optional<HistoryClassSizes> solve_history_window(
   auto kernel = positive_coprime_kernel_vector(system);
   if (!kernel.has_value()) return std::nullopt;
   return HistoryClassSizes{deepest, std::move(*kernel)};
+}
+
+}  // namespace
+
+std::optional<HistoryClassSizes> solve_history_window(
+    const ViewRegistry& registry, ViewId view) {
+  if (view == kInvalidView) return std::nullopt;
+
+  // Window of levels [t0, t1]: deep enough that the class sets are complete
+  // (an agent sees every level-k class once k <= t - D), long enough to
+  // carry the refinement relations. D is unknown; t/2 becomes valid once
+  // t >= 2D, which the eventual-correctness contract absorbs.
+  const int t = registry.depth(view);
+  const int t1 = t / 2;
+  // The length cap is a coordinate of the recorded verdicts, not a cost
+  // bound: the window decides when the relations first pin the classes, so
+  // changing it can move every history cell's stabilization round.
+  constexpr int kMaxWindowLevels = 12;
+  const int t0 = std::max(t / 4, t1 - kMaxWindowLevels);
+  if (t1 - t0 < 1) return std::nullopt;
+
+  // Class sets per level: every embedded sub-view of depth k is some
+  // agent's genuine round-k view (level-k history-tree node).
+  std::vector<std::vector<ViewId>> levels(
+      static_cast<std::size_t>(t1 - t0 + 1));
+  for (ViewId s : registry.subviews(view)) {
+    const int k = registry.depth(s);
+    if (k >= t0 && k <= t1) {
+      levels[static_cast<std::size_t>(k - t0)].push_back(s);
+    }
+  }
+  for (std::vector<ViewId>& level : levels) {
+    std::sort(level.begin(), level.end());
+  }
+
+  // Once the window's levels are complete every agent holds the same
+  // lists, and an agent's window often repeats from the previous round:
+  // solve each distinct window once per registry.
+  std::any& solved = registry.memo(levels);
+  if (!solved.has_value()) solved = solve_levels(registry, levels);
+  return std::any_cast<const std::optional<HistoryClassSizes>&>(solved);
 }
 
 const std::optional<HistoryClassSizes>& HistoryFrequencyAgent::solve() const {

@@ -46,10 +46,14 @@ const ViewRegistry::ChildList& ViewRegistry::children(ViewId id) const {
 
 ViewId ViewRegistry::truncate(ViewId id, int h) {
   if (h < 0) throw std::invalid_argument("ViewRegistry::truncate: h < 0");
-  if (depth(id) <= h) return id;
-  auto cache_key = std::pair{id, h};
-  auto it = truncate_cache_.find(cache_key);
-  if (it != truncate_cache_.end()) return it->second;
+  const int full_depth = depth(id);
+  if (full_depth <= h) return id;
+  const auto slot = static_cast<std::size_t>(h);
+  {
+    const std::vector<ViewId>& known =
+        nodes_[static_cast<std::size_t>(id)].truncations;
+    if (slot < known.size() && known[slot] != kInvalidView) return known[slot];
+  }
   ViewId result;
   if (h == 0) {
     result = leaf(label(id));
@@ -64,19 +68,28 @@ ViewId ViewRegistry::truncate(ViewId id, int h) {
     }
     result = node(own_label, std::move(truncated));
   }
-  truncate_cache_.emplace(cache_key, result);
+  // Re-read: interning above may have reallocated nodes_.
+  std::vector<ViewId>& known = nodes_[static_cast<std::size_t>(id)].truncations;
+  if (known.empty()) {
+    known.assign(static_cast<std::size_t>(full_depth), kInvalidView);
+  }
+  known[slot] = result;
   return result;
 }
 
 double ViewRegistry::tree_size(ViewId id) const {
-  auto it = tree_size_cache_.find(id);
-  if (it != tree_size_cache_.end()) return it->second;
+  const Node& n = nodes_[static_cast<std::size_t>(id)];
+  if (n.tree_size > 0.0) return n.tree_size;
   double size = 1.0;
-  for (const auto& [child, color] : children(id)) {
+  for (const auto& [child, color] : n.children) {
     size += tree_size(child);
   }
-  tree_size_cache_.emplace(id, size);
+  n.tree_size = size;
   return size;
+}
+
+std::any& ViewRegistry::memo(const MemoKey& key) const {
+  return memo_.try_emplace(key).first->second;
 }
 
 std::vector<ViewId> ViewRegistry::subviews(ViewId id) const {

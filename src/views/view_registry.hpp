@@ -12,6 +12,7 @@
 // tree itself conveys, so computability results are unaffected (see
 // DESIGN.md, substitution table).
 
+#include <any>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -39,8 +40,8 @@ class ViewRegistry {
   [[nodiscard]] const ChildList& children(ViewId id) const;
 
   // The view truncated to depth `h` (identity when depth(id) <= h).
-  // Memoized; truncation commutes with the view construction, i.e.
-  // truncate(V_t(v), h) == V_h(v).
+  // Memoized per node; truncation commutes with the view construction,
+  // i.e. truncate(V_t(v), h) == V_h(v).
   ViewId truncate(ViewId id, int h);
 
   // All distinct sub-views of `id`, including `id` itself.
@@ -50,24 +51,38 @@ class ViewRegistry {
   // multiplicity) — the size a non-interned message would have. Grows
   // exponentially with depth, which is exactly why the simulator interns
   // and why the paper cares about finite-state variants; returned as a
-  // double since it overflows integers fast. Memoized.
+  // double since it overflows integers fast. Memoized per node.
   [[nodiscard]] double tree_size(ViewId id) const;
 
   [[nodiscard]] std::size_t size() const { return nodes_.size(); }
 
+  // A memo slot for a result computed from interned nodes alone, keyed by
+  // lists of ids; empty until the caller stores a value of its own type
+  // there (core/history_tree.cpp keys its window solve on the window's
+  // ascending class lists). Exact because interned nodes never change;
+  // held per registry, never in static state, because ids are
+  // registry-local.
+  using MemoKey = std::vector<std::vector<ViewId>>;
+  [[nodiscard]] std::any& memo(const MemoKey& key) const;
+
  private:
+  // An interned view plus its lazily filled memos. Both are exact: the
+  // fields above never change once interned.
   struct Node {
     int label = 0;
     int depth = 0;
     ChildList children;
+    // truncations[h] = truncate(id, h) for h < depth; kInvalidView until
+    // computed.
+    std::vector<ViewId> truncations = {};
+    mutable double tree_size = 0.0;  // 0 until computed (sizes are >= 1)
   };
 
   ViewId intern(Node node);
 
   std::vector<Node> nodes_;
   std::map<std::tuple<int, int, ChildList>, ViewId> interned_;
-  std::map<std::pair<ViewId, int>, ViewId> truncate_cache_;
-  mutable std::map<ViewId, double> tree_size_cache_;
+  mutable std::map<MemoKey, std::any> memo_;
 };
 
 }  // namespace anonet

@@ -285,12 +285,32 @@ std::vector<std::int64_t> sweep_inputs(int kind, Vertex n) {
   return inputs;
 }
 
+// solve_history_window against the dense oracle, or nullopt exactly when
+// the oracle gives nullopt; returns whether it solved. `dense` holds the
+// oracle's verdict per view, so a view is solved densely once while every
+// later request for it (a registry memo hit) is still compared.
+bool expect_matches_dense(
+    const ViewRegistry& registry, ViewId view,
+    std::map<ViewId, std::optional<HistoryClassSizes>>& dense,
+    const std::string& where) {
+  auto it = dense.find(view);
+  if (it == dense.end()) {
+    it = dense.emplace(view, dense_window_solve(registry, view)).first;
+  }
+  const auto fast = solve_history_window(registry, view);
+  EXPECT_EQ(fast.has_value(), it->second.has_value()) << where;
+  if (!fast.has_value() || !it->second.has_value()) return false;
+  EXPECT_EQ(fast->classes, it->second->classes) << where;
+  EXPECT_EQ(fast->sizes, it->second->sizes) << where;
+  return true;
+}
+
 TEST(HistoryTree, WindowSolveMatchesTheDenseOracle) {
-  // Every agent in every round: the deepest-level solve must return the
-  // dense oracle's classes and sizes, or nullopt exactly when it does.
-  // Agents sharing a view share the verdict, so each view is checked once.
-  // The two-agent networks run long enough (t >= 48) to fill the capped
-  // 12-level window; the dense oracle keeps the others short.
+  // Every agent in every round: the deepest-level solve, memoized per
+  // window in the registry, must return the dense oracle's classes and
+  // sizes, or nullopt exactly when it does. The two-agent networks run
+  // long enough (t >= 48) to fill the capped 12-level window; the dense
+  // oracle keeps the others short.
   int solved = 0;
   int unsolved = 0;
   for (Vertex n = 2; n <= 8; ++n) {
@@ -309,29 +329,26 @@ TEST(HistoryTree, WindowSolveMatchesTheDenseOracle) {
         Executor<HistoryFrequencyAgent> exec(
             schedule, rig.agents(sweep_inputs(kind, n)),
             CommModel::kSymmetricBroadcast);
-        std::set<ViewId> checked;
+        std::map<ViewId, std::optional<HistoryClassSizes>> dense;
         for (int round = 1; round <= rounds; ++round) {
           exec.step();
           for (Vertex v = 0; v < n; ++v) {
             const ViewId view = exec.agent(v).view();
-            if (!checked.insert(view).second) continue;
-            const auto fast = solve_history_window(*rig.registry, view);
-            const auto dense = dense_window_solve(*rig.registry, view);
-            ASSERT_EQ(fast.has_value(), dense.has_value())
-                << name << " n=" << n << " inputs=" << kind
-                << " round=" << round << " agent=" << v;
-            if (!fast.has_value()) {
+            const std::string where =
+                name + " n=" + std::to_string(n) +
+                " inputs=" + std::to_string(kind) +
+                " round=" + std::to_string(round) +
+                " agent=" + std::to_string(v);
+            if (!expect_matches_dense(*rig.registry, view, dense, where)) {
               ++unsolved;
               continue;
             }
             ++solved;
-            EXPECT_EQ(fast->classes, dense->classes) << name << " n=" << n;
-            EXPECT_EQ(fast->sizes, dense->sizes) << name << " n=" << n;
             if (name == "ring" && kind == 2) {
               // One class per level: every double-count row is a b == d
               // row, so the system has no rows and the class gets size 1.
-              EXPECT_EQ(fast->sizes, std::vector<BigInt>{BigInt(1)})
-                  << "n=" << n;
+              EXPECT_EQ(dense.at(view)->sizes, std::vector<BigInt>{BigInt(1)})
+                  << where;
             }
           }
         }
@@ -340,6 +357,41 @@ TEST(HistoryTree, WindowSolveMatchesTheDenseOracle) {
   }
   EXPECT_GT(solved, 0);
   EXPECT_GT(unsolved, 0);
+}
+
+TEST(HistoryTree, WindowMemoIsPerRegistry) {
+  // Two executions back to back on fresh registries. Both intern two
+  // classes per round in the same order, so their ids coincide level by
+  // level, but the trees differ: alternating inputs give a 1:1 split, the
+  // 1,2,2 pattern a 1:2 split. A memo shared across registries would hand
+  // the second execution the first one's sizes.
+  const std::vector<std::vector<std::int64_t>> inputs = {
+      {1, 2, 1, 2, 1, 2}, {1, 2, 2, 1, 2, 2}};
+  std::vector<std::vector<ViewId>> views(2);
+  std::vector<std::vector<BigInt>> sizes(2);
+  for (std::size_t run = 0; run < 2; ++run) {
+    Rig rig;
+    Executor<HistoryFrequencyAgent> exec(
+        std::make_shared<StaticSchedule>(bidirectional_ring(6)),
+        rig.agents(inputs[run]), CommModel::kSymmetricBroadcast);
+    std::map<ViewId, std::optional<HistoryClassSizes>> dense;
+    for (int round = 1; round <= 16; ++round) {
+      exec.step();
+      views[run].push_back(exec.agent(0).view());
+      for (Vertex v = 0; v < 6; ++v) {
+        expect_matches_dense(*rig.registry, exec.agent(v).view(), dense,
+                             "run=" + std::to_string(run) +
+                                 " round=" + std::to_string(round) +
+                                 " agent=" + std::to_string(v));
+      }
+    }
+    const auto last = solve_history_window(*rig.registry, views[run].back());
+    ASSERT_TRUE(last.has_value()) << run;
+    sizes[run] = last->sizes;
+  }
+  EXPECT_EQ(views[0], views[1]);
+  EXPECT_EQ(sizes[0], (std::vector<BigInt>{BigInt(1), BigInt(1)}));
+  EXPECT_EQ(sizes[1], (std::vector<BigInt>{BigInt(1), BigInt(2)}));
 }
 
 TEST(HistoryTree, InputValidation) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/minbase_agent.hpp"
+#include "dynamics/schedules.hpp"
 #include "fibration/minimum_base.hpp"
 #include "graph/generators.hpp"
 #include "graph/isomorphism.hpp"
+#include "runtime/executor.hpp"
 #include "views/base_extraction.hpp"
 #include "views/label_codec.hpp"
 #include "views/view_registry.hpp"
@@ -58,6 +63,94 @@ TEST(ViewRegistry, TruncateCommutesWithConstruction) {
   EXPECT_EQ(reg.truncate(v1_depth2, 0), l1);
   EXPECT_EQ(reg.truncate(v1_depth2, 2), v1_depth2);  // identity above depth
   EXPECT_EQ(reg.truncate(v1_depth2, 5), v1_depth2);
+}
+
+// Oracle for the per-node truncation table: the (id, h)-keyed map
+// recursion it replaced. The map is the test's own, so the reference never
+// reads the registry's table.
+ViewId reference_truncate(ViewRegistry& reg, ViewId id, int h,
+                          std::map<std::pair<ViewId, int>, ViewId>& memo) {
+  if (reg.depth(id) <= h) return id;
+  const auto known = memo.find({id, h});
+  if (known != memo.end()) return known->second;
+  ViewId result = kInvalidView;
+  if (h == 0) {
+    result = reg.leaf(reg.label(id));
+  } else {
+    // Copy: the recursion interns, which can reallocate the registry.
+    const ViewRegistry::ChildList kids = reg.children(id);
+    ViewRegistry::ChildList truncated;
+    for (const auto& [child, color] : kids) {
+      truncated.emplace_back(reference_truncate(reg, child, h - 1, memo),
+                             color);
+    }
+    result = reg.node(reg.label(id), std::move(truncated));
+  }
+  memo.emplace(std::pair{id, h}, result);
+  return result;
+}
+
+// truncate(id, h) against the reference for every id below `count` and
+// every h < depth(id).
+void expect_truncations_match(ViewRegistry& reg, ViewId count) {
+  std::map<std::pair<ViewId, int>, ViewId> memo;
+  for (ViewId id = 0; id < count; ++id) {
+    for (int h = 0; h < reg.depth(id); ++h) {
+      const ViewId fast = reg.truncate(id, h);
+      ASSERT_EQ(fast, reference_truncate(reg, id, h, memo))
+          << "id=" << id << " h=" << h;
+    }
+  }
+}
+
+TEST(ViewRegistry, TruncateMatchesTheReferenceRecursion) {
+  // One registry filled the way minimum-base agents fill it: all four
+  // models, a corrupted restart (receive truncates views of unequal
+  // depths), and the finite-state path (a truncation after every round).
+  // The last runs on a fresh random graph each round, so its truncations
+  // keep interning new nodes and the registry reallocates under truncate.
+  auto registry = std::make_shared<ViewRegistry>();
+  auto codec = std::make_shared<LabelCodec>();
+  Digraph g = random_symmetric_connected(6, 2, 5);
+  g.assign_output_ports();
+  const auto fixed = std::make_shared<StaticSchedule>(g);
+  const std::vector<std::int64_t> inputs{1, 2, 1, 1, 2, 3};
+  auto run = [&](const DynamicGraphPtr& schedule, CommModel model,
+                 int max_view_depth, int rounds, bool corrupt) {
+    std::vector<MinBaseAgent> agents;
+    for (std::int64_t input : inputs) {
+      agents.emplace_back(registry, codec, input, model, max_view_depth);
+    }
+    Executor<MinBaseAgent> exec(schedule, std::move(agents), model);
+    for (int round = 0; round < rounds; ++round) {
+      if (corrupt && round == rounds / 2) {
+        const ViewId junk_leaf = registry->leaf(codec->value_label(97));
+        exec.agents()[0].corrupt(junk_leaf);
+        exec.agents()[3].corrupt(registry->node(
+            codec->value_label(98), {{junk_leaf, 0}, {junk_leaf, 0}}));
+      }
+      exec.step();
+      for (Vertex v = 0; v < 6; ++v) {
+        static_cast<void>(exec.agent(v).candidate());
+      }
+    }
+  };
+  for (CommModel model :
+       {CommModel::kSimpleBroadcast, CommModel::kOutdegreeAware,
+        CommModel::kSymmetricBroadcast, CommModel::kOutputPortAware}) {
+    run(fixed, model, 0, 12, false);
+  }
+  run(fixed, CommModel::kSymmetricBroadcast, 0, 12, true);
+  run(std::make_shared<RandomSymmetricSchedule>(6, 2, 5),
+      CommModel::kOutdegreeAware, 5, 48, false);
+
+  const auto count = static_cast<ViewId>(registry->size());
+  expect_truncations_match(*registry, count);
+  // Second pass: every truncate is now a table entry, and the reference
+  // finds each node it builds already interned.
+  const std::size_t interned = registry->size();
+  expect_truncations_match(*registry, count);
+  EXPECT_EQ(registry->size(), interned);
 }
 
 TEST(ViewRegistry, SubviewsCollectsEverything) {
