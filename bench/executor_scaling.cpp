@@ -1,27 +1,39 @@
 // Round-engine scaling benchmark — emits BENCH_executor.json.
 //
-// Two sweeps, both on outdegree-aware Push-Sum over a static bidirectional
-// ring (the workload behind the Theorem 5.2 convergence experiments):
+// Two sweeps on outdegree-aware Push-Sum over a static bidirectional ring
+// (the workload behind the Theorem 5.2 convergence experiments), whose
+// scalar messages the arena copies:
 //   (a) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5};
 //   (b) block-grain sweep at n = 1e4 (set_block_grain override vs the
 //       adaptive policy), sizing the claim-amortization sweet spot.
+// And (c), serial vs pooled at n = 1e5 over 20 rounds of a fresh random
+// graph each round, for the two frequency engines whose vector messages
+// the arena delivers by slot: metered frequency Push-Sum on
+// RandomStronglyConnectedSchedule and frequency Metropolis on
+// RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
+// Every row records its validate, send and deliver seconds and the engine's
+// ns per delivered message.
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
 // docs/round_engine.md.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/metropolis.hpp"
 #include "core/pushsum.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
 #include "support/thread_pool.hpp"
+#include "wire/codecs.hpp"
 
 using namespace anonet;
 
@@ -44,6 +56,24 @@ int rounds_for(Vertex n) {
       std::max<std::int64_t>(3, target / deliveries_per_round));
 }
 
+// Frequency-engine inputs: ten values, as in perfbench's `large_n`.
+std::vector<std::int64_t> frequency_inputs(Vertex n) {
+  std::vector<std::int64_t> inputs;
+  inputs.reserve(static_cast<std::size_t>(n));
+  for (Vertex v = 0; v < n; ++v) inputs.push_back(v % 10);
+  return inputs;
+}
+
+// Σ over agents and values of value × estimate: equal across thread counts
+// because every run is bitwise deterministic.
+double frequency_checksum(const std::map<std::int64_t, double>& estimates) {
+  double sum = 0.0;
+  for (const auto& [value, x] : estimates) {
+    if (std::isfinite(x)) sum += static_cast<double>(value) * x;
+  }
+  return sum;
+}
+
 struct Row {
   std::string workload;
   std::string engine;
@@ -52,35 +82,56 @@ struct Row {
   int rounds = 0;
   double seconds = 0.0;
   std::int64_t messages = 0;
+  PhaseTimings phases{};  // the executor's own split of the rounds
   double checksum = 0.0;  // Σ agent outputs — guards against dead-code elim
   std::int64_t grain = 0;  // forced block grain; 0 = adaptive policy
 };
 
-// Best-of-3: each repetition is deterministic (same checksum), so the
-// minimum isolates engine cost from scheduler noise on shared hosts.
+void record(Row& row, const ExecutorStats& stats) {
+  row.messages = stats.messages_delivered;
+  row.phases = stats.timings;
+}
+
+// Best of `reps`: each repetition is deterministic (same checksum), so the
+// fastest isolates engine cost from scheduler noise on shared hosts; its
+// phase split is the one recorded.
 template <typename Run>
 Row timed(const char* workload, const char* engine, Vertex n, int threads,
-          int rounds, Run&& run) {
-  Row row{workload, engine, n, threads, rounds, 0.0, 0, 0.0};
-  double best = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    row.messages = 0;
+          int rounds, int reps, Run&& run) {
+  const Row blank{.workload = workload,
+                  .engine = engine,
+                  .n = n,
+                  .threads = threads,
+                  .rounds = rounds};
+  Row best = blank;
+  best.seconds = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < reps; ++rep) {
+    Row row = blank;
     const auto start = std::chrono::steady_clock::now();
     row.checksum = run(row);
-    best = std::min(
-        best,
+    row.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
+            .count();
+    if (row.seconds < best.seconds) best = row;
   }
-  row.seconds = best;
-  return row;
+  return best;
+}
+
+// The three phases summed, per delivered message.
+double ns_per_message(const Row& row) {
+  const double engine_s = row.phases.validate_seconds +
+                          row.phases.send_seconds + row.phases.deliver_seconds;
+  return row.messages == 0
+             ? 0.0
+             : engine_s * 1e9 / static_cast<double>(row.messages);
 }
 
 void print_row(const Row& row) {
-  std::printf("  %-12s %-6s n=%-7d threads=%d  %8.3fs  %10.0f rounds/s  %12.3e msgs/s\n",
+  std::printf("  %-15s %-6s n=%-7d threads=%d  %8.3fs  %10.0f rounds/s  %12.3e msgs/s  %6.1f ns/msg\n",
               row.workload.c_str(), row.engine.c_str(), row.n, row.threads,
               row.seconds, row.rounds / row.seconds,
-              static_cast<double>(row.messages) / row.seconds);
+              static_cast<double>(row.messages) / row.seconds,
+              ns_per_message(row));
 }
 
 }  // namespace
@@ -98,12 +149,12 @@ int main() {
     const int rounds = rounds_for(n);
     for (int threads : {1, 2, 4, 8}) {
       const char* engine = threads == 1 ? "serial" : "pooled";
-      rows.push_back(timed("ring", engine, n, threads, rounds, [&](Row& row) {
+      rows.push_back(timed("ring", engine, n, threads, rounds, 3, [&](Row& row) {
         Executor<PushSumAgent> exec(net, make_agents(n),
                                     CommModel::kOutdegreeAware, 0x5eedull,
                                     threads);
         exec.run(rounds);
-        row.messages = exec.stats().messages_delivered;
+        record(row, exec.stats());
         double sum = 0.0;
         for (const auto& a : exec.agents()) sum += a.output();
         return sum;
@@ -127,14 +178,14 @@ int main() {
                                std::int64_t{1024}, std::int64_t{4096},
                                std::int64_t{0}}) {
       rows.push_back(timed("ring", "pooled", n_grain_sweep, grain_threads,
-                           rounds, [&](Row& row) {
+                           rounds, 3, [&](Row& row) {
         row.grain = grain;
         Executor<PushSumAgent> exec(net, make_agents(n_grain_sweep),
                                     CommModel::kOutdegreeAware, 0x5eedull,
                                     grain_threads);
         exec.set_block_grain(grain);
         exec.run(rounds);
-        row.messages = exec.stats().messages_delivered;
+        record(row, exec.stats());
         double sum = 0.0;
         for (const auto& a : exec.agents()) sum += a.output();
         return sum;
@@ -142,6 +193,58 @@ int main() {
       std::printf("  grain=%-5lld", static_cast<long long>(grain));
       print_row(rows.back());
     }
+  }
+
+  // Sweep (c): the frequency engines on fresh random graphs, serial vs
+  // pooled. Two repetitions each: a row runs for seconds, not milliseconds.
+  const Vertex n_fresh = 100000;
+  const int fresh_rounds = 20;
+  const int fresh_threads =
+      std::clamp(ThreadPool::hardware_threads(), 2, 4);
+  const std::uint64_t fresh_seed = 11;
+  std::printf("executor_scaling (c) — frequency engines on fresh random "
+              "graphs, n=%d, %d rounds\n",
+              n_fresh, fresh_rounds);
+  for (int threads : {1, fresh_threads}) {
+    const char* engine = threads == 1 ? "serial" : "pooled";
+    rows.push_back(timed("freq_pushsum", engine, n_fresh, threads,
+                         fresh_rounds, 2, [&](Row& row) {
+      const std::vector<std::int64_t> inputs = frequency_inputs(n_fresh);
+      Executor<FrequencyPushSumAgent> exec(
+          std::make_shared<RandomStronglyConnectedSchedule>(n_fresh, 3,
+                                                            fresh_seed),
+          std::vector<FrequencyPushSumAgent>(inputs.begin(), inputs.end()),
+          CommModel::kOutdegreeAware, fresh_seed, threads);
+      exec.set_channel_policy(wire::ChannelPolicy::metered());
+      exec.run(fresh_rounds);
+      record(row, exec.stats());
+      double sum = 0.0;
+      for (const auto& a : exec.agents()) {
+        sum += frequency_checksum(a.normalized_estimates());
+      }
+      return sum;
+    }));
+    print_row(rows.back());
+  }
+  for (int threads : {1, fresh_threads}) {
+    const char* engine = threads == 1 ? "serial" : "pooled";
+    rows.push_back(timed("freq_metropolis", engine, n_fresh, threads,
+                         fresh_rounds, 2, [&](Row& row) {
+      const std::vector<std::int64_t> inputs = frequency_inputs(n_fresh);
+      Executor<FrequencyMetropolisAgent> exec(
+          std::make_shared<RandomSymmetricSchedule>(n_fresh, 3,
+                                                    fresh_seed + 1),
+          std::vector<FrequencyMetropolisAgent>(inputs.begin(), inputs.end()),
+          CommModel::kOutdegreeAware, fresh_seed, threads);
+      exec.run(fresh_rounds);
+      record(row, exec.stats());
+      double sum = 0.0;
+      for (const auto& a : exec.agents()) {
+        sum += frequency_checksum(a.estimates());
+      }
+      return sum;
+    }));
+    print_row(rows.back());
   }
 
   FILE* out = std::fopen("BENCH_executor.json", "w");
@@ -157,11 +260,15 @@ int main() {
                  "    {\"workload\": \"%s\", \"engine\": \"%s\", \"n\": %d, "
                  "\"threads\": %d, \"grain\": %lld, \"rounds\": %d, "
                  "\"seconds\": %.6f, \"rounds_per_sec\": %.2f, "
-                 "\"messages_per_sec\": %.2f, \"checksum\": %.6f}%s\n",
+                 "\"messages_per_sec\": %.2f, \"validate_s\": %.6f, "
+                 "\"send_s\": %.6f, \"deliver_s\": %.6f, "
+                 "\"ns_per_msg\": %.2f, \"checksum\": %.6f}%s\n",
                  row.workload.c_str(), row.engine.c_str(), row.n, row.threads,
                  static_cast<long long>(row.grain), row.rounds, row.seconds,
                  row.rounds / row.seconds,
-                 static_cast<double>(row.messages) / row.seconds, row.checksum,
+                 static_cast<double>(row.messages) / row.seconds,
+                 row.phases.validate_seconds, row.phases.send_seconds,
+                 row.phases.deliver_seconds, ns_per_message(row), row.checksum,
                  i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");

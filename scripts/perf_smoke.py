@@ -4,12 +4,15 @@
 Three ratio gates, each comparing runs made on the same host by the same
 binary, so none depends on how fast the host is:
 
-  - Executor: fails when the pooled round engine at n = 10^4 is slower than
-    the serial engine by more than the tolerance — i.e. the persistent-worker
-    pool must never cost throughput on a multi-core host. Skipped when the
-    host reports a single hardware thread: with no parallelism available the
-    pooled path degenerates to the serial one plus pool bookkeeping, and a
-    throughput comparison measures the host, not the code.
+  - Executor: fails when the pooled round engine is slower than the serial
+    engine by more than the tolerance — i.e. the persistent-worker pool must
+    never cost throughput on a multi-core host. Checked on the scalar
+    Push-Sum ring at n = 10^4 (messages copied into the arena) and on the
+    two frequency engines at n = 10^5 on fresh random graphs (messages
+    delivered by slot). Skipped when the host reports a single hardware
+    thread: with no parallelism available the pooled path degenerates to the
+    serial one plus pool bookkeeping, and a throughput comparison measures
+    the host, not the code.
   - Campaign: fails when the table2 suite's summed cell time exceeds the
     table1 suite's by more than MAX_TABLE2_OVER_TABLE1, which keeps the
     dynamic table from growing into the dominant cost of the tables grid.
@@ -30,7 +33,9 @@ import json
 import sys
 
 TOLERANCE = 0.10  # pooled may trail serial by at most 10%
-N_GATE = 10000
+# (workload, n) pairs whose pooled rows are gated against their serial row.
+EXECUTOR_GATES = (("ring", 10000), ("freq_pushsum", 100000),
+                  ("freq_metropolis", 100000))
 MAX_TABLE2_OVER_TABLE1 = 4.0
 MAX_HISTORY_OVER_GOSSIP = 1.5
 
@@ -44,23 +49,30 @@ def executor_gate(bench, path) -> bool:
         )
         return True
 
-    serial = [
+    ok = True
+    for workload, n in EXECUTOR_GATES:
+        ok = pooled_gate(bench, path, workload, n, hardware_threads) and ok
+    return ok
+
+
+def pooled_gate(bench, path, workload, n, hardware_threads) -> bool:
+    rows = [
         row
         for row in bench["results"]
-        if row["engine"] == "serial" and row["n"] == N_GATE
+        if row["workload"] == workload and row["n"] == n
     ]
+    serial = [row for row in rows if row["engine"] == "serial"]
     pooled = [
         row
-        for row in bench["results"]
+        for row in rows
         if row["engine"] == "pooled"
-        and row["n"] == N_GATE
         and row.get("grain", 0) == 0
         and row["threads"] <= hardware_threads
     ]
     if not serial or not pooled:
         print(
-            f"perf_smoke: no serial/pooled rows at n={N_GATE} in {path}; "
-            "regenerate with scripts/bench.sh"
+            f"perf_smoke: no serial/pooled {workload} rows at n={n} in "
+            f"{path}; regenerate with scripts/bench.sh"
         )
         return False
 
@@ -69,13 +81,13 @@ def executor_gate(bench, path) -> bool:
     floor = serial_rps * (1.0 - TOLERANCE)
 
     print(
-        f"perf_smoke: n={N_GATE} serial {serial_rps:.0f} rounds/s, best "
-        f"pooled {best['rounds_per_sec']:.0f} rounds/s at "
-        f"{best['threads']} threads (floor {floor:.0f})"
+        f"perf_smoke: {workload} n={n} serial {serial_rps:.1f} rounds/s, "
+        f"best pooled {best['rounds_per_sec']:.1f} rounds/s at "
+        f"{best['threads']} threads (floor {floor:.1f})"
     )
     if best["rounds_per_sec"] < floor:
         print(
-            "perf_smoke: FAIL — pooled engine regressed below "
+            f"perf_smoke: FAIL — pooled {workload} engine regressed below "
             f"{(1.0 - TOLERANCE):.0%} of serial throughput"
         )
         return False

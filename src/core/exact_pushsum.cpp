@@ -20,7 +20,7 @@ ExactPushSumAgent::Message ExactPushSumAgent::send(int outdegree,
   return Message{y_ / divisor, z_ / divisor};
 }
 
-void ExactPushSumAgent::receive(std::span<const Message> messages) {
+void ExactPushSumAgent::receive(Inbox<Message> messages) {
   Rational y, z;
   for (const Message& m : messages) {
     y += m.y_share;

@@ -10,10 +10,10 @@
 // double-based PushSumAgent remains the workhorse, and tests cross-validate
 // it against this agent trajectory-by-trajectory.
 
-#include <span>
 #include <vector>
 
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/rational.hpp"
 
@@ -36,7 +36,7 @@ class ExactPushSumAgent {
   ExactPushSumAgent(Rational value, Rational weight);
 
   [[nodiscard]] Message send(int outdegree, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] const Rational& y() const { return y_; }
   [[nodiscard]] const Rational& z() const { return z_; }

@@ -15,11 +15,11 @@
 
 #include <cstdint>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 
 namespace anonet {
@@ -53,7 +53,7 @@ class SetGossipAgent {
     return Message{{known_.begin(), known_.end()}};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(Inbox<Message> messages) {
     for (const Message& m : messages) {
       known_.insert(m.values.begin(), m.values.end());
     }

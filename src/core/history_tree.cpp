@@ -31,7 +31,7 @@ HistoryFrequencyAgent::Message HistoryFrequencyAgent::send(int /*outdegree*/,
   return Message{current};
 }
 
-void HistoryFrequencyAgent::receive(std::span<const Message> messages) {
+void HistoryFrequencyAgent::receive(Inbox<Message> messages) {
   if (messages.empty()) {
     throw std::logic_error("HistoryFrequencyAgent: missing self-loop?");
   }

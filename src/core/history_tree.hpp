@@ -49,11 +49,11 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/bigint.hpp"
 #include "views/label_codec.hpp"
@@ -97,7 +97,7 @@ class HistoryFrequencyAgent {
                         std::shared_ptr<LabelCodec> codec, std::int64_t input);
 
   [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
   [[nodiscard]] ViewId view() const { return view_; }

@@ -23,7 +23,7 @@ MetropolisAgent::Message MetropolisAgent::send(int outdegree,
   return Message{x_, outdegree};
 }
 
-void MetropolisAgent::receive(std::span<const Message> messages) {
+void MetropolisAgent::receive(Inbox<Message> messages) {
   // x_i += Σ_j W_ij (x_j - x_i). The agent's own message contributes zero,
   // so no self-identification is needed (the multiset stays anonymous).
   double delta = 0.0;
@@ -49,7 +49,7 @@ FrequencyMetropolisAgent::Message FrequencyMetropolisAgent::send(
   return Message{keys_, xs_, outdegree};
 }
 
-void FrequencyMetropolisAgent::receive(std::span<const Message> messages) {
+void FrequencyMetropolisAgent::receive(Inbox<Message> messages) {
   // Materialize every value any sender knows: a missing entry is an exact 0
   // (indicator average), so processing it keeps the pairwise update
   // symmetric — the neighbor treats our missing entry as 0 too, and the two

@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/farey.hpp"
 
@@ -60,7 +60,7 @@ class MetropolisAgent {
   explicit MetropolisAgent(double value) : x_(value) {}
 
   [[nodiscard]] Message send(int outdegree, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] double output() const { return x_; }
 
@@ -96,7 +96,7 @@ class FrequencyMetropolisAgent {
   explicit FrequencyMetropolisAgent(std::int64_t input);
 
   [[nodiscard]] Message send(int outdegree, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
   // Materialized from the internal parallel vectors.

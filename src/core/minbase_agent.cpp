@@ -39,7 +39,7 @@ MinBaseAgent::Message MinBaseAgent::send(int outdegree, int port) const {
   return Message{current, port};
 }
 
-void MinBaseAgent::receive(std::span<const Message> messages) {
+void MinBaseAgent::receive(Inbox<Message> messages) {
   if (messages.empty()) {
     throw std::logic_error("MinBaseAgent: no messages (missing self-loop?)");
   }

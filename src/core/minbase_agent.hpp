@@ -23,10 +23,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/comm_model.hpp"
 #include "runtime/static_audit.hpp"
 #include "views/base_extraction.hpp"
@@ -67,7 +67,7 @@ class MinBaseAgent {
                CommModel model, int max_view_depth = 0);
 
   [[nodiscard]] Message send(int outdegree, int port) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
   [[nodiscard]] ViewId view() const { return view_; }

@@ -22,7 +22,7 @@ PushSumAgent::Message PushSumAgent::send(int outdegree, int /*port*/) const {
   return Message{y_ / d, z_ / d};
 }
 
-void PushSumAgent::receive(std::span<const Message> messages) {
+void PushSumAgent::receive(Inbox<Message> messages) {
   double y = 0.0;
   double z = 0.0;
   for (const Message& m : messages) {
@@ -52,7 +52,7 @@ FrequencyPushSumAgent::Message FrequencyPushSumAgent::send(
   return Message{keys_, ys_, zs_, outdegree};
 }
 
-void FrequencyPushSumAgent::receive(std::span<const Message> messages) {
+void FrequencyPushSumAgent::receive(Inbox<Message> messages) {
   // Per-value asynchronous starts, implemented *conservatively*: a sender
   // that does not know ω contributes nothing (in the G̃ construction of
   // Section 5.3 its edges do not exist yet for ω's instance), and an agent

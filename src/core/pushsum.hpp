@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/farey.hpp"
 
@@ -63,7 +63,7 @@ class PushSumAgent {
 
   // Outdegree awareness: shares are the state split d ways.
   [[nodiscard]] Message send(int outdegree, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] double y() const { return y_; }
   [[nodiscard]] double z() const { return z_; }
@@ -105,7 +105,7 @@ class FrequencyPushSumAgent {
                                  std::optional<bool> is_leader = std::nullopt);
 
   [[nodiscard]] Message send(int outdegree, int /*port*/) const;
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
 

@@ -19,7 +19,7 @@ double step_for(std::uint32_t bound_on_n) {
 UniformWeightAgent::UniformWeightAgent(double value, std::uint32_t bound_on_n)
     : x_(value), step_(step_for(bound_on_n)) {}
 
-void UniformWeightAgent::receive(std::span<const Message> messages) {
+void UniformWeightAgent::receive(Inbox<Message> messages) {
   // The agent's own message contributes zero to the correction, so the
   // anonymous multiset needs no self-identification.
   double delta = 0.0;
@@ -33,7 +33,7 @@ FrequencyUniformAgent::FrequencyUniformAgent(std::int64_t input,
   x_[input_] = 1.0;
 }
 
-void FrequencyUniformAgent::receive(std::span<const Message> messages) {
+void FrequencyUniformAgent::receive(Inbox<Message> messages) {
   std::map<std::int64_t, double> next = x_;
   for (const Message& m : messages) {
     for (const auto& [value, x] : m.x) next.try_emplace(value, 0.0);

@@ -22,11 +22,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/farey.hpp"
 
@@ -52,7 +52,7 @@ class UniformWeightAgent {
   [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
     return Message{x_};
   }
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] double output() const { return x_; }
 
@@ -84,7 +84,7 @@ class FrequencyUniformAgent {
   [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const {
     return Message{x_};
   }
-  void receive(std::span<const Message> messages);
+  void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
   [[nodiscard]] const std::map<std::int64_t, double>& estimates() const {

@@ -107,28 +107,45 @@ bool Digraph::has_all_self_loops() const {
 }
 
 int Digraph::ensure_self_loops() {
+  // One pass marks the looped vertices; the missing loops are appended in
+  // vertex order without rebuilding the adjacency cache in between.
+  std::vector<bool> looped(static_cast<std::size_t>(vertex_count_), false);
+  for (const Edge& e : edges_) {
+    if (e.source == e.target) looped[static_cast<std::size_t>(e.source)] = true;
+  }
   int added = 0;
   for (Vertex v = 0; v < vertex_count_; ++v) {
-    if (!has_edge(v, v)) {
-      add_edge(v, v);
+    if (!looped[static_cast<std::size_t>(v)]) {
+      edges_.push_back(Edge{v, v, kNoColor});
       ++added;
     }
   }
+  if (added > 0) invalidate_caches();
   return added;
 }
 
 bool Digraph::is_symmetric() const {
   if (symmetric_cache_.get() < 0) {
+    // multiplicity(v, j) == multiplicity(j, v) for every j exactly when v's
+    // out-targets and in-sources are the same multiset: compare the two
+    // sorted lists, O(E log maxdegree) in total.
     bool verdict = true;
+    std::vector<Vertex> targets;
+    std::vector<Vertex> sources;
     for (Vertex v = 0; v < vertex_count_ && verdict; ++v) {
-      for (EdgeId id : out_edges(v)) {
-        const Edge& e = edge(id);
-        if (edge_multiplicity(e.source, e.target) !=
-            edge_multiplicity(e.target, e.source)) {
-          verdict = false;
-          break;
-        }
+      const auto out = out_edges(v);
+      const auto in = in_edges(v);
+      if (out.size() != in.size()) {
+        verdict = false;
+        break;
       }
+      targets.clear();
+      sources.clear();
+      for (EdgeId id : out) targets.push_back(edge(id).target);
+      for (EdgeId id : in) sources.push_back(edge(id).source);
+      std::sort(targets.begin(), targets.end());
+      std::sort(sources.begin(), sources.end());
+      verdict = targets == sources;
     }
     symmetric_cache_.set(verdict);
   }

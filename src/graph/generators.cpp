@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/analysis.hpp"
 
@@ -139,20 +141,28 @@ Digraph random_symmetric_connected(Vertex n, int extra_pairs,
   Digraph g(n);
   for (Vertex v = 0; v < n; ++v) g.add_edge(v, v);
   // Random attachment tree: vertex v links to a uniform earlier vertex.
+  std::vector<Vertex> parent(static_cast<std::size_t>(n), -1);
   for (Vertex v = 1; v < n; ++v) {
     std::uniform_int_distribution<Vertex> pick(0, v - 1);
     Vertex u = pick(rng);
+    parent[static_cast<std::size_t>(v)] = u;
     g.add_edge(u, v);
     g.add_edge(v, u);
   }
+  // a -> b already exists when a and b are tree neighbours or an extra pair
+  // drawn earlier; answering from those two records instead of the graph
+  // spares a full adjacency rebuild per probe.
+  std::set<std::pair<Vertex, Vertex>> extras;
   std::uniform_int_distribution<Vertex> pick(0, n - 1);
   for (int i = 0; i < extra_pairs; ++i) {
     Vertex a = pick(rng);
     Vertex b = pick(rng);
-    if (a != b && !g.has_edge(a, b)) {
-      g.add_edge(a, b);
-      g.add_edge(b, a);
-    }
+    const bool tree_pair = parent[static_cast<std::size_t>(a)] == b ||
+                           parent[static_cast<std::size_t>(b)] == a;
+    if (a == b || tree_pair) continue;
+    if (!extras.emplace(std::min(a, b), std::max(a, b)).second) continue;
+    g.add_edge(a, b);
+    g.add_edge(b, a);
   }
   return g;
 }

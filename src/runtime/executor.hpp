@@ -16,10 +16,12 @@
 // extract information from arrival order (it receives a multiset, not a
 // sequence); tests exploit this to verify order independence.
 //
-// Round engine (docs/round_engine.md): rounds run over a flat message arena
+// Round engine (docs/round_engine.md): rounds run over a flat delivery arena
 // addressed by receiver-CSR offsets — no per-round inbox allocation — with
 // the send and deliver phases optionally parallelized over vertex blocks on
-// a persistent ThreadPool. Each inbox is shuffled by a counter-based RNG
+// a persistent ThreadPool. The arena holds message copies for trivially
+// copyable Messages and 4-byte outbox slots for all others
+// (runtime/inbox.hpp). Each inbox is shuffled by a counter-based RNG
 // keyed on (seed, round, vertex), so execution is bitwise-identical across
 // thread counts. Round graphs are obtained through DynamicGraph::view(t):
 // schedules with stable storage lend their graph instead of copying it, and
@@ -40,6 +42,7 @@
 #include "dynamics/perturbation.hpp"
 #include "runtime/capabilities.hpp"
 #include "runtime/comm_model.hpp"
+#include "runtime/inbox.hpp"
 #include "support/counter_rng.hpp"
 #include "support/thread_pool.hpp"
 #include "wire/meter.hpp"
@@ -53,12 +56,12 @@ namespace anonet {
 //     outdegree: 0 when the model hides it, else the round outdegree
 //       (self-loop included);
 //     port: 0 for isotropic models, else the output port in [1, outdegree].
-//   void receive(std::span<const Message> messages);
-//     zero-copy: `messages` aliases the executor's arena and is only valid
-//     during the call.
+//   void receive(Inbox<Message> messages);
+//     `messages` (runtime/inbox.hpp) aliases the executor's buffers and is
+//     only valid during the call.
 template <typename A>
 concept AnonymousAgent = requires(A agent, const A const_agent,
-                                  std::span<const typename A::Message> m) {
+                                  Inbox<typename A::Message> m) {
   typename A::Message;
   requires std::default_initializable<typename A::Message>;
   { const_agent.send(0, 0) } -> std::same_as<typename A::Message>;
@@ -503,12 +506,12 @@ class Executor {
                    if (port_aware) {
                      const auto slot =
                          static_cast<std::size_t>(in_edge_[base + k]);
-                     arena_[base + got] = edge_outbox_[slot];
+                     arena_[base + got] = arena_entry(edge_outbox_, slot);
                      if (metering) local.recv_bits += edge_outbox_bits_[slot];
                    } else {
                      const auto src =
                          static_cast<std::size_t>(in_source_[base + k]);
-                     arena_[base + got] = outbox_[src];
+                     arena_[base + got] = arena_entry(outbox_, src);
                      if (metering) local.recv_bits += outbox_bits_[src];
                    }
                    ++got;
@@ -521,15 +524,25 @@ class Executor {
                    // Under perturbation the key is unchanged and the shuffle
                    // runs over the compacted survivor count, so the order is
                    // still a pure function of (seed, t, v, survivors).
+                   // Slots and copies take the same swaps, so the order
+                   // does not depend on the arena form.
                    CounterRng rng(seed_, static_cast<std::uint64_t>(t),
                                   static_cast<std::uint64_t>(v));
-                   Message* slice = arena_.data() + base;
+                   Entry* slice = arena_.data() + base;
                    for (std::size_t k = got - 1; k > 0; --k) {
                      std::swap(slice[k], slice[rng.bounded(k + 1)]);
                    }
                  }
-                 agents_[static_cast<std::size_t>(i)].receive(
-                     std::span<const Message>(arena_.data() + base, got));
+                 const std::span<const Entry> entries(arena_.data() + base,
+                                                      got);
+                 if constexpr (kDeliveredBySlot<Message>) {
+                   agents_[static_cast<std::size_t>(i)].receive(Inbox<Message>(
+                       entries,
+                       port_aware ? edge_outbox_.data() : outbox_.data()));
+                 } else {
+                   agents_[static_cast<std::size_t>(i)].receive(
+                       Inbox<Message>(entries));
+                 }
                }
                partials_[static_cast<std::size_t>(b)] = local;
              });
@@ -615,6 +628,20 @@ class Executor {
 
   static constexpr double kGrainTargetNs = 128.0 * 1000.0;  // ~128 µs/claim
   static constexpr double kSerialCutoffNs = 30.0 * 1000.0;
+
+  // What the arena holds per delivery: a copy or an outbox slot.
+  using Entry = ArenaEntry<Message>;
+
+  // The arena entry for outbox[index]: the message itself, or the index
+  // (runtime/inbox.hpp; indices fit 32 bits, as Vertex and EdgeId do).
+  static Entry arena_entry(const std::vector<Message>& outbox,
+                           std::size_t index) {
+    if constexpr (kDeliveredBySlot<Message>) {
+      return static_cast<Entry>(index);
+    } else {
+      return outbox[index];
+    }
+  }
 
   // The one point where the executor touches the codec. Only instantiated
   // from set_channel_policy (taking its address), so translation units that
@@ -705,9 +732,9 @@ class Executor {
   // churn once capacities have grown to the schedule's maxima).
   const Digraph* topology_key_ = nullptr;  // borrowed graph offsets refer to
   std::vector<std::size_t> in_offset_;     // receiver-CSR offsets, size n+1
-  std::vector<EdgeId> in_edge_;            // slot -> edge id (port-aware path)
-  std::vector<Vertex> in_source_;          // slot -> sender (isotropic path)
-  std::vector<Message> arena_;             // delivered messages, receiver-major
+  std::vector<EdgeId> in_edge_;            // position -> edge id (port-aware)
+  std::vector<Vertex> in_source_;          // position -> sender (isotropic)
+  std::vector<Entry> arena_;               // deliveries, receiver-major
   std::vector<Message> outbox_;            // one message per sender (isotropic)
   std::vector<Message> edge_outbox_;       // one message per edge (port-aware)
   std::vector<Partial> partials_;          // per-block per-phase stats

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -119,7 +118,7 @@ TEST(Capabilities, UndeclaredAgentIsTreatedAsPolymorphic) {
       int x = 0;
     };
     [[nodiscard]] Message send(int, int) const { return {}; }
-    void receive(std::span<const Message>) {}
+    void receive(Inbox<Message> /*messages*/) {}
   };
   static_assert(agent_capabilities<LegacyProbeAgent>() ==
                 ModelCapabilities::kModelPolymorphic);

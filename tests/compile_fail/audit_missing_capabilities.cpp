@@ -5,8 +5,8 @@
 // core agent and the build dies exactly like this TU does.
 
 #include <cstdint>
-#include <span>
 
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 
 namespace {
@@ -24,7 +24,7 @@ class UndeclaredAgent {
     return Message{value_};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

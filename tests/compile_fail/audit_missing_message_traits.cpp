@@ -6,9 +6,9 @@
 // any codec from wire/codecs.hpp and the library itself dies the same way.
 
 #include <cstdint>
-#include <span>
 
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "wire/codecs.hpp"
 
@@ -28,7 +28,7 @@ class CodeclessAgent {
     return Message{value_};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

@@ -7,9 +7,9 @@
 // turns that silence into this compile error.
 
 #include <cstdint>
-#include <span>
 
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 
 namespace {
@@ -28,7 +28,7 @@ class SilentAgent {
     return Message{value_};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) value_ += m.value;
   }
 

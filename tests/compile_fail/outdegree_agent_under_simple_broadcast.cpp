@@ -1,5 +1,6 @@
 // MUST NOT COMPILE — covered by CTest as
-// compile_fail.outdegree_agent_under_simple_broadcast (WILL_FAIL).
+// compile_fail.outdegree_agent_under_simple_broadcast, which passes only if the build
+// fails with the static_assert message described below.
 //
 // Push-Sum's 1/d mass split declares ModelCapabilities::kNeedsOutdegree, and
 // simple broadcast is exactly the model that hides the outdegree (Table 1:

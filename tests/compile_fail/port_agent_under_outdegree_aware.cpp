@@ -1,5 +1,6 @@
 // MUST NOT COMPILE — covered by CTest as
-// compile_fail.port_agent_under_outdegree_aware (WILL_FAIL).
+// compile_fail.port_agent_under_outdegree_aware, which passes only if the build
+// fails with the static_assert message described below.
 //
 // An agent that addresses recipients through its port parameter declares
 // ModelCapabilities::kNeedsOutputPorts; every model except
@@ -8,7 +9,6 @@
 // static_assert in Executor's ModelTag constructor.
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "dynamics/schedules.hpp"
@@ -27,7 +27,7 @@ struct PortSplitterAgent {
   [[nodiscard]] Message send(int /*outdegree*/, int port) const {
     return Message{port};
   }
-  void receive(std::span<const Message> /*messages*/) {}
+  void receive(anonet::Inbox<Message> /*messages*/) {}
 };
 
 }  // namespace

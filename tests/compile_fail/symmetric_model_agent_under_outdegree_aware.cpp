@@ -1,5 +1,6 @@
 // MUST NOT COMPILE — covered by CTest as
-// compile_fail.symmetric_model_agent_under_outdegree_aware (WILL_FAIL).
+// compile_fail.symmetric_model_agent_under_outdegree_aware, which passes only if the build
+// fails with the static_assert message described below.
 //
 // HistoryFrequencyAgent declares ModelCapabilities::kNeedsSymmetricModel:
 // its double-counting argument quantifies over every round the executor

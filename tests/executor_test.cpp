@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -39,20 +40,82 @@ struct ProbeAgent {
     ports_seen.push_back(port);
     return Message{id, port};
   }
-  void receive(std::span<const Message> messages) {
+  void receive(Inbox<Message> messages) {
     last_inbox.assign(messages.begin(), messages.end());
   }
 };
 
-// The span is the only receive form: an agent that takes an owned vector
-// is not an AnonymousAgent.
+// The Inbox is the only receive form: an agent that takes an owned vector,
+// or a span over copies, is not an AnonymousAgent, whichever arena form its
+// Message would take.
 struct VectorReceiveAgent {
   struct Message {};
   Message send(int, int) const { return {}; }
   void receive(std::vector<Message> /*messages*/) {}
 };
+struct SpanReceiveAgent {
+  struct Message {
+    int payload = 0;
+  };
+  Message send(int, int) const { return {}; }
+  void receive(std::span<const Message> /*messages*/) {}
+};
+struct SpanReceiveVectorAgent {
+  struct Message {
+    std::vector<int> payload;
+  };
+  Message send(int, int) const { return {}; }
+  void receive(std::span<const Message> /*messages*/) {}
+};
 static_assert(AnonymousAgent<ProbeAgent>);
 static_assert(!AnonymousAgent<VectorReceiveAgent>);
+static_assert(!kDeliveredBySlot<SpanReceiveAgent::Message>);
+static_assert(!AnonymousAgent<SpanReceiveAgent>);
+static_assert(kDeliveredBySlot<SpanReceiveVectorAgent::Message>);
+static_assert(!AnonymousAgent<SpanReceiveVectorAgent>);
+static_assert(std::random_access_iterator<Inbox<ProbeAgent::Message>::iterator>);
+static_assert(std::random_access_iterator<
+              Inbox<SpanReceiveVectorAgent::Message>::iterator>);
+
+// Hands `messages` to agent.receive in whichever Inbox form its Message
+// takes: a view of the vector itself, or identity slots into it.
+template <typename Alg>
+void receive_all(Alg& agent,
+                 const std::vector<typename Alg::Message>& messages) {
+  using Message = typename Alg::Message;
+  if constexpr (kDeliveredBySlot<Message>) {
+    std::vector<std::uint32_t> slots(messages.size());
+    std::iota(slots.begin(), slots.end(), 0u);
+    agent.receive(Inbox<Message>(slots, messages.data()));
+  } else {
+    agent.receive(Inbox<Message>(std::span<const Message>(messages)));
+  }
+}
+
+TEST(Inbox, BothFormsReadTheSameMessages) {
+  const std::vector<ProbeAgent::Message> copies = {{7, 1}, {8, 2}, {9, 3}};
+  const Inbox<ProbeAgent::Message> copied{
+      std::span<const ProbeAgent::Message>(copies)};
+  ASSERT_EQ(copied.size(), 3u);
+  EXPECT_EQ(copied.front().payload, 7);
+  EXPECT_EQ(copied[2].port, 3);
+  EXPECT_EQ(copied.end() - copied.begin(), 3);
+
+  using Heavy = SpanReceiveVectorAgent::Message;
+  const std::vector<Heavy> outbox = {{{1}}, {{2, 2}}, {{3, 3, 3}}};
+  const std::vector<std::uint32_t> slots = {2, 0, 2, 1};
+  const Inbox<Heavy> slotted(slots, outbox.data());
+  ASSERT_EQ(slotted.size(), 4u);
+  EXPECT_FALSE(slotted.empty());
+  EXPECT_EQ(&slotted.front(), &outbox[2]);  // read in place, not copied
+  EXPECT_EQ(slotted[3].payload, (std::vector<int>{2, 2}));
+  std::vector<std::size_t> sizes;
+  for (const Heavy& m : slotted) sizes.push_back(m.payload.size());
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{3, 1, 3, 2}));
+  EXPECT_EQ(slotted.end() - slotted.begin(), 4);
+  EXPECT_EQ((slotted.begin() + 3)->payload.size(), 2u);
+  EXPECT_TRUE(Inbox<Heavy>({}, outbox.data()).empty());
+}
 
 TEST(Executor, RequiresOneAgentPerVertex) {
   auto net = std::make_shared<StaticSchedule>(directed_ring(3));
@@ -220,7 +283,7 @@ TEST(Executor, MissingSelfLoopIsRejected) {
   EXPECT_THROW(exec.step(), std::logic_error);
 }
 
-// Order-*sensitive* span-receive agent: its state folds the exact arrival
+// Order-*sensitive* agent: its state folds the exact arrival
 // sequence, so two runs end in identical states only if every inbox was
 // delivered in the identical order. This is the strongest possible probe for
 // the thread-count invariance of the round engine.
@@ -237,7 +300,7 @@ struct OrderHashAgent {
     return Message{state ^ (static_cast<std::uint64_t>(outdegree) << 32) ^
                    static_cast<std::uint64_t>(port)};
   }
-  void receive(std::span<const Message> messages) {
+  void receive(Inbox<Message> messages) {
     for (const Message& m : messages) {
       state = state * 1099511628211ull + m.tag;  // FNV-style, order-sensitive
     }
@@ -298,6 +361,148 @@ TEST(ExecutorDeterminism, ThreadCountInvariantForAllModels) {
   }
 }
 
+// OrderHashAgent with a heap-backed Message of varying length: not
+// trivially copyable, so the executor delivers it by outbox slot.
+struct VectorOrderHashAgent {
+  struct Message {
+    std::vector<std::uint64_t> tags;
+  };
+
+  static constexpr bool kParallelSafe = true;
+
+  std::uint64_t state = 1;
+
+  Message send(int outdegree, int port) const {
+    Message m{{state, (static_cast<std::uint64_t>(outdegree) << 32) ^
+                          static_cast<std::uint64_t>(port)}};
+    if (state % 3 == 0) m.tags.push_back(state >> 7);
+    return m;
+  }
+  void receive(Inbox<Message> messages) {
+    for (const Message& m : messages) {
+      for (std::uint64_t tag : m.tags) state = state * 1099511628211ull + tag;
+      state = state * 1099511628211ull + m.tags.size();
+    }
+  }
+};
+static_assert(kDeliveredBySlot<VectorOrderHashAgent::Message>);
+
+// The copy-then-shuffle deliver loop the executor runs for trivially
+// copyable Messages, replayed outside it for any Message: each receiver
+// copies its surviving deliveries in in-edge order (pre-wake and crashed
+// senders and receivers skipped, dropped edges skipped, self-loops never
+// dropped), shuffles the copies with the Fisher–Yates draws of
+// CounterRng(seed, t, v), and receives them.
+template <typename Alg>
+std::vector<Alg> run_copy_reference(const DynamicGraphPtr& net,
+                                    std::vector<Alg> agents, CommModel model,
+                                    std::uint64_t seed,
+                                    const StartSchedule& starts,
+                                    const FaultPlan& faults, int rounds) {
+  using Message = typename Alg::Message;
+  const bool port_aware = model == CommModel::kOutputPortAware;
+  const std::uint64_t threshold = drop_threshold(faults.drop_rate);
+  for (int t = 1; t <= rounds; ++t) {
+    const Digraph g = net->at(t);
+    const auto n = static_cast<std::size_t>(g.vertex_count());
+    std::vector<bool> active(n);
+    std::vector<Message> outbox(
+        port_aware ? static_cast<std::size_t>(g.edge_count()) : n);
+    for (Vertex v = 0; v < g.vertex_count(); ++v) {
+      const auto i = static_cast<std::size_t>(v);
+      active[i] = starts.awake(v, t) && !faults.crashed(v, t);
+      if (!active[i]) continue;
+      const auto out = g.out_edges(v);
+      const int d = static_cast<int>(out.size());
+      if (port_aware) {
+        for (EdgeId id : out) {
+          outbox[static_cast<std::size_t>(id)] =
+              agents[i].send(d, static_cast<int>(g.edge(id).color));
+        }
+      } else {
+        outbox[i] = agents[i].send(sees_outdegree(model) ? d : 0, 0);
+      }
+    }
+    for (Vertex v = 0; v < g.vertex_count(); ++v) {
+      if (!active[static_cast<std::size_t>(v)]) continue;
+      std::vector<Message> inbox;
+      for (EdgeId id : g.in_edges(v)) {
+        const Vertex src = g.edge(id).source;
+        if (!active[static_cast<std::size_t>(src)]) continue;
+        if (src != v && drops_message(faults.drop_seed, t, id, threshold)) {
+          continue;
+        }
+        inbox.push_back(outbox[static_cast<std::size_t>(port_aware ? id : src)]);
+      }
+      if (inbox.size() > 1) {
+        CounterRng rng(seed, static_cast<std::uint64_t>(t),
+                       static_cast<std::uint64_t>(v));
+        for (std::size_t k = inbox.size() - 1; k > 0; --k) {
+          std::swap(inbox[k], inbox[rng.bounded(k + 1)]);
+        }
+      }
+      receive_all(agents[static_cast<std::size_t>(v)], inbox);
+    }
+  }
+  return agents;
+}
+
+TEST(ExecutorDeterminism, SlotDeliveryMatchesCopyReference) {
+  constexpr Vertex kN = 23;
+  constexpr int kRounds = 12;
+  constexpr std::uint64_t kSeed = 0x5eedull;
+  struct Case {
+    const char* name;
+    DynamicGraphPtr net;
+    CommModel model;
+  };
+  Digraph ported = random_strongly_connected(kN, 30, 99);
+  ported.assign_output_ports();
+  const std::vector<Case> cases = {
+      {"simple/dynamic",
+       std::make_shared<RandomStronglyConnectedSchedule>(kN, 15, 7),
+       CommModel::kSimpleBroadcast},
+      {"outdegree/dynamic",
+       std::make_shared<RandomStronglyConnectedSchedule>(kN, 15, 8),
+       CommModel::kOutdegreeAware},
+      {"symmetric/dynamic", std::make_shared<RandomSymmetricSchedule>(kN, 9, 9),
+       CommModel::kSymmetricBroadcast},
+      {"ports/static", std::make_shared<StaticSchedule>(ported),
+       CommModel::kOutputPortAware},
+  };
+  struct Perturbation {
+    const char* name;
+    StartSchedule starts;
+    FaultPlan faults;
+  };
+  const std::vector<Perturbation> perturbations = {
+      {"none", {}, {}},
+      {"async", StartSchedule::staggered(kN, 1), {}},
+      {"crash", {}, FaultPlan::crash_first_agent(kN, 4)},
+      {"drop", {}, FaultPlan::drop(0.3, 17)},
+  };
+  std::vector<VectorOrderHashAgent> init(static_cast<std::size_t>(kN));
+  for (std::size_t i = 0; i < init.size(); ++i) init[i].state = 0x1234 + i;
+  for (const Case& c : cases) {
+    for (const Perturbation& p : perturbations) {
+      const auto reference = run_copy_reference(c.net, init, c.model, kSeed,
+                                                p.starts, p.faults, kRounds);
+      for (int threads : {1, 4}) {
+        Executor<VectorOrderHashAgent> exec(c.net, init, c.model, kSeed,
+                                            threads);
+        exec.set_start_schedule(p.starts);
+        exec.set_fault_plan(p.faults);
+        exec.run(kRounds);
+        for (std::size_t i = 0; i < init.size(); ++i) {
+          EXPECT_EQ(exec.agents()[i].state, reference[i].state)
+              << c.name << "/" << p.name << " threads=" << threads
+              << " agent " << i;
+        }
+      }
+    }
+  }
+}
+
 TEST(ExecutorDeterminism, PushSumBitwiseIdenticalAcrossThreadCounts) {
   // Double addition is not associative, so this only passes because the
   // delivery *order* into every inbox is thread-count invariant.
@@ -353,8 +558,7 @@ std::vector<Alg> run_seed_reference(const DynamicGraphPtr& net,
     for (Vertex v = 0; v < g.vertex_count(); ++v) {
       auto& messages = inbox[static_cast<std::size_t>(v)];
       std::shuffle(messages.begin(), messages.end(), rng);
-      agents[static_cast<std::size_t>(v)].receive(
-          std::span<const Message>(messages));
+      receive_all(agents[static_cast<std::size_t>(v)], messages);
     }
   }
   return agents;
@@ -424,7 +628,7 @@ struct RoundCounter {
   int id = 0;
   int rounds = 0;
   Message send(int /*outdegree*/, int /*port*/) const { return {}; }
-  void receive(std::span<const Message> /*messages*/) { ++rounds; }
+  void receive(Inbox<Message> /*messages*/) { ++rounds; }
 };
 
 Executor<RoundCounter> counters(int n) {

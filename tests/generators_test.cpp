@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "fibration/fibration.hpp"
 #include "graph/analysis.hpp"
 
@@ -77,6 +79,45 @@ TEST(Generators, RandomSymmetricConnectedAlwaysIs) {
     EXPECT_TRUE(is_strongly_connected(g)) << seed;
     EXPECT_TRUE(g.is_symmetric()) << seed;
     EXPECT_TRUE(g.has_all_self_loops()) << seed;
+  }
+}
+
+// random_symmetric_connected as it was before it stopped probing the
+// half-built graph with has_edge: the reference for its edge list.
+Digraph reference_random_symmetric_connected(Vertex n, int extra_pairs,
+                                             std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Digraph g(n);
+  for (Vertex v = 0; v < n; ++v) g.add_edge(v, v);
+  for (Vertex v = 1; v < n; ++v) {
+    std::uniform_int_distribution<Vertex> pick(0, v - 1);
+    Vertex u = pick(rng);
+    g.add_edge(u, v);
+    g.add_edge(v, u);
+  }
+  std::uniform_int_distribution<Vertex> pick(0, n - 1);
+  for (int i = 0; i < extra_pairs; ++i) {
+    Vertex a = pick(rng);
+    Vertex b = pick(rng);
+    if (a != b && !g.has_edge(a, b)) {
+      g.add_edge(a, b);
+      g.add_edge(b, a);
+    }
+  }
+  return g;
+}
+
+TEST(Generators, RandomSymmetricConnectedMatchesTheHasEdgeReference) {
+  // 400 pairs on a few vertices draw mostly duplicates and tree pairs, so
+  // every rejection path is exercised.
+  for (Vertex n : {1, 2, 3, 5, 8, 17, 64, 300}) {
+    for (int extra : {0, 1, 3, 10, 50, 400}) {
+      for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        ASSERT_EQ(random_symmetric_connected(n, extra, seed).edges(),
+                  reference_random_symmetric_connected(n, extra, seed).edges())
+            << "n=" << n << " extra=" << extra << " seed=" << seed;
+      }
+    }
   }
 }
 

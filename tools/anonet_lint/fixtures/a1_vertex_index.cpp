@@ -8,7 +8,7 @@
 // models the contributor who plumbs it through a constructor anyway.
 
 #include <cstdint>
-#include <span>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -30,7 +30,7 @@ class IdentityLeakAgent {
     return Message{value_};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) {
       if (m.value < value_) value_ = m.value;
     }

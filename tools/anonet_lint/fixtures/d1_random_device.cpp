@@ -7,7 +7,7 @@
 
 #include <cstdlib>
 #include <random>
-#include <span>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -26,7 +26,7 @@ class NoisyGossipAgent {
     return Message{value_ ^ static_cast<long>(entropy())};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) {
       if (rand() % 2 == 0) {  // D1: hidden-state global RNG
         value_ ^= m.value;

@@ -7,9 +7,9 @@
 // identical. The library's ordered-map house style exists to rule this out.
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
 #include <vector>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -29,7 +29,7 @@ class UnorderedCensusAgent {
     return out;
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     for (const Message& m : messages) {
       for (std::int64_t v : m.values) counts_[v] += 1;
     }

@@ -10,7 +10,7 @@
 // M1 must see through both layers: the template-qualified out-of-line
 // definition (`LaunderingAgent<T>::send`) and the helper call.
 
-#include <span>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -26,7 +26,7 @@ class LaunderingAgent {
   // Declaration: parameters deliberately unnamed, so the naive check passes.
   [[nodiscard]] Message send(int /*outdegree*/, int /*port*/) const;
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     state_ = T{};
     for (const Message& m : messages) state_ += m.share;
   }

@@ -8,9 +8,9 @@
 // masking the dependency until someone runs the agent under
 // kOutputPortAware and gets different semantics.
 
-#include <span>
-
 #include "runtime/capabilities.hpp"
+#include "runtime/inbox.hpp"
+
 
 namespace anonet_fixtures {
 
@@ -34,7 +34,7 @@ class CovertPortAgent {
     return Message{0.0 * outdegree};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     y_ = 0.0;
     for (const Message& m : messages) y_ += m.share;
   }

@@ -7,7 +7,7 @@
 // run under a model where Theorem 4.1 says frequency computation is
 // impossible. The missing annotation is exactly what M1 exists to catch.
 
-#include <span>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -24,7 +24,7 @@ class StealthOutdegreeAgent {
     return Message{y_ / outdegree};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     y_ = 0.0;
     for (const Message& m : messages) y_ += m.y_share;
   }

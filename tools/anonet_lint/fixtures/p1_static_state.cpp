@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
+#include "runtime/inbox.hpp"
 
 namespace anonet_fixtures {
 
@@ -39,7 +39,7 @@ class RacyCounterAgent {
     return Message{sends};
   }
 
-  void receive(std::span<const Message> messages) {
+  void receive(anonet::Inbox<Message> messages) {
     ++rounds_observed;
     for (const Message& m : messages) {
       tally_->total += m.value;  // racing write through the shared pointer
