@@ -219,13 +219,14 @@ int main() {
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
 
-  bool failures = false;
-  for (const SuiteSummary& s : suites) {
-    failures = failures || s.failed > 0 || s.prediction_mismatches > 0;
-  }
+  // The three grids ran whole, so the tables gate the run.
+  std::vector<CellRecord> all = tables;
+  all.insert(all.end(), adversarial.begin(), adversarial.end());
+  all.insert(all.end(), faults.begin(), faults.end());
+  const RunVerdict verdict = judge_run(all, /*complete=*/true);
   std::printf("wrote BENCH_campaign.json (%zu suites, %.1fs)\n",
               suites.size(), wall_seconds);
-  if (!table1.all_match || !table2.all_match || failures) {
+  if (!verdict.passed) {
     std::printf("MISMATCH, failed cells, or predicted breakdowns that "
                 "succeeded — see above.\n");
     return 1;

@@ -497,6 +497,30 @@ TableComparison compare_table(const std::vector<CellRecord>& records,
   return out;
 }
 
+RunVerdict judge_run(const std::vector<CellRecord>& records, bool complete) {
+  RunVerdict verdict;
+  for (const CellRecord& record : records) {
+    if (record.verdict == "failed") ++verdict.failed;
+    // The FaultTolerance table said this cell must break, yet it succeeded.
+    if (record.predicted && record.verdict == "ok" && record.success) {
+      verdict.predicted_successes.push_back(record.key);
+    }
+  }
+  for (const std::string suite : {"table1", "table2"}) {
+    const auto in_suite = [&](const CellRecord& r) { return r.suite == suite; };
+    if (std::any_of(records.begin(), records.end(), in_suite)) {
+      verdict.tables.push_back(compare_table(records, suite));
+      verdict.tables_match =
+          verdict.tables_match && verdict.tables.back().all_match;
+    }
+  }
+  verdict.tables_gate = complete && !verdict.tables.empty();
+  verdict.passed = verdict.failed == 0 &&
+                   verdict.predicted_successes.empty() &&
+                   (!verdict.tables_gate || verdict.tables_match);
+  return verdict;
+}
+
 std::string render_table(const TableComparison& table) {
   constexpr int kNameWidth = 26;
   constexpr int kCellWidth = 22;

@@ -163,4 +163,21 @@ struct TableComparison {
 // Printable side-by-side rendering for CLI and bench output.
 [[nodiscard]] std::string render_table(const TableComparison& table);
 
+// The pass rule for a finished run's records, shared by anonet_campaign,
+// the anonet_node coordinator and bench/campaign: no cell "failed", no
+// predicted breakdown succeeded, and, when `complete` (the records cover
+// the whole grid), every table1/table2 suite present matches the paper.
+// A shard's tables are compared but do not gate.
+struct RunVerdict {
+  int failed = 0;
+  std::vector<std::string> predicted_successes;  // keys, in record order
+  std::vector<TableComparison> tables;  // table1, table2 (those present)
+  bool tables_gate = false;  // complete, with at least one table suite
+  bool tables_match = true;  // every entry of `tables` matches the paper
+  bool passed = false;
+};
+
+[[nodiscard]] RunVerdict judge_run(const std::vector<CellRecord>& records,
+                                   bool complete);
+
 }  // namespace anonet::campaign

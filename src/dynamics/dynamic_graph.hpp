@@ -16,14 +16,12 @@ namespace anonet {
 // A round graph handed out by a schedule, either *borrowed* (a pointer into
 // storage the schedule keeps alive — static and periodic schedules serve
 // the same Digraph object every round) or *owned* (a graph materialized for
-// this round). Borrowed views are what lets the executor skip per-round
-// graph copies and key its per-graph caches (validation verdicts, arena
-// offsets) on object identity: a borrowed pointer is stable for the
-// lifetime of the schedule, so `&view.get()` identifies the topology.
+// this round). Borrowed views save the executor a graph copy per round,
+// and a lent graph builds its caches (adjacency, receiver CSR, validation
+// verdicts) once. Nothing in the executor is keyed on the address.
 class RoundGraphRef {
  public:
-  // Owned: wraps a freshly built graph (identity is NOT stable across
-  // rounds; callers must not cache on the address).
+  // Owned: wraps a freshly built graph.
   explicit RoundGraphRef(Digraph graph)
       : owned_(std::make_shared<const Digraph>(std::move(graph))),
         ptr_(owned_.get()) {}

@@ -46,16 +46,13 @@ class PeriodicSchedule final : public DynamicGraph {
 // copies, re-validates) a graph every round; with it the schedule builds
 // the round graph once into stable storage and lends it out.
 //
-// Two slots alternate between consecutive materialized rounds, so the
-// borrowed address *changes* whenever the topology changes — this is what
-// keeps the executor's address-keyed caches (arena offsets, validation
-// verdicts) honest: reusing one slot would present a different random graph
-// at an unchanged address. A borrowed ref for round t therefore stays valid
-// until the cache materializes a second further round. Like the Digraph
-// adjacency cache, the slots are an unsynchronized mutable const path: a
-// schedule with a round cache must not be shared between concurrently
-// stepping executors — give each executor (each campaign cell) its own
-// schedule object.
+// Two slots alternate between consecutive materialized rounds, so a
+// borrowed ref for round t stays valid across one further view(): it is
+// overwritten only when the cache materializes a second further round.
+// Like the Digraph adjacency cache, the slots are an unsynchronized mutable
+// const path: a schedule with a round cache must not be shared between
+// concurrently stepping executors — give each executor (each campaign
+// cell) its own schedule object.
 class RoundGraphCache {
  public:
   // Returns stable storage holding build(t), reusing it when round t is

@@ -39,13 +39,15 @@ void Digraph::build_adjacency() const {
     out_start_[v + 1] += out_start_[v];
   }
   in_list_.assign(edges_.size(), 0);
+  in_source_list_.assign(edges_.size(), 0);
   out_list_.assign(edges_.size(), 0);
   std::vector<std::int32_t> in_fill(in_start_.begin(), in_start_.end() - 1);
   std::vector<std::int32_t> out_fill(out_start_.begin(), out_start_.end() - 1);
   for (EdgeId id = 0; id < edge_count(); ++id) {
     const Edge& e = edges_[static_cast<std::size_t>(id)];
-    in_list_[static_cast<std::size_t>(
-        in_fill[static_cast<std::size_t>(e.target)]++)] = id;
+    const std::int32_t in_pos = in_fill[static_cast<std::size_t>(e.target)]++;
+    in_list_[static_cast<std::size_t>(in_pos)] = id;
+    in_source_list_[static_cast<std::size_t>(in_pos)] = e.source;
     out_list_[static_cast<std::size_t>(
         out_fill[static_cast<std::size_t>(e.source)]++)] = id;
   }

@@ -83,6 +83,19 @@ class Digraph {
   [[nodiscard]] std::span<const EdgeId> in_edges(Vertex v) const;
   [[nodiscard]] std::span<const EdgeId> out_edges(Vertex v) const;
 
+  // The receiver-side CSR behind in_edges, in in_edges(v) order: v's
+  // in-edges sit at positions in_offsets()[v] .. in_offsets()[v + 1] of
+  // in_edge_list() (their ids) and in_source_list() (their sources).
+  [[nodiscard]] std::span<const std::int32_t> in_offsets() const {
+    return adjacency().in_start_;
+  }
+  [[nodiscard]] std::span<const EdgeId> in_edge_list() const {
+    return adjacency().in_list_;
+  }
+  [[nodiscard]] std::span<const Vertex> in_source_list() const {
+    return adjacency().in_source_list_;
+  }
+
   // Degrees count parallel edges and self-loops, matching the paper's
   // convention that every communication graph has a self-loop (an agent
   // always hears itself).
@@ -115,6 +128,10 @@ class Digraph {
 
  private:
   void build_adjacency() const;
+  const Digraph& adjacency() const {
+    if (!adjacency_valid_) build_adjacency();
+    return *this;
+  }
   void invalidate_caches();
 
   Vertex vertex_count_ = 0;
@@ -123,6 +140,7 @@ class Digraph {
   // Lazy adjacency cache (CSR-style), rebuilt after mutation.
   mutable bool adjacency_valid_ = false;
   mutable std::vector<EdgeId> in_list_, out_list_;
+  mutable std::vector<Vertex> in_source_list_;  // edge(in_list_[k]).source
   mutable std::vector<std::int32_t> in_start_, out_start_;
 
   // Cached validation verdicts, keyed on this graph object: the executor
@@ -131,8 +149,8 @@ class Digraph {
   // which is copied too); any mutation resets them. Atomic, so concurrent
   // const verdict queries on a shared graph are race-free; the lazy
   // adjacency cache is the remaining unsynchronized const path — force it
-  // (any in_edges/out_edges call) before sharing a graph across threads, as
-  // Executor::prepare_topology does.
+  // (any adjacency query) before sharing a graph across threads, as
+  // Executor::step does before its parallel phases.
   mutable CachedVerdict self_loops_cache_;
   mutable CachedVerdict symmetric_cache_;
   mutable CachedVerdict output_ports_cache_;

@@ -17,18 +17,19 @@
 // sequence); tests exploit this to verify order independence.
 //
 // Round engine (docs/round_engine.md): rounds run over a flat delivery arena
-// addressed by receiver-CSR offsets — no per-round inbox allocation — with
-// the send and deliver phases optionally parallelized over vertex blocks on
-// a persistent ThreadPool. The arena holds message copies for trivially
-// copyable Messages and 4-byte outbox slots for all others
-// (runtime/inbox.hpp). Each inbox is shuffled by a counter-based RNG
-// keyed on (seed, round, vertex), so execution is bitwise-identical across
-// thread counts. Round graphs are obtained through DynamicGraph::view(t):
-// schedules with stable storage lend their graph instead of copying it, and
-// validation verdicts are cached per graph object.
+// addressed by the round graph's own receiver CSR — no per-round inbox
+// allocation — with the send and deliver phases optionally parallelized
+// over vertex blocks on a persistent ThreadPool. The arena holds message
+// copies for trivially copyable Messages and 4-byte outbox slots for all
+// others (runtime/inbox.hpp). Each inbox is shuffled by a counter-based
+// RNG keyed on (seed, round, vertex), so execution is bitwise-identical
+// across thread counts. Round graphs come from DynamicGraph::view(t), lent
+// or fresh; the graph caches its CSR and validation verdicts, and the
+// executor keeps nothing tied to the previous round's graph.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -84,7 +85,7 @@ inline constexpr bool kParallelSafeAgent = requires {
 // are *measurements*, not semantics: they differ between otherwise identical
 // runs and are excluded from determinism comparisons.
 struct PhaseTimings {
-  double validate_seconds = 0.0;  // model checks + arena offset (re)build
+  double validate_seconds = 0.0;  // round graph, model checks, its CSR
   double send_seconds = 0.0;      // sending-function evaluation
   double deliver_seconds = 0.0;   // arena fill, shuffle, receive transitions
 };
@@ -217,16 +218,22 @@ class Executor {
   // under way are never interrupted. This is the campaign runner's per-cell
   // timeout hook — a measurement-driven bound, orthogonal to the round
   // budget, so a hung or pathologically slow schedule cannot pin a worker.
+  // A budget the steady clock cannot represent from now (+inf included)
+  // never expires; a NaN budget throws std::invalid_argument.
   void set_deadline(double budget_ms) {
-    if (budget_ms <= 0.0) {
-      deadline_armed_ = false;
-      return;
+    using Clock = std::chrono::steady_clock;
+    if (std::isnan(budget_ms)) {
+      throw std::invalid_argument("Executor: NaN deadline budget");
     }
+    const std::chrono::duration<double, std::milli> budget(budget_ms);
+    const Clock::time_point now = Clock::now();
+    const Clock::duration headroom = Clock::time_point::max() - now;
     deadline_budget_ms_ = budget_ms;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(budget_ms));
-    deadline_armed_ = true;
+    deadline_armed_ = budget_ms > 0.0 && budget < headroom;
+    if (deadline_armed_) {
+      deadline_ = now + std::min(headroom, std::chrono::duration_cast<
+                                               Clock::duration>(budget));
+    }
   }
 
   // Installs a wire::ChannelPolicy (unbounded | metered | bounded-B-bits).
@@ -347,28 +354,24 @@ class Executor {
 
     const auto n = static_cast<std::size_t>(g.vertex_count());
     const auto edge_total = static_cast<std::size_t>(g.edge_count());
-    prepare_topology(ref, g, n, edge_total);
-
+    // The graph's receiver CSR addresses the arena; fetching it builds the
+    // lazy adjacency before the parallel phases read it. The outbox holds a
+    // message per slot: the sender, or the edge under port awareness.
+    const std::span<const std::int32_t> offsets = g.in_offsets();
+    const std::span<const Vertex> sources = g.in_source_list();
+    const std::span<const EdgeId> in_edges = g.in_edge_list();
     const bool port_aware = model_ == CommModel::kOutputPortAware;
-    if (port_aware) {
-      if (edge_outbox_.size() < edge_total) edge_outbox_.resize(edge_total);
-    } else {
-      if (outbox_.size() < n) outbox_.resize(n);
-    }
+    const std::span<const std::int32_t> slots = port_aware ? in_edges : sources;
+    const std::size_t slot_count = port_aware ? edge_total : n;
+    if (outbox_.size() < slot_count) outbox_.resize(slot_count);
     if (arena_.size() < edge_total) arena_.resize(edge_total);
 
     // Channel accounting is armed per run, not per round: `metering` is a
     // loop-invariant local, so the unbounded path costs one predicted
     // branch per block and allocates nothing.
     const bool metering = measure_ != nullptr;
-    if (metering) {
-      if (port_aware) {
-        if (edge_outbox_bits_.size() < edge_total) {
-          edge_outbox_bits_.resize(edge_total);
-        }
-      } else {
-        if (outbox_bits_.size() < n) outbox_bits_.resize(n);
-      }
+    if (metering && outbox_bits_.size() < slot_count) {
+      outbox_bits_.resize(slot_count);
     }
 
     // Perturbation gate: resolved once per round into a per-sender activity
@@ -412,31 +415,15 @@ class Executor {
                  const Alg& agent = agents_[static_cast<std::size_t>(i)];
                  if (port_aware) {
                    for (EdgeId id : out) {
-                     edge_outbox_[static_cast<std::size_t>(id)] =
+                     const auto slot = static_cast<std::size_t>(id);
+                     outbox_[slot] =
                          agent.send(d, static_cast<int>(g.edge(id).color));
-                   }
-                   if (metering) {
-                     for (EdgeId id : out) {
-                       const std::int64_t bits = measure_(
-                           edge_outbox_[static_cast<std::size_t>(id)]);
-                       edge_outbox_bits_[static_cast<std::size_t>(id)] = bits;
-                       local.sent_bits += bits;
-                       if (bits > local.max_bits) local.max_bits = bits;
-                     }
+                     if (metering) charge(slot, 1, local);
                    }
                  } else {
-                   const int visible = sees_outdegree(model_) ? d : 0;
-                   outbox_[static_cast<std::size_t>(i)] = agent.send(visible, 0);
-                   if (metering) {
-                     // Measure once per sender; the channel carries it once
-                     // per out-edge (self-loop included), matching the
-                     // delivery count on the receive side.
-                     const std::int64_t bits =
-                         measure_(outbox_[static_cast<std::size_t>(i)]);
-                     outbox_bits_[static_cast<std::size_t>(i)] = bits;
-                     local.sent_bits += bits * d;
-                     if (bits > local.max_bits) local.max_bits = bits;
-                   }
+                   const auto slot = static_cast<std::size_t>(i);
+                   outbox_[slot] = agent.send(sees_outdegree(model_) ? d : 0, 0);
+                   if (metering) charge(slot, d, local);
                  }
                }
                if (metering) partials_[static_cast<std::size_t>(b)] = local;
@@ -481,9 +468,10 @@ class Executor {
                    // the state stays frozen (no transition, no counts).
                    continue;
                  }
-                 const std::size_t base = in_offset_[static_cast<std::size_t>(i)];
-                 const std::size_t deg =
-                     in_offset_[static_cast<std::size_t>(i) + 1] - base;
+                 const auto row = static_cast<std::size_t>(i);
+                 const auto base = static_cast<std::size_t>(offsets[row]);
+                 const auto deg =
+                     static_cast<std::size_t>(offsets[row + 1]) - base;
                  std::size_t got = 0;
                  for (std::size_t k = 0; k < deg; ++k) {
                    if (perturbed) {
@@ -493,27 +481,21 @@ class Executor {
                      // thread-invariant — and self-loops never drop. Either
                      // way the sender already paid for it (metered at send).
                      const auto src =
-                         static_cast<std::size_t>(in_source_[base + k]);
+                         static_cast<std::size_t>(sources[base + k]);
                      if (!sender_active_[src]) continue;
                      if (static_cast<Vertex>(src) != v &&
-                         drops_message(faults_.drop_seed, t,
-                                       in_edge_[base + k], drop_threshold_)) {
+                         drops_message(faults_.drop_seed, t, in_edges[base + k],
+                                       drop_threshold_)) {
                        continue;
                      }
                    }
-                   // Slot-aligned topology arrays (prepare_topology): no
-                   // indirection through the graph in the hot loop.
-                   if (port_aware) {
-                     const auto slot =
-                         static_cast<std::size_t>(in_edge_[base + k]);
-                     arena_[base + got] = arena_entry(edge_outbox_, slot);
-                     if (metering) local.recv_bits += edge_outbox_bits_[slot];
+                   const auto slot = static_cast<std::size_t>(slots[base + k]);
+                   if constexpr (kDeliveredBySlot<Message>) {
+                     arena_[base + got] = static_cast<Entry>(slot);
                    } else {
-                     const auto src =
-                         static_cast<std::size_t>(in_source_[base + k]);
-                     arena_[base + got] = arena_entry(outbox_, src);
-                     if (metering) local.recv_bits += outbox_bits_[src];
+                     arena_[base + got] = outbox_[slot];
                    }
+                   if (metering) local.recv_bits += outbox_bits_[slot];
                    ++got;
                  }
                  local.messages += static_cast<std::int64_t>(got);
@@ -536,9 +518,8 @@ class Executor {
                  const std::span<const Entry> entries(arena_.data() + base,
                                                       got);
                  if constexpr (kDeliveredBySlot<Message>) {
-                   agents_[static_cast<std::size_t>(i)].receive(Inbox<Message>(
-                       entries,
-                       port_aware ? edge_outbox_.data() : outbox_.data()));
+                   agents_[static_cast<std::size_t>(i)].receive(
+                       Inbox<Message>(entries, outbox_.data()));
                  } else {
                    agents_[static_cast<std::size_t>(i)].receive(
                        Inbox<Message>(entries));
@@ -632,15 +613,13 @@ class Executor {
   // What the arena holds per delivery: a copy or an outbox slot.
   using Entry = ArenaEntry<Message>;
 
-  // The arena entry for outbox[index]: the message itself, or the index
-  // (runtime/inbox.hpp; indices fit 32 bits, as Vertex and EdgeId do).
-  static Entry arena_entry(const std::vector<Message>& outbox,
-                           std::size_t index) {
-    if constexpr (kDeliveredBySlot<Message>) {
-      return static_cast<Entry>(index);
-    } else {
-      return outbox[index];
-    }
+  // Measures outbox_[slot] once and charges `copies` of it to `local`: an
+  // isotropic message travels every out-edge, self-loop included.
+  void charge(std::size_t slot, std::int64_t copies, Partial& local) {
+    const std::int64_t bits = measure_(outbox_[slot]);
+    outbox_bits_[slot] = bits;
+    local.sent_bits += bits * copies;
+    if (bits > local.max_bits) local.max_bits = bits;
   }
 
   // The one point where the executor touches the codec. Only instantiated
@@ -663,37 +642,6 @@ class Executor {
         fn(begin, std::min(begin + block, count), b);
       }
     }
-  }
-
-  // (Re)builds the receiver-CSR arena offsets and the slot-aligned
-  // topology arrays for g. Skipped entirely when the schedule lends the
-  // same graph object as last round (borrowed views have stable identity);
-  // fresh owned graphs rebuild in O(n + E). Also forces the graph's
-  // adjacency cache so the parallel phases never race to build it lazily.
-  void prepare_topology(const RoundGraphRef& ref, const Digraph& g,
-                        std::size_t n, std::size_t edge_total) {
-    if (ref.is_borrowed() && topology_key_ == &g &&
-        in_offset_.size() == n + 1 &&
-        in_offset_[n] == edge_total) {
-      return;
-    }
-    in_offset_.resize(n + 1);
-    if (in_edge_.size() < edge_total) in_edge_.resize(edge_total);
-    if (in_source_.size() < edge_total) in_source_.resize(edge_total);
-    std::size_t offset = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      in_offset_[v] = offset;
-      for (EdgeId id : g.in_edges(static_cast<Vertex>(v))) {
-        in_edge_[offset] = id;
-        in_source_[offset] = g.edge(id).source;
-        ++offset;
-      }
-    }
-    in_offset_[n] = offset;
-    // Ensure the out-CSR side is built too (parallel send must not race to
-    // build it lazily).
-    if (n > 0) static_cast<void>(g.out_edges(0));
-    topology_key_ = ref.is_borrowed() ? &g : nullptr;
   }
 
   DynamicGraphPtr network_;
@@ -730,21 +678,15 @@ class Executor {
 
   // Round-engine arena state, reused across rounds (no per-round heap
   // churn once capacities have grown to the schedule's maxima).
-  const Digraph* topology_key_ = nullptr;  // borrowed graph offsets refer to
-  std::vector<std::size_t> in_offset_;     // receiver-CSR offsets, size n+1
-  std::vector<EdgeId> in_edge_;            // position -> edge id (port-aware)
-  std::vector<Vertex> in_source_;          // position -> sender (isotropic)
-  std::vector<Entry> arena_;               // deliveries, receiver-major
-  std::vector<Message> outbox_;            // one message per sender (isotropic)
-  std::vector<Message> edge_outbox_;       // one message per edge (port-aware)
-  std::vector<Partial> partials_;          // per-block per-phase stats
+  std::vector<Entry> arena_;       // deliveries, receiver-major
+  std::vector<Message> outbox_;    // one message per slot (sender or edge)
+  std::vector<Partial> partials_;  // per-block per-phase stats
   // Adaptive-grain state (grain_for): measured per-item phase cost EWMAs
   // and the bench's fixed-grain override (0 = adaptive).
   double send_ns_per_item_ = 0.0;
   double deliver_ns_per_item_ = 0.0;
   std::int64_t forced_grain_ = 0;
-  std::vector<std::int64_t> outbox_bits_;  // per-sender bits (metered only)
-  std::vector<std::int64_t> edge_outbox_bits_;  // per-edge bits (metered only)
+  std::vector<std::int64_t> outbox_bits_;  // per-slot bits (metered only)
 };
 
 }  // namespace anonet

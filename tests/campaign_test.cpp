@@ -585,8 +585,8 @@ TEST(Campaign, Table2RunMatchesThePaper) {
   EXPECT_EQ(history_cells, 9);
 }
 
-TEST(Campaign, CompareTableRequiresOpenCellsSkipped) {
-  // Synthesized table2 records shaped exactly like the paper's grid.
+// Synthesized table2 records shaped exactly like the paper's grid.
+std::vector<CellRecord> paper_shaped_table2_records() {
   const std::vector<Knowledge> rows = {Knowledge::kNone, Knowledge::kUpperBound,
                                        Knowledge::kExactSize,
                                        Knowledge::kLeaders};
@@ -625,6 +625,11 @@ TEST(Campaign, CompareTableRequiresOpenCellsSkipped) {
       }
     }
   }
+  return records;
+}
+
+TEST(Campaign, CompareTableRequiresOpenCellsSkipped) {
+  const std::vector<CellRecord> records = paper_shaped_table2_records();
   const TableComparison table = compare_table(records, "table2");
   EXPECT_TRUE(table.all_match) << render_table(table);
 
@@ -654,6 +659,63 @@ TEST(Campaign, CompareTableRequiresOpenCellsSkipped) {
   EXPECT_FALSE(star.all_match);
 
   EXPECT_THROW(compare_table(records, "table9"), std::invalid_argument);
+}
+
+TEST(Campaign, JudgeRunAppliesOnePassRule) {
+  const std::vector<CellRecord> table = paper_shaped_table2_records();
+  const RunVerdict clean = judge_run(table, /*complete=*/true);
+  EXPECT_TRUE(clean.passed);
+  EXPECT_TRUE(clean.tables_gate);
+  ASSERT_EQ(clean.tables.size(), 1u);
+  EXPECT_EQ(clean.tables.front().suite, "table2");
+
+  // One flipped `exact` still renders and resumes, but no longer matches
+  // the paper: a complete run fails, a shard only reports it.
+  std::vector<CellRecord> flipped = table;
+  for (CellRecord& record : flipped) {
+    if (record.knowledge == "exact-size" &&
+        record.model == "outdegree-aware" && record.function == "sum") {
+      record.exact = false;
+    }
+  }
+  const RunVerdict complete = judge_run(flipped, /*complete=*/true);
+  EXPECT_FALSE(complete.passed);
+  EXPECT_FALSE(complete.tables_match);
+  EXPECT_EQ(complete.failed, 0);
+  const RunVerdict sharded = judge_run(flipped, /*complete=*/false);
+  EXPECT_TRUE(sharded.passed);
+  EXPECT_FALSE(sharded.tables_gate);
+  ASSERT_EQ(sharded.tables.size(), 1u);
+  EXPECT_FALSE(sharded.tables.front().all_match);
+
+  // Timeouts and expected failures pass; no table suite, nothing to gate.
+  CellRecord timeout;
+  timeout.key = "faults/timeout";
+  timeout.suite = "faults";
+  timeout.verdict = "timeout";
+  const CellRecord expected = perturbed_record();
+  const RunVerdict resources = judge_run({timeout, expected}, true);
+  EXPECT_TRUE(resources.passed);
+  EXPECT_FALSE(resources.tables_gate);
+  EXPECT_TRUE(resources.tables.empty());
+
+  // A predicted breakdown that succeeded fails the run and is named.
+  CellRecord predicted = expected;
+  predicted.verdict = "ok";
+  predicted.success = true;
+  const RunVerdict surprise = judge_run({timeout, predicted}, true);
+  EXPECT_FALSE(surprise.passed);
+  EXPECT_EQ(surprise.predicted_successes,
+            std::vector<std::string>{predicted.key});
+
+  // A "failed" cell fails the run, whether or not the records are whole.
+  CellRecord failed = timeout;
+  failed.verdict = "failed";
+  for (const bool whole : {true, false}) {
+    const RunVerdict broken = judge_run({expected, failed}, whole);
+    EXPECT_FALSE(broken.passed) << whole;
+    EXPECT_EQ(broken.failed, 1) << whole;
+  }
 }
 
 TEST(CampaignDeterminism, ShardedRunsProduceIdenticalFiles) {

@@ -174,6 +174,54 @@ TEST(Digraph, IsSymmetricMatchesThePairwiseReference) {
   EXPECT_FALSE(reference_is_symmetric(g));
 }
 
+// The receiver CSR must index exactly in_edges(v), in order, and carry each
+// position's edge source.
+void expect_receiver_csr_matches_in_edges(const Digraph& g) {
+  const auto offsets = g.in_offsets();
+  const auto ids = g.in_edge_list();
+  const auto sources = g.in_source_list();
+  ASSERT_EQ(offsets.size(), static_cast<std::size_t>(g.vertex_count()) + 1);
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(g.edge_count()));
+  ASSERT_EQ(sources.size(), ids.size());
+  EXPECT_EQ(offsets.front(), 0);
+  EXPECT_EQ(offsets.back(), g.edge_count());
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    const auto in = g.in_edges(v);
+    const auto slot = static_cast<std::size_t>(v);
+    const auto begin = static_cast<std::size_t>(offsets[slot]);
+    const auto end = static_cast<std::size_t>(offsets[slot + 1]);
+    ASSERT_EQ(end - begin, in.size()) << v;
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      ASSERT_EQ(ids[begin + k], in[k]) << v;
+    }
+  }
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_EQ(sources[k], g.edge(ids[k]).source) << k;
+  }
+}
+
+TEST(Digraph, ReceiverCsrMatchesInEdges) {
+  std::mt19937_64 rng(7);  // the symmetry oracle's graphs
+  std::mt19937_64 mutation(8);
+  for (int i = 0; i < 20000; ++i) {
+    SCOPED_TRACE(i);
+    Digraph g = random_multigraph(rng);
+    expect_receiver_csr_matches_in_edges(g);
+    // A copy carries equal arrays.
+    const Digraph copy = g;
+    EXPECT_TRUE(std::ranges::equal(copy.in_offsets(), g.in_offsets()));
+    EXPECT_TRUE(std::ranges::equal(copy.in_edge_list(), g.in_edge_list()));
+    EXPECT_TRUE(std::ranges::equal(copy.in_source_list(), g.in_source_list()));
+    // Both mutations invalidate the adjacency; the CSR must follow them.
+    const auto n = static_cast<std::uint64_t>(g.vertex_count());
+    g.add_edge(static_cast<Vertex>(mutation() % n),
+               static_cast<Vertex>(mutation() % n));
+    expect_receiver_csr_matches_in_edges(g);
+    g.ensure_self_loops();
+    expect_receiver_csr_matches_in_edges(g);
+  }
+}
+
 TEST(Digraph, Reversed) {
   Digraph g = triangle();
   const Digraph r = g.reversed();

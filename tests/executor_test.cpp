@@ -283,6 +283,25 @@ TEST(Executor, MissingSelfLoopIsRejected) {
   EXPECT_THROW(exec.step(), std::logic_error);
 }
 
+TEST(Executor, DeadlineBeyondTheClockRangeNeverExpires) {
+  // 1e13 ms is about 317 years, more than the steady clock's int64
+  // nanoseconds can count from now.
+  for (const double budget_ms :
+       {1e13, 1e30, std::numeric_limits<double>::infinity()}) {
+    auto net = std::make_shared<StaticSchedule>(bidirectional_ring(4));
+    Executor<ProbeAgent> exec(net, std::vector<ProbeAgent>(4),
+                              CommModel::kSimpleBroadcast);
+    exec.set_deadline(budget_ms);
+    EXPECT_NO_THROW(exec.run(3)) << budget_ms;
+    EXPECT_EQ(exec.round(), 3) << budget_ms;
+  }
+  auto net = std::make_shared<StaticSchedule>(bidirectional_ring(4));
+  Executor<ProbeAgent> exec(net, std::vector<ProbeAgent>(4),
+                            CommModel::kSimpleBroadcast);
+  EXPECT_THROW(exec.set_deadline(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+}
+
 // Order-*sensitive* agent: its state folds the exact arrival
 // sequence, so two runs end in identical states only if every inbox was
 // delivered in the identical order. This is the strongest possible probe for
@@ -526,6 +545,62 @@ TEST(ExecutorDeterminism, PushSumBitwiseIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].first, parallel[i].first) << i;   // bitwise
     EXPECT_EQ(serial[i].second, parallel[i].second) << i; // bitwise
+  }
+}
+
+// Steps a 20-round outdegree-aware run on RandomStronglyConnectedSchedule
+// (50, 3, 7). With `interleave`, view(1000 + t) is asked of the same
+// schedule after every step, so the round cache lends round t + 1 from the
+// slot round t used: same address, same edge count, different edges.
+template <typename Alg, typename Make>
+std::vector<Alg> run_with_interleaved_views(Make make, int threads,
+                                            bool interleave) {
+  constexpr Vertex kN = 50;
+  auto net = std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 7);
+  std::vector<Alg> agents;
+  for (Vertex v = 0; v < kN; ++v) agents.push_back(make(v));
+  Executor<Alg> exec(net, std::move(agents), CommModel::kOutdegreeAware,
+                     0x5eedull, threads);
+  for (int t = 1; t <= 20; ++t) {
+    exec.step();
+    if (interleave) static_cast<void>(net->view(1000 + t));
+  }
+  return exec.agents();
+}
+
+TEST(ExecutorDeterminism, InterleavedViewsDoNotChangeDelivery) {
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    // Copy arena: scalar Push-Sum, whose mass Σz = n is conserved only if
+    // every message travels along an edge of the round graph.
+    const auto scalar = [](Vertex v) {
+      return PushSumAgent(std::sin(static_cast<double>(v)), 1.0);
+    };
+    const auto interleaved =
+        run_with_interleaved_views<PushSumAgent>(scalar, threads, true);
+    const auto uninterrupted =
+        run_with_interleaved_views<PushSumAgent>(scalar, threads, false);
+    double mass = 0.0;
+    for (std::size_t v = 0; v < interleaved.size(); ++v) {
+      EXPECT_EQ(interleaved[v].y(), uninterrupted[v].y()) << v;  // bitwise
+      EXPECT_EQ(interleaved[v].z(), uninterrupted[v].z()) << v;
+      mass += interleaved[v].z();
+    }
+    EXPECT_NEAR(mass, 50.0, 1e-9);
+
+    // Slot arena: frequency Push-Sum's vector messages.
+    const auto frequency = [](Vertex v) {
+      return FrequencyPushSumAgent(v % 4);
+    };
+    const auto freq_interleaved = run_with_interleaved_views<
+        FrequencyPushSumAgent>(frequency, threads, true);
+    const auto freq_uninterrupted = run_with_interleaved_views<
+        FrequencyPushSumAgent>(frequency, threads, false);
+    for (std::size_t v = 0; v < freq_interleaved.size(); ++v) {
+      EXPECT_EQ(freq_interleaved[v].estimates(),
+                freq_uninterrupted[v].estimates())
+          << v;
+    }
   }
 }
 

@@ -300,8 +300,8 @@ TEST(Schedules, RandomScheduleViewsAreCachedPerRound) {
   const RoundGraphRef b = schedule.view(3);
   EXPECT_TRUE(a.is_borrowed());
   EXPECT_EQ(&a.get(), &b.get());
-  // Consecutive rounds come from different slots — the executor keys its
-  // per-graph caches on the address, so a changed topology must change it.
+  // Consecutive rounds come from different slots, so a borrowed ref stays
+  // valid across one further view().
   const RoundGraphRef c = schedule.view(4);
   EXPECT_NE(&b.get(), &c.get());
   // Cached views carry exactly the at(t) graph, wherever they live.

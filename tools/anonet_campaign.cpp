@@ -6,15 +6,15 @@
 // Expands a named grid, runs this process's shard, and appends one JSONL
 // record per cell to --out (resuming past completed cells on rerun). For
 // the table suites it then folds the records into the Table 1 / Table 2
-// verdict grids and compares them against the paper: the exit status is 0
-// iff every non-open cell matches and every open cell was skipped. Other
-// grids exit 0 when no cell has verdict "failed".
+// verdict grids and compares them against the paper. The exit status is
+// campaign::judge_run's rule: 0 iff no cell "failed", no predicted
+// breakdown succeeded, and (on a single shard) every non-open table cell
+// matches the paper and every open one was skipped.
 //
 // Records are byte-reproducible by default (no wall-clock fields), so the
 // canonical output of N shards concatenated equals the 1-shard output.
 // --timings opts into wall_ms per cell and gives up that guarantee.
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -23,6 +23,7 @@
 #include "campaign/metrics.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -65,34 +66,12 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_int(const char* text, int& out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
-bool parse_int64(const char* text, std::int64_t& out) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<std::int64_t>(value);
-  return true;
-}
-
-bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  out = value;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace anonet::campaign;
+  using anonet::tools::parse_number;
+  using anonet::tools::print_verdict;
 
   std::string grid_name;
   RunnerOptions options;
@@ -112,12 +91,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       options.out_path = value();
     } else if (arg == "--shards") {
-      if (!parse_int(value(), options.shards)) {
+      if (!parse_number(value(), options.shards)) {
         std::fprintf(stderr, "anonet_campaign: bad --shards value\n");
         return 2;
       }
     } else if (arg == "--shard-index") {
-      if (!parse_int(value(), options.shard_index)) {
+      if (!parse_number(value(), options.shard_index)) {
         std::fprintf(stderr, "anonet_campaign: bad --shard-index value\n");
         return 2;
       }
@@ -131,17 +110,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--cost-file") {
       options.cost_path = value();
     } else if (arg == "--cell-timeout-ms") {
-      if (!parse_double(value(), options.cell_timeout_ms)) {
+      if (!parse_number(value(), options.cell_timeout_ms)) {
         std::fprintf(stderr, "anonet_campaign: bad --cell-timeout-ms value\n");
         return 2;
       }
     } else if (arg == "--bandwidth-bits") {
-      if (!parse_int64(value(), options.bandwidth_bits)) {
+      if (!parse_number(value(), options.bandwidth_bits)) {
         std::fprintf(stderr, "anonet_campaign: bad --bandwidth-bits value\n");
         return 2;
       }
     } else if (arg == "--threads") {
-      if (!parse_int(value(), options.threads)) {
+      if (!parse_number(value(), options.threads)) {
         std::fprintf(stderr, "anonet_campaign: bad --threads value\n");
         return 2;
       }
@@ -171,65 +150,30 @@ int main(int argc, char** argv) {
     const Runner runner(options);
     const std::vector<CellRecord> records = runner.run(grid);
 
-    int failed = 0;
+    // A single shard covers the whole grid; partial shards report their
+    // tables but do not gate on them.
+    const RunVerdict verdict = judge_run(records, options.shards == 1);
     int skipped = 0;
     int timeouts = 0;
     int over_budget = 0;
     int expected_failures = 0;
-    int prediction_mismatches = 0;
-    std::vector<std::string> suites;
     for (const CellRecord& record : records) {
-      if (record.verdict == "failed") ++failed;
       if (record.verdict == "skipped") ++skipped;
       if (record.verdict == "timeout") ++timeouts;
       if (record.verdict == "bandwidth_exceeded") ++over_budget;
       if (record.verdict == "expected_failure") ++expected_failures;
-      // The FaultTolerance table said this cell must break, but it
-      // succeeded: either the claim is too conservative or the
-      // perturbation is not biting — both are campaign failures.
-      if (record.predicted && record.verdict == "ok" && record.success) {
-        ++prediction_mismatches;
-        std::fprintf(stderr,
-                     "anonet_campaign: predicted breakdown succeeded: %s\n",
-                     record.key.c_str());
-      }
-      bool seen = false;
-      for (const std::string& suite : suites) seen = seen || suite == record.suite;
-      if (!seen) suites.push_back(record.suite);
     }
     std::printf("campaign '%s': shard %d/%d ran %zu cells (%d skipped, %d "
                 "failed, %d timed out, %d over bandwidth, %d expected "
                 "failures)\n",
                 grid_name.c_str(), options.shard_index, options.shards,
-                records.size(), skipped, failed, timeouts, over_budget,
+                records.size(), skipped, verdict.failed, timeouts, over_budget,
                 expected_failures);
     if (!options.out_path.empty()) {
       std::printf("records: %s\n", options.out_path.c_str());
     }
-
-    // Aggregate any table suite present; the comparison is only meaningful
-    // on a complete (single-shard or merged) record set, so partial shards
-    // report but do not gate.
-    bool tables_ok = true;
-    bool aggregated = false;
-    for (const std::string& suite : suites) {
-      if (suite != "table1" && suite != "table2") continue;
-      const TableComparison table = compare_table(records, suite);
-      if (!quiet) std::printf("\n%s", render_table(table).c_str());
-      if (options.shards == 1) {
-        aggregated = true;
-        tables_ok = tables_ok && table.all_match;
-      }
-    }
-    if (aggregated) {
-      std::printf("\n%s\n", tables_ok
-                                ? "All non-open cells match the paper; open "
-                                  "'?' cells recorded as skipped."
-                                : "MISMATCH against the paper's tables — see "
-                                  "above.");
-      return tables_ok && failed == 0 && prediction_mismatches == 0 ? 0 : 1;
-    }
-    return failed == 0 && prediction_mismatches == 0 ? 0 : 1;
+    print_verdict(verdict, "anonet_campaign", quiet);
+    return verdict.passed ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "anonet_campaign: %s\n", e.what());
     return 2;

@@ -20,12 +20,19 @@
 //
 // --port-file writes the bound port (resolving --listen HOST:0) after the
 // listener is up, so scripts can start workers without racing the bind.
+//
+// The coordinator owns every cell of the grid, so its run is complete and
+// passes or fails by the same rule as a single-shard anonet_campaign run
+// (campaign::judge_run): it exits 1 on a failed cell, a predicted
+// breakdown that succeeded, or a table suite that differs from the paper.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "campaign/metrics.hpp"
+#include "cli.hpp"
 #include "net/coordinator.hpp"
 #include "net/worker.hpp"
 
@@ -58,30 +65,6 @@ void usage(const char* argv0) {
       argv0, argv0);
 }
 
-bool parse_int(const char* text, int& out) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<int>(value);
-  return true;
-}
-
-bool parse_int64(const char* text, std::int64_t& out) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') return false;
-  out = static_cast<std::int64_t>(value);
-  return true;
-}
-
-bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  out = value;
-  return true;
-}
-
 // "HOST:PORT" -> (host, port); the last ':' splits, so a bare ":0" keeps
 // the default host.
 bool parse_endpoint(const std::string& text, std::string& host,
@@ -89,17 +72,14 @@ bool parse_endpoint(const std::string& text, std::string& host,
   const std::size_t colon = text.rfind(':');
   if (colon == std::string::npos) return false;
   if (colon > 0) host = text.substr(0, colon);
-  int value = 0;
-  if (!parse_int(text.c_str() + colon + 1, value)) return false;
-  if (value < 0 || value > 65535) return false;
-  port = static_cast<std::uint16_t>(value);
-  return true;
+  return anonet::tools::parse_number(text.c_str() + colon + 1, port);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace anonet::net;
+  using anonet::tools::parse_number;
 
   CoordinatorOptions coordinator_options;
   WorkerOptions worker_options;
@@ -133,7 +113,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--grid") {
       coordinator_options.grid = value();
     } else if (arg == "--workers") {
-      if (!parse_int(value(), coordinator_options.workers)) {
+      if (!parse_number(value(), coordinator_options.workers)) {
         std::fprintf(stderr, "anonet_node: bad --workers value\n");
         return 2;
       }
@@ -144,12 +124,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--cost-file") {
       coordinator_options.cost_path = value();
     } else if (arg == "--cell-timeout-ms") {
-      if (!parse_double(value(), coordinator_options.cell_timeout_ms)) {
+      if (!parse_number(value(), coordinator_options.cell_timeout_ms)) {
         std::fprintf(stderr, "anonet_node: bad --cell-timeout-ms value\n");
         return 2;
       }
     } else if (arg == "--bandwidth-bits") {
-      if (!parse_int64(value(), coordinator_options.bandwidth_bits)) {
+      if (!parse_number(value(), coordinator_options.bandwidth_bits)) {
         std::fprintf(stderr, "anonet_node: bad --bandwidth-bits value\n");
         return 2;
       }
@@ -158,17 +138,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--fresh") {
       coordinator_options.resume = false;
     } else if (arg == "--threads") {
-      if (!parse_int(value(), worker_options.threads)) {
+      if (!parse_number(value(), worker_options.threads)) {
         std::fprintf(stderr, "anonet_node: bad --threads value\n");
         return 2;
       }
     } else if (arg == "--connect-timeout-ms") {
-      if (!parse_double(value(), worker_options.connect_timeout_ms)) {
+      if (!parse_number(value(), worker_options.connect_timeout_ms)) {
         std::fprintf(stderr, "anonet_node: bad --connect-timeout-ms value\n");
         return 2;
       }
     } else if (arg == "--abandon-after") {
-      if (!parse_int(value(), worker_options.abandon_after)) {
+      if (!parse_number(value(), worker_options.abandon_after)) {
         std::fprintf(stderr, "anonet_node: bad --abandon-after value\n");
         return 2;
       }
@@ -208,10 +188,8 @@ int main(int argc, char** argv) {
       }
       const auto records = coordinator.run();
       const CoordinatorStats& stats = coordinator.stats();
-      int failed = 0;
-      for (const auto& record : records) {
-        if (record.verdict == "failed") ++failed;
-      }
+      const anonet::campaign::RunVerdict verdict =
+          anonet::campaign::judge_run(records, /*complete=*/true);
       std::printf(
           "campaign '%s': %zu cells over %d worker(s) (%lld assigned, "
           "%lld reassigned after %d loss(es), %d failed)\n",
@@ -219,11 +197,12 @@ int main(int argc, char** argv) {
           stats.workers_joined,
           static_cast<long long>(stats.cells_assigned),
           static_cast<long long>(stats.cells_reassigned), stats.workers_lost,
-          failed);
+          verdict.failed);
       if (!coordinator_options.out_path.empty()) {
         std::printf("records: %s\n", coordinator_options.out_path.c_str());
       }
-      return failed == 0 ? 0 : 1;
+      anonet::tools::print_verdict(verdict, "anonet_node", /*quiet=*/false);
+      return verdict.passed ? 0 : 1;
     }
     WorkerNode worker(worker_options);
     const bool clean = worker.run();
