@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -85,37 +86,52 @@ AttemptResult run_gossip(const DynamicGraphPtr& network,
       "gossip (set flooding)");
 }
 
-// Turns a recovered frequency into the attempt's output value, applying the
-// knowledge-specific multiset recovery when available.
-std::optional<Rational> output_from_frequency(const Frequency& nu,
-                                              const SymmetricFunction& f,
-                                              const Attempt& attempt) {
-  switch (attempt.knowledge) {
-    case Knowledge::kNone:
-    case Knowledge::kUpperBound: {
-      if (f.declared_class() == FunctionClass::kMultisetBased) {
-        return std::nullopt;
-      }
-      return f.eval_frequency(nu);
-    }
-    case Knowledge::kExactSize: {
-      const auto multiset = multiset_from_frequency(nu, attempt.parameter);
-      if (!multiset.has_value()) return std::nullopt;
-      std::vector<std::int64_t> values;
-      std::vector<BigInt> sizes;
-      for (const auto& [value, count] : *multiset) {
-        values.push_back(value);
-        sizes.push_back(count);
-      }
-      const std::vector<std::int64_t> flat = expand_multiset(values, sizes);
-      if (flat.empty()) return std::nullopt;
-      return f(flat);
-    }
-    case Knowledge::kLeaders:
-      // Handled by the dedicated leader paths.
-      return std::nullopt;
+// --- the output layer --------------------------------------------------------
+
+// f of the multiset with these multiplicities; nullopt when it is empty.
+std::optional<Rational> apply_to_multiset(
+    const SymmetricFunction& f,
+    const std::map<std::int64_t, BigInt>& multiset) {
+  std::vector<std::int64_t> values;
+  std::vector<BigInt> counts;
+  for (const auto& [value, count] : multiset) {
+    values.push_back(value);
+    counts.push_back(count);
   }
-  return std::nullopt;
+  const std::vector<std::int64_t> flat = expand_multiset(values, counts);
+  if (flat.empty()) return std::nullopt;
+  return f(flat);
+}
+
+// f(v) from an exact frequency: ν itself with no help or a bound on n, and
+// with n known the multiset ν(ω)·n, checked per value (Cor. 4.3).
+std::optional<Rational> output_from_frequency(
+    const std::optional<Frequency>& nu, const SymmetricFunction& f,
+    const Attempt& attempt) {
+  if (!nu.has_value()) return std::nullopt;
+  if (attempt.knowledge == Knowledge::kExactSize) {
+    const auto multiset = multiset_from_frequency(*nu, attempt.parameter);
+    if (!multiset.has_value()) return std::nullopt;
+    return apply_to_multiset(f, *multiset);
+  }
+  if (f.declared_class() == FunctionClass::kMultisetBased) return std::nullopt;
+  return f.eval_frequency(*nu);
+}
+
+// f(v) from an exact mechanism's census, at every knowledge level. Known n
+// goes through ν and is checked per value; leaders fix the common factor by
+// eq. (5), checked per class (Cor. 4.4).
+std::optional<Rational> output_from_census(
+    const std::optional<ClassCensus>& census, const SymmetricFunction& f,
+    const Attempt& attempt) {
+  if (!census.has_value()) return std::nullopt;
+  if (attempt.knowledge == Knowledge::kLeaders) {
+    const auto multiset = multiset_with_leaders(*census, attempt.parameter);
+    if (!multiset.has_value()) return std::nullopt;
+    return apply_to_multiset(f, *multiset);
+  }
+  return output_from_frequency(
+      frequency_from_ratios(census->values, census->sizes), f, attempt);
 }
 
 // --- static attempts ---------------------------------------------------------
@@ -136,50 +152,6 @@ AttemptResult run_minbase_static(const Digraph& g,
                                   std::move(agents), attempt.model,
                                   attempt.seed);
 
-  auto leader_output =
-      [&](const MinBaseAgent& agent) -> std::optional<Rational> {
-    const ExtractedBase& candidate = agent.candidate();
-    if (!candidate.plausible) return std::nullopt;
-    const auto decoded = decode_base(candidate, *codec);
-    if (!decoded.has_value()) return std::nullopt;
-    std::optional<std::vector<BigInt>> ratios;
-    switch (attempt.model) {
-      case CommModel::kOutdegreeAware:
-        if (decoded->outdegrees.empty()) return std::nullopt;
-        ratios = fibre_ratios_outdegree(candidate.base, decoded->outdegrees);
-        break;
-      case CommModel::kSymmetricBroadcast:
-        ratios = fibre_ratios_symmetric(candidate.base);
-        break;
-      case CommModel::kOutputPortAware:
-        ratios = fibre_ratios_ports(candidate.base);
-        break;
-      case CommModel::kSimpleBroadcast:
-        return std::nullopt;
-    }
-    if (!ratios.has_value()) return std::nullopt;
-    std::vector<bool> leader_class(decoded->values.size(), false);
-    std::vector<std::int64_t> true_values(decoded->values.size(), 0);
-    for (std::size_t i = 0; i < decoded->values.size(); ++i) {
-      leader_class[i] = decode_leader_flag(decoded->values[i]);
-      true_values[i] = decode_leader_value(decoded->values[i]);
-    }
-    const auto sizes =
-        fibre_sizes_with_leaders(leader_class, *ratios, attempt.parameter);
-    if (!sizes.has_value()) return std::nullopt;
-    const std::vector<std::int64_t> flat = expand_multiset(true_values, *sizes);
-    if (flat.empty()) return std::nullopt;
-    return f(flat);
-  };
-
-  auto frequency_output =
-      [&](const MinBaseAgent& agent) -> std::optional<Rational> {
-    const auto nu =
-        static_frequency_estimate(agent.candidate(), *codec, attempt.model);
-    if (!nu.has_value()) return std::nullopt;
-    return output_from_frequency(*nu, f, attempt);
-  };
-
   const std::string mechanism =
       std::string("minimum base + ") +
       (attempt.model == CommModel::kOutdegreeAware ? "fibre-equation kernel"
@@ -189,10 +161,14 @@ AttemptResult run_minbase_static(const Digraph& g,
       (attempt.knowledge == Knowledge::kExactSize ? " + known n (Cor. 4.3)"
        : attempt.knowledge == Knowledge::kLeaders ? " + leaders (eq. 5)"
                                                   : "");
-  if (attempt.knowledge == Knowledge::kLeaders) {
-    return run_attempt(executor, attempt, truth, leader_output, mechanism);
-  }
-  return run_attempt(executor, attempt, truth, frequency_output, mechanism);
+  return run_attempt(
+      executor, attempt, truth,
+      [&](const MinBaseAgent& agent) {
+        return output_from_census(
+            static_census(agent.candidate(), *codec, attempt.model), f,
+            attempt);
+      },
+      mechanism);
 }
 
 // --- dynamic attempts --------------------------------------------------------
@@ -237,10 +213,9 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
       const auto bound = static_cast<std::uint32_t>(attempt.parameter);
       return run_attempt(
           executor, attempt, truth,
-          [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
-            const auto nu = agent.rounded_frequency(bound);
-            if (!nu.has_value()) return std::nullopt;
-            return output_from_frequency(*nu, f, attempt);
+          [&](const FrequencyPushSumAgent& agent) {
+            return output_from_frequency(agent.rounded_frequency(bound), f,
+                                         attempt);
           },
           attempt.knowledge == Knowledge::kExactSize
               ? "Push-Sum + Q_N rounding + known n (Cor. 5.4)"
@@ -253,7 +228,7 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
           [&](const FrequencyPushSumAgent& agent) -> std::optional<Rational> {
             // ℓ·x[ω] -> integer multiplicities (Section 5.5); accept once
             // every estimate is unambiguously close to an integer.
-            std::map<std::int64_t, std::int64_t> multiset;
+            std::map<std::int64_t, BigInt> multiset;
             for (const auto& [coded, estimate] :
                  agent.multiplicity_estimates(leaders)) {
               if (!std::isfinite(estimate)) return std::nullopt;
@@ -262,14 +237,9 @@ AttemptResult run_pushsum_dynamic(const DynamicGraphPtr& network,
                 return std::nullopt;
               }
               multiset[decode_leader_value(coded)] +=
-                  static_cast<std::int64_t>(rounded);
+                  BigInt(static_cast<std::int64_t>(rounded));
             }
-            std::vector<std::int64_t> flat;
-            for (const auto& [value, count] : multiset) {
-              for (std::int64_t k = 0; k < count; ++k) flat.push_back(value);
-            }
-            if (flat.empty()) return std::nullopt;
-            return f(flat);
+            return apply_to_multiset(f, multiset);
           },
           "Push-Sum leader variant (Section 5.5)");
     }
@@ -295,10 +265,8 @@ AttemptResult run_uniform_symmetric(const DynamicGraphPtr& network,
       attempt.seed);
   return run_attempt(
       executor, attempt, truth,
-      [&](const FrequencyUniformAgent& agent) -> std::optional<Rational> {
-        const auto nu = agent.rounded_frequency();
-        if (!nu.has_value()) return std::nullopt;
-        return output_from_frequency(*nu, f, attempt);
+      [&](const FrequencyUniformAgent& agent) {
+        return output_from_frequency(agent.rounded_frequency(), f, attempt);
       },
       attempt.knowledge == Knowledge::kExactSize
           ? "uniform-weight consensus (degree-oblivious) + Q_N rounding + "
@@ -334,34 +302,15 @@ AttemptResult run_history_symmetric(const DynamicGraphPtr& network,
       std::min(attempt.rounds,
                8 * static_cast<int>(inputs.size()) + 24);
 
-  if (attempt.knowledge == Knowledge::kLeaders) {
-    const std::int64_t leaders = attempt.parameter;
-    return run_attempt(
-        executor, capped, truth,
-        [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
-          const auto multiset = agent.multiset_estimate(leaders);
-          if (!multiset.has_value()) return std::nullopt;
-          std::vector<std::int64_t> values;
-          std::vector<BigInt> sizes;
-          for (const auto& [value, count] : *multiset) {
-            values.push_back(value);
-            sizes.push_back(count);
-          }
-          const auto flat = expand_multiset(values, sizes);
-          if (flat.empty()) return std::nullopt;
-          return f(flat);
-        },
-        "history-tree classes + leaders (after Di Luna & Viglietta [25])");
-  }
   return run_attempt(
       executor, capped, truth,
-      [&](const HistoryFrequencyAgent& agent) -> std::optional<Rational> {
-        const auto nu = agent.frequency_estimate();
-        if (!nu.has_value()) return std::nullopt;
-        return output_from_frequency(*nu, f, attempt);
+      [&](const HistoryFrequencyAgent& agent) {
+        return output_from_census(agent.census(), f, attempt);
       },
-      "history-tree classes (after Di Luna & Viglietta [26]), exact, no "
-      "bound needed");
+      attempt.knowledge == Knowledge::kLeaders
+          ? "history-tree classes + leaders (after Di Luna & Viglietta [25])"
+          : "history-tree classes (after Di Luna & Viglietta [26]), exact, "
+            "no bound needed");
 }
 
 }  // namespace
@@ -436,6 +385,14 @@ AttemptResult attempt_dynamic(const DynamicGraphPtr& network,
   }
   if (inputs.size() != static_cast<std::size_t>(network->vertex_count())) {
     throw std::invalid_argument("attempt_dynamic: one input per vertex");
+  }
+  // A bound or n reaches the agents as a uint32 Q_N denominator.
+  if ((attempt.knowledge == Knowledge::kUpperBound ||
+       attempt.knowledge == Knowledge::kExactSize) &&
+      (attempt.parameter < 1 ||
+       attempt.parameter > std::numeric_limits<std::uint32_t>::max())) {
+    throw std::invalid_argument(
+        "attempt_dynamic: a bound or n must lie in [1, 2^32 - 1]");
   }
   const Rational truth = ground_truth(inputs, f, attempt.knowledge);
 

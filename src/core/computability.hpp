@@ -62,6 +62,8 @@ struct Attempt {
 // outdegree awareness; under symmetric communications, degree-oblivious
 // uniform-weight consensus when a bound on n or n itself is known and
 // history-tree classes otherwise; gossip for set-based functions everywhere.
+// Throws std::invalid_argument when a bound or n (the parameter under
+// kUpperBound or kExactSize) lies outside [1, 2^32 - 1].
 [[nodiscard]] AttemptResult attempt_dynamic(
     const DynamicGraphPtr& network, const std::vector<std::int64_t>& inputs,
     const SymmetricFunction& f, const Attempt& attempt);

@@ -1,7 +1,6 @@
 #include "core/freq_static.hpp"
 
 #include <deque>
-#include <map>
 #include <stdexcept>
 
 #include "graph/analysis.hpp"
@@ -79,29 +78,14 @@ std::vector<BigInt> fibre_ratios_ports(const Digraph& base) {
                              BigInt(1));
 }
 
-Frequency frequency_from_ratios(const std::vector<std::int64_t>& base_values,
-                                const std::vector<BigInt>& ratios) {
-  if (base_values.size() != ratios.size() || base_values.empty()) {
-    throw std::invalid_argument("frequency_from_ratios: size mismatch");
-  }
-  BigInt total(0);
-  for (const BigInt& z : ratios) {
-    if (z.signum() <= 0) {
-      throw std::invalid_argument("frequency_from_ratios: ratios must be > 0");
-    }
-    total += z;
-  }
-  std::map<std::int64_t, BigInt> weight;
-  for (std::size_t i = 0; i < base_values.size(); ++i) {
-    auto [it, inserted] = weight.emplace(base_values[i], ratios[i]);
-    if (!inserted) it->second += ratios[i];
-  }
-  std::map<std::int64_t, Rational> entries;
-  for (auto& [value, w] : weight) {
-    entries.emplace(value, Rational(w, total));
-  }
-  return Frequency(std::move(entries));
-}
+namespace {
+
+// A candidate's labels decoded into input values and, when the labels carry
+// them, outdegrees; nullopt for a garbage label or mixed label kinds.
+struct DecodedBase {
+  std::vector<std::int64_t> values;
+  std::vector<int> outdegrees;  // empty unless labels carry outdegrees
+};
 
 std::optional<DecodedBase> decode_base(const ExtractedBase& candidate,
                                        const LabelCodec& codec) {
@@ -125,10 +109,13 @@ std::optional<DecodedBase> decode_base(const ExtractedBase& candidate,
   return decoded;
 }
 
-std::optional<Frequency> static_frequency_estimate(
-    const ExtractedBase& candidate, const LabelCodec& codec, CommModel model) {
+}  // namespace
+
+std::optional<ClassCensus> static_census(const ExtractedBase& candidate,
+                                         const LabelCodec& codec,
+                                         CommModel model) {
   if (!candidate.plausible) return std::nullopt;
-  const std::optional<DecodedBase> decoded = decode_base(candidate, codec);
+  std::optional<DecodedBase> decoded = decode_base(candidate, codec);
   if (!decoded.has_value()) return std::nullopt;
 
   std::optional<std::vector<BigInt>> ratios;
@@ -148,7 +135,7 @@ std::optional<Frequency> static_frequency_estimate(
       break;
   }
   if (!ratios.has_value()) return std::nullopt;
-  return frequency_from_ratios(decoded->values, *ratios);
+  return ClassCensus{std::move(decoded->values), std::move(*ratios)};
 }
 
 }  // namespace anonet

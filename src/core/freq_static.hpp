@@ -11,8 +11,8 @@
 //     d_{i,j} |φ⁻¹(j)| = d_{j,i} |φ⁻¹(i)| along a spanning tree;
 //   - output port awareness: fibrations are coverings, so all fibres have
 //     the same cardinality (eq. 3) and no system needs solving.
-// The ratios determine the frequency function of the input vector, hence
-// f(v) for every frequency-based f.
+// The ratios, paired with the base's input values, are the ClassCensus
+// (core/census.hpp) that the output layer turns into f(v).
 //
 // These functions accept *candidate* bases (possibly wrong in early rounds)
 // and return nullopt when the candidate cannot support a consistent
@@ -22,7 +22,7 @@
 #include <optional>
 #include <vector>
 
-#include "functions/functions.hpp"
+#include "core/census.hpp"
 #include "graph/digraph.hpp"
 #include "linalg/matrix.hpp"
 #include "runtime/comm_model.hpp"
@@ -51,23 +51,11 @@ namespace anonet {
 // Output port awareness: all-ones (eq. 3).
 [[nodiscard]] std::vector<BigInt> fibre_ratios_ports(const Digraph& base);
 
-// ν_v from base values and fibre ratios: ν(ω) = Σ_{i: w_i = ω} z_i / Σ_i z_i.
-[[nodiscard]] Frequency frequency_from_ratios(
-    const std::vector<std::int64_t>& base_values,
-    const std::vector<BigInt>& ratios);
-
-// End-to-end, per model: decode the candidate's labels with `codec`, pick
-// the model's ratio rule, return ν_v. nullopt for kSimpleBroadcast (Theorem
-// 4.1's negative side — no rule exists) or when the candidate is inconsistent.
-[[nodiscard]] std::optional<Frequency> static_frequency_estimate(
+// End-to-end, per model: decode the candidate's labels with `codec` and
+// apply the model's ratio rule — the one switch over the three rules.
+// nullopt for kSimpleBroadcast (Theorem 4.1's negative side — no rule
+// exists) or when the candidate is inconsistent.
+[[nodiscard]] std::optional<ClassCensus> static_census(
     const ExtractedBase& candidate, const LabelCodec& codec, CommModel model);
-
-// Decoded view of a candidate base (labels -> input values / outdegrees).
-struct DecodedBase {
-  std::vector<std::int64_t> values;
-  std::vector<int> outdegrees;  // empty unless labels carry outdegrees
-};
-[[nodiscard]] std::optional<DecodedBase> decode_base(
-    const ExtractedBase& candidate, const LabelCodec& codec);
 
 }  // namespace anonet

@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "core/census.hpp"
 #include "linalg/kernel.hpp"
 #include "linalg/matrix.hpp"
 
@@ -175,33 +174,26 @@ std::optional<HistoryClassSizes> solve_history_window(
   return std::any_cast<const std::optional<HistoryClassSizes>&>(solved);
 }
 
-const std::optional<HistoryClassSizes>& HistoryFrequencyAgent::solve() const {
-  if (solution_round_ != rounds_) {
-    solution_round_ = rounds_;
-    solution_ = solve_history_window(*registry_, view_);
+const std::optional<ClassCensus>& HistoryFrequencyAgent::census() const {
+  if (census_round_ != rounds_) {
+    census_round_ = rounds_;
+    census_.reset();
+    auto solution = solve_history_window(*registry_, view_);
+    if (solution.has_value()) {
+      census_.emplace();
+      for (ViewId c : solution->classes) {
+        census_->values.push_back(codec_->value_of(registry_->label(c)));
+      }
+      census_->sizes = std::move(solution->sizes);
+    }
   }
-  return solution_;
+  return census_;
 }
 
 std::optional<Frequency> HistoryFrequencyAgent::frequency_estimate() const {
-  const auto& solution = solve();
-  if (!solution.has_value()) return std::nullopt;
-  BigInt total(0);
-  std::map<std::int64_t, BigInt> weight;
-  for (std::size_t i = 0; i < solution->classes.size(); ++i) {
-    const std::int64_t value =
-        codec_->value_of(registry_->label(solution->classes[i]));
-    auto [it, inserted] = weight.emplace(value, solution->sizes[i]);
-    if (!inserted) it->second += solution->sizes[i];
-    total += solution->sizes[i];
-  }
-  std::map<std::int64_t, Rational> entries;
-  for (auto& [value, w] : weight) entries.emplace(value, Rational(w, total));
-  try {
-    return Frequency(std::move(entries));
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
+  const auto& solved = census();
+  if (!solved.has_value()) return std::nullopt;
+  return frequency_from_ratios(solved->values, solved->sizes);
 }
 
 std::optional<std::map<std::int64_t, BigInt>>
@@ -209,26 +201,9 @@ HistoryFrequencyAgent::multiset_estimate(std::int64_t leader_count) const {
   if (leader_count <= 0) {
     throw std::invalid_argument("multiset_estimate: need >= 1 leader");
   }
-  const auto& solution = solve();
-  if (!solution.has_value()) return std::nullopt;
-  BigInt leader_total(0);
-  for (std::size_t i = 0; i < solution->classes.size(); ++i) {
-    const std::int64_t coded =
-        codec_->value_of(registry_->label(solution->classes[i]));
-    if (decode_leader_flag(coded)) leader_total += solution->sizes[i];
-  }
-  if (leader_total.is_zero()) return std::nullopt;
-  std::map<std::int64_t, BigInt> multiset;
-  for (std::size_t i = 0; i < solution->classes.size(); ++i) {
-    const std::int64_t coded =
-        codec_->value_of(registry_->label(solution->classes[i]));
-    const BigInt scaled = BigInt(leader_count) * solution->sizes[i];
-    if (!(scaled % leader_total).is_zero()) return std::nullopt;
-    auto [it, inserted] =
-        multiset.emplace(decode_leader_value(coded), scaled / leader_total);
-    if (!inserted) it->second += scaled / leader_total;
-  }
-  return multiset;
+  const auto& solved = census();
+  if (!solved.has_value()) return std::nullopt;
+  return multiset_with_leaders(*solved, leader_count);
 }
 
 }  // namespace anonet

@@ -51,6 +51,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/census.hpp"
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
@@ -103,28 +104,30 @@ class HistoryFrequencyAgent {
   [[nodiscard]] ViewId view() const { return view_; }
   [[nodiscard]] int rounds_run() const { return rounds_; }
 
-  // Exact frequency estimate from the history-tree relations; nullopt while
-  // the window is incomplete or the relation system does not yet pin a
-  // one-dimensional positive solution. Cached per round.
+  // The solved window as a census (core/census.hpp): the deepest level's
+  // classes with their input values; nullopt while the window is incomplete
+  // or the relation system does not yet pin a one-dimensional positive
+  // solution. Cached per round.
+  [[nodiscard]] const std::optional<ClassCensus>& census() const;
+
+  // ν_v of the census (frequency_from_ratios).
   [[nodiscard]] std::optional<Frequency> frequency_estimate() const;
 
   // Section 5.5 analogue with leaders: inputs are
   // encode_leader_input()-coded; the leader classes pin the common factor,
   // turning class cardinalities into absolute multiplicities (of decoded
-  // values). `leader_count` = ℓ, known to all.
+  // values, multiset_with_leaders). `leader_count` = ℓ, known to all.
   [[nodiscard]] std::optional<std::map<std::int64_t, BigInt>>
   multiset_estimate(std::int64_t leader_count) const;
 
  private:
-  [[nodiscard]] const std::optional<HistoryClassSizes>& solve() const;
-
   std::shared_ptr<ViewRegistry> registry_;
   std::shared_ptr<LabelCodec> codec_;
   std::int64_t input_;
   ViewId view_ = kInvalidView;
   int rounds_ = 0;
-  mutable std::optional<HistoryClassSizes> solution_;
-  mutable int solution_round_ = -1;
+  mutable std::optional<ClassCensus> census_;
+  mutable int census_round_ = -1;
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(HistoryFrequencyAgent);

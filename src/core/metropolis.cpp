@@ -1,8 +1,9 @@
 #include "core/metropolis.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "core/census.hpp"
 
 namespace anonet {
 
@@ -124,18 +125,7 @@ std::map<std::int64_t, double> FrequencyMetropolisAgent::estimates() const {
 
 std::optional<Frequency> FrequencyMetropolisAgent::rounded_frequency(
     std::uint32_t bound_on_n) const {
-  std::map<std::int64_t, Rational> entries;
-  Rational total;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    const double x = xs_[i];
-    if (!std::isfinite(x)) return std::nullopt;
-    const Rational rounded = nearest_rational(x, bound_on_n);
-    if (rounded.signum() < 0) return std::nullopt;
-    if (rounded.signum() > 0) entries.emplace(keys_[i], rounded);
-    total += rounded;
-  }
-  if (total != Rational(1) || entries.empty()) return std::nullopt;
-  return Frequency(std::move(entries));
+  return round_frequency(estimates(), bound_on_n);
 }
 
 }  // namespace anonet

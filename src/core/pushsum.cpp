@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/census.hpp"
+
 namespace anonet {
 
 PushSumAgent::PushSumAgent(double value, double weight)
@@ -142,17 +144,7 @@ std::map<std::int64_t, double> FrequencyPushSumAgent::normalized_estimates()
 
 std::optional<Frequency> FrequencyPushSumAgent::rounded_frequency(
     std::uint32_t bound_on_n) const {
-  std::map<std::int64_t, Rational> entries;
-  Rational total;
-  for (const auto& [value, x] : estimates()) {
-    if (!std::isfinite(x)) return std::nullopt;
-    const Rational rounded = nearest_rational(x, bound_on_n);
-    if (rounded.signum() < 0) return std::nullopt;
-    if (rounded.signum() > 0) entries.emplace(value, rounded);
-    total += rounded;
-  }
-  if (total != Rational(1) || entries.empty()) return std::nullopt;
-  return Frequency(std::move(entries));
+  return round_frequency(estimates(), bound_on_n);
 }
 
 std::map<std::int64_t, double> FrequencyPushSumAgent::multiplicity_estimates(

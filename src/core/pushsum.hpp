@@ -33,7 +33,6 @@
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
-#include "support/farey.hpp"
 
 namespace anonet {
 

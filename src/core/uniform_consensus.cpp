@@ -1,7 +1,8 @@
 #include "core/uniform_consensus.hpp"
 
-#include <cmath>
 #include <stdexcept>
+
+#include "core/census.hpp"
 
 namespace anonet {
 
@@ -51,17 +52,7 @@ void FrequencyUniformAgent::receive(Inbox<Message> messages) {
 }
 
 std::optional<Frequency> FrequencyUniformAgent::rounded_frequency() const {
-  std::map<std::int64_t, Rational> entries;
-  Rational total;
-  for (const auto& [value, x] : x_) {
-    if (!std::isfinite(x)) return std::nullopt;
-    const Rational rounded = nearest_rational(x, bound_);
-    if (rounded.signum() < 0) return std::nullopt;
-    if (rounded.signum() > 0) entries.emplace(value, rounded);
-    total += rounded;
-  }
-  if (total != Rational(1) || entries.empty()) return std::nullopt;
-  return Frequency(std::move(entries));
+  return round_frequency(x_, bound_);
 }
 
 }  // namespace anonet

@@ -229,6 +229,25 @@ TEST(Table2, PushSumWithBoundComputesAverageExactly) {
   EXPECT_GT(result.stabilization_round, 0);
 }
 
+TEST(Table2, BoundOrSizeOutsideUint32IsRejected) {
+  // A bound or n reaches the agents as a uint32 Q_N denominator: 2^32 + 6
+  // must not pass for N = 6, nor -1 for N = 2^32 - 1.
+  const std::vector<std::int64_t> inputs{1, 2, 1, 2, 1, 2};
+  for (Knowledge knowledge : {Knowledge::kUpperBound, Knowledge::kExactSize}) {
+    for (std::int64_t parameter : {(std::int64_t{1} << 32) + 6,
+                                   std::int64_t{-1}}) {
+      auto schedule =
+          std::make_shared<RandomStronglyConnectedSchedule>(6, 3, 8);
+      EXPECT_THROW((void)attempt_dynamic(
+                       schedule, inputs, average_function(),
+                       make_attempt(CommModel::kOutdegreeAware, knowledge,
+                                    parameter, 20)),
+                   std::invalid_argument)
+          << to_string(knowledge) << ", parameter " << parameter;
+    }
+  }
+}
+
 TEST(Table2, PushSumWithoutBoundOnlyApproximates) {
   auto schedule = std::make_shared<RandomStronglyConnectedSchedule>(5, 3, 12);
   const std::vector<std::int64_t> inputs{0, 0, 30, 30, 30};

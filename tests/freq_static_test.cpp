@@ -20,7 +20,7 @@ Rational r(std::int64_t num, std::int64_t den = 1) {
 }
 
 // Runs the full distributed pipeline (min-base agents + per-model ratio
-// rule) and returns each agent's frequency estimate after `rounds`.
+// rule) and returns the ν of each agent's census after `rounds`.
 std::vector<std::optional<Frequency>> run_pipeline(
     const Digraph& g, const std::vector<std::int64_t>& inputs, CommModel model,
     int rounds) {
@@ -35,8 +35,12 @@ std::vector<std::optional<Frequency>> run_pipeline(
   exec.run(rounds);
   std::vector<std::optional<Frequency>> result;
   for (const MinBaseAgent& agent : exec.agents()) {
-    result.push_back(
-        static_frequency_estimate(agent.candidate(), *codec, model));
+    const auto census = static_census(agent.candidate(), *codec, model);
+    if (census.has_value()) {
+      result.push_back(frequency_from_ratios(census->values, census->sizes));
+    } else {
+      result.emplace_back();
+    }
   }
   return result;
 }

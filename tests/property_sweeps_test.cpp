@@ -306,11 +306,13 @@ TEST_P(AgreementSweep, MinBasePipelineAgentsAgreeOnceAllPlausible) {
   exec.run(7 + 2 * diameter(g) + 2);
   std::optional<Frequency> reference;
   for (const MinBaseAgent& agent : exec.agents()) {
-    const auto estimate = static_frequency_estimate(
-        agent.candidate(), *codec, CommModel::kSymmetricBroadcast);
-    ASSERT_TRUE(estimate.has_value()) << seed;
+    const auto census = static_census(agent.candidate(), *codec,
+                                      CommModel::kSymmetricBroadcast);
+    ASSERT_TRUE(census.has_value()) << seed;
+    const Frequency estimate =
+        frequency_from_ratios(census->values, census->sizes);
     if (!reference.has_value()) reference = estimate;
-    EXPECT_EQ(*estimate, *reference) << seed;
+    EXPECT_EQ(estimate, *reference) << seed;
   }
   EXPECT_EQ(*reference, Frequency::of(inputs)) << seed;
 }
