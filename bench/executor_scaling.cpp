@@ -11,8 +11,10 @@
 // the arena delivers by slot: metered frequency Push-Sum on
 // RandomStronglyConnectedSchedule and frequency Metropolis on
 // RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
-// Every row records its validate, send and deliver seconds and the engine's
-// ns per delivered message.
+// Every row records its validate, send and deliver seconds, the engine's
+// ns per delivered message, and the seconds the pooled engine spent
+// building the next round's graph during delivery (`lookahead_s`, 0 for
+// serial rows and for the static ring, whose graph is built once).
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
 // docs/round_engine.md.
@@ -262,13 +264,15 @@ int main() {
                  "\"seconds\": %.6f, \"rounds_per_sec\": %.2f, "
                  "\"messages_per_sec\": %.2f, \"validate_s\": %.6f, "
                  "\"send_s\": %.6f, \"deliver_s\": %.6f, "
-                 "\"ns_per_msg\": %.2f, \"checksum\": %.6f}%s\n",
+                 "\"lookahead_s\": %.6f, \"ns_per_msg\": %.2f, "
+                 "\"checksum\": %.6f}%s\n",
                  row.workload.c_str(), row.engine.c_str(), row.n, row.threads,
                  static_cast<long long>(row.grain), row.rounds, row.seconds,
                  row.rounds / row.seconds,
                  static_cast<double>(row.messages) / row.seconds,
                  row.phases.validate_seconds, row.phases.send_seconds,
-                 row.phases.deliver_seconds, ns_per_message(row), row.checksum,
+                 row.phases.deliver_seconds, row.phases.lookahead_seconds,
+                 ns_per_message(row), row.checksum,
                  i + 1 == rows.size() ? "" : ",");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -9,8 +9,12 @@ binary, so none depends on how fast the host is:
     never cost throughput on a multi-core host. Checked on the scalar
     Push-Sum ring at n = 10^4 (messages copied into the arena) and on the
     two frequency engines at n = 10^5 on fresh random graphs (messages
-    delivered by slot). Skipped when the host reports a single hardware
-    thread: with no parallelism available the pooled path degenerates to the
+    delivered by slot). On hosts with at least LOOKAHEAD_GATE_THREADS
+    hardware threads the two frequency rows must instead reach
+    LOOKAHEAD_FLOOR times serial: their pooled engine builds the next
+    round's graph while the current one delivers, which the static ring
+    never does. Skipped when the host reports a single hardware thread:
+    with no parallelism available the pooled path degenerates to the
     serial one plus pool bookkeeping, and a throughput comparison measures
     the host, not the code.
   - Campaign: fails when the table2 suite's summed cell time exceeds the
@@ -33,9 +37,15 @@ import json
 import sys
 
 TOLERANCE = 0.10  # pooled may trail serial by at most 10%
-# (workload, n) pairs whose pooled rows are gated against their serial row.
-EXECUTOR_GATES = (("ring", 10000), ("freq_pushsum", 100000),
-                  ("freq_metropolis", 100000))
+# Pooled rounds on fresh random graphs overlap graph building with delivery;
+# with 4 hardware threads they ran 3.2x (Push-Sum) and 2.75x (Metropolis)
+# serial in the BENCH_executor.json snapshot taken with this floor.
+LOOKAHEAD_FLOOR = 1.5
+LOOKAHEAD_GATE_THREADS = 4
+# (workload, n, looks ahead) triples whose pooled rows are gated against
+# their serial row.
+EXECUTOR_GATES = (("ring", 10000, False), ("freq_pushsum", 100000, True),
+                  ("freq_metropolis", 100000, True))
 MAX_TABLE2_OVER_TABLE1 = 4.0
 MAX_HISTORY_OVER_GOSSIP = 1.5
 
@@ -50,12 +60,16 @@ def executor_gate(bench, path) -> bool:
         return True
 
     ok = True
-    for workload, n in EXECUTOR_GATES:
-        ok = pooled_gate(bench, path, workload, n, hardware_threads) and ok
+    for workload, n, looks_ahead in EXECUTOR_GATES:
+        ratio = (LOOKAHEAD_FLOOR
+                 if looks_ahead and hardware_threads >= LOOKAHEAD_GATE_THREADS
+                 else 1.0 - TOLERANCE)
+        ok = pooled_gate(bench, path, workload, n, hardware_threads,
+                         ratio) and ok
     return ok
 
 
-def pooled_gate(bench, path, workload, n, hardware_threads) -> bool:
+def pooled_gate(bench, path, workload, n, hardware_threads, ratio) -> bool:
     rows = [
         row
         for row in bench["results"]
@@ -78,7 +92,7 @@ def pooled_gate(bench, path, workload, n, hardware_threads) -> bool:
 
     serial_rps = max(row["rounds_per_sec"] for row in serial)
     best = max(pooled, key=lambda row: row["rounds_per_sec"])
-    floor = serial_rps * (1.0 - TOLERANCE)
+    floor = serial_rps * ratio
 
     print(
         f"perf_smoke: {workload} n={n} serial {serial_rps:.1f} rounds/s, "
@@ -88,7 +102,7 @@ def pooled_gate(bench, path, workload, n, hardware_threads) -> bool:
     if best["rounds_per_sec"] < floor:
         print(
             f"perf_smoke: FAIL — pooled {workload} engine regressed below "
-            f"{(1.0 - TOLERANCE):.0%} of serial throughput"
+            f"{ratio:.0%} of serial throughput"
         )
         return False
     return True

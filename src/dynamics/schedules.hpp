@@ -46,9 +46,11 @@ class PeriodicSchedule final : public DynamicGraph {
 // copies, re-validates) a graph every round; with it the schedule builds
 // the round graph once into stable storage and lends it out.
 //
-// Two slots alternate between consecutive materialized rounds, so a
-// borrowed ref for round t stays valid across one further view(): it is
-// overwritten only when the cache materializes a second further round.
+// A miss builds into the slot that was not returned last, so a borrowed
+// ref for round t stays valid across one further view(), hit or miss: the
+// pooled executor relies on this when it asks for round t + 1 while round
+// t's graph is being delivered (docs/round_engine.md). A build that throws
+// leaves both slots as they were.
 // Like the Digraph adjacency cache, the slots are an unsynchronized mutable
 // const path: a schedule with a round cache must not be shared between
 // concurrently stepping executors — give each executor (each campaign
@@ -59,13 +61,16 @@ class RoundGraphCache {
   // already cached (repeated view(t) calls lend the same object).
   template <typename BuildFn>
   [[nodiscard]] const Digraph* get(int t, BuildFn&& build) const {
-    for (const Slot& slot : slots_) {
-      if (slot.round == t) return &slot.graph;
+    for (int i = 0; i < 2; ++i) {
+      if (slots_[i].round == t) {
+        last_ = i;
+        return &slots_[i].graph;
+      }
     }
-    Slot& slot = slots_[next_];
-    next_ = 1 - next_;
-    slot.round = t;
+    Slot& slot = slots_[1 - last_];
     slot.graph = build(t);
+    slot.round = t;
+    last_ = 1 - last_;
     return &slot.graph;
   }
 
@@ -75,7 +80,7 @@ class RoundGraphCache {
     Digraph graph;
   };
   mutable Slot slots_[2];
-  mutable int next_ = 0;
+  mutable int last_ = 1;  // the slot returned last; the first miss fills 0
 };
 
 // Each round: an independent random Hamiltonian cycle plus `extra_edges`

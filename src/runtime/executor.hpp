@@ -25,13 +25,17 @@
 // RNG keyed on (seed, round, vertex), so execution is bitwise-identical
 // across thread counts. Round graphs come from DynamicGraph::view(t), lent
 // or fresh; the graph caches its CSR and validation verdicts, and the
-// executor keeps nothing tied to the previous round's graph.
+// executor keeps nothing tied to the previous round's graph. A pooled
+// executor on lent round graphs builds round t + 1's graph, CSR and
+// verdicts on its calling thread while round t delivers, so step t + 1
+// finds them cached.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <concepts>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -88,6 +92,10 @@ struct PhaseTimings {
   double validate_seconds = 0.0;  // round graph, model checks, its CSR
   double send_seconds = 0.0;      // sending-function evaluation
   double deliver_seconds = 0.0;   // arena fill, shuffle, receive transitions
+  // Next round's graph, CSR and verdicts, built during deliver (pooled
+  // executors on lent round graphs only). Already inside deliver_seconds'
+  // wall time: not a fourth phase to add to the three above.
+  double lookahead_seconds = 0.0;
 };
 
 struct ExecutorStats {
@@ -325,6 +333,11 @@ class Executor {
     const auto t_validate = Clock::now();
 
     const int t = static_cast<int>(stats_.rounds) + 1;
+    if (lookahead_error_) {
+      // The previous round's lookahead already asked for this round's
+      // graph, and the schedule threw: this is where that call belongs.
+      std::rethrow_exception(std::exchange(lookahead_error_, nullptr));
+    }
     const RoundGraphRef ref = network_->view(t);
     const Digraph& g = ref.get();
     if (g.vertex_count() != network_->vertex_count()) {
@@ -333,19 +346,12 @@ class Executor {
     if (!g.has_all_self_loops()) {
       throw std::logic_error("Executor: round graph misses a self-loop");
     }
-    // kSymmetricOnly agents get their network-class assumption verified
-    // under every model (Metropolis runs under kOutdegreeAware but is only
-    // correct on bidirectional round graphs); the verdict is cached on the
-    // graph object, so static schedules pay once.
-    constexpr bool requires_symmetric =
-        has_capability(kAgentCapabilities,
-                       ModelCapabilities::kSymmetricOnly) ||
-        has_capability(kAgentCapabilities,
-                       ModelCapabilities::kNeedsSymmetricModel);
+    // The verdicts are cached on the graph object, so static schedules pay
+    // once, and a round built by the lookahead pays nothing here.
     if (model_ == CommModel::kSymmetricBroadcast && !g.is_symmetric()) {
       throw std::logic_error("Executor: asymmetric round under symmetric model");
     }
-    if (requires_symmetric && !g.is_symmetric()) {
+    if (kRequiresSymmetric && !g.is_symmetric()) {
       throw std::logic_error(
           "Executor: asymmetric round graph for an agent declaring "
           "ModelCapabilities::kSymmetricOnly");
@@ -452,6 +458,27 @@ class Executor {
     }
 
     const auto t_deliver = Clock::now();
+    const auto seconds = [](auto from, auto to) {
+      return std::chrono::duration<double>(to - from).count();
+    };
+
+    // Lookahead: with a pool and a lent round graph, the calling thread
+    // asks the schedule for round t + 1 while the workers deliver round t,
+    // and builds everything step t + 1 reads from that graph (see
+    // warm_round_graph). A lent graph stays valid across one further
+    // view() (RoundGraphCache), so round t's graph is untouched. Step t + 1
+    // still calls view(t + 1) and runs every check, against cached
+    // verdicts; an exception is kept for it to rethrow.
+    double lookahead_seconds = 0.0;
+    const auto lookahead = [&] {
+      const auto start = Clock::now();
+      try {
+        warm_round_graph(network_->view(t + 1).get());
+      } catch (...) {
+        lookahead_error_ = std::current_exception();
+      }
+      lookahead_seconds = seconds(start, Clock::now());
+    };
 
     // Deliver phase: each receiver gathers its in-edges into its arena
     // slice, shuffles with its own counter-keyed stream, and transitions.
@@ -526,7 +553,9 @@ class Executor {
                  }
                }
                partials_[static_cast<std::size_t>(b)] = local;
-             });
+             },
+             pool_ != nullptr && ref.is_borrowed() ? TaskFn(lookahead)
+                                                   : TaskFn());
     for (std::int64_t b = 0; b < deliver_blocks; ++b) {
       const Partial& p = partials_[static_cast<std::size_t>(b)];
       stats_.messages_delivered += p.messages;
@@ -536,12 +565,10 @@ class Executor {
     ++stats_.rounds;
 
     const auto t_end = Clock::now();
-    const auto seconds = [](auto from, auto to) {
-      return std::chrono::duration<double>(to - from).count();
-    };
     stats_.timings.validate_seconds += seconds(t_validate, t_send);
     stats_.timings.send_seconds += seconds(t_send, t_deliver);
     stats_.timings.deliver_seconds += seconds(t_deliver, t_end);
+    stats_.timings.lookahead_seconds += lookahead_seconds;
     update_phase_cost(send_ns_per_item_, seconds(t_send, t_deliver), n);
     update_phase_cost(deliver_ns_per_item_, seconds(t_deliver, t_end), n);
   }
@@ -610,6 +637,28 @@ class Executor {
   static constexpr double kGrainTargetNs = 128.0 * 1000.0;  // ~128 µs/claim
   static constexpr double kSerialCutoffNs = 30.0 * 1000.0;
 
+  // kSymmetricOnly agents get their network-class assumption verified
+  // under every model (Metropolis runs under kOutdegreeAware but is only
+  // correct on bidirectional round graphs).
+  static constexpr bool kRequiresSymmetric =
+      has_capability(kAgentCapabilities, ModelCapabilities::kSymmetricOnly) ||
+      has_capability(kAgentCapabilities,
+                     ModelCapabilities::kNeedsSymmetricModel);
+
+  // Computes, into g's own caches, exactly what step() reads from a round
+  // graph: the receiver CSR (with the rest of the adjacency) and the
+  // verdicts this executor's model and agent check.
+  void warm_round_graph(const Digraph& g) const {
+    static_cast<void>(g.in_offsets());
+    static_cast<void>(g.has_all_self_loops());
+    if (model_ == CommModel::kSymmetricBroadcast || kRequiresSymmetric) {
+      static_cast<void>(g.is_symmetric());
+    }
+    if (model_ == CommModel::kOutputPortAware) {
+      static_cast<void>(g.has_valid_output_ports());
+    }
+  }
+
   // What the arena holds per delivery: a copy or an outbox slot.
   using Entry = ArenaEntry<Message>;
 
@@ -629,12 +678,14 @@ class Executor {
     return wire::MessageTraits<Message>::encoded_bits(message);
   }
 
+  // `side` is set only with a pool (the deliver phase's lookahead).
   template <typename Fn>
-  void parallel(std::int64_t count, std::int64_t block, Fn&& fn) {
+  void parallel(std::int64_t count, std::int64_t block, Fn&& fn,
+                TaskFn side = {}) {
     if (pool_ != nullptr) {
       // BlockFn borrows `fn` without allocating (parallel_blocks is
       // synchronous), so the pooled path stays heap-free per round too.
-      pool_->parallel_blocks(count, block, fn);
+      pool_->parallel_blocks(count, block, fn, side);
     } else {
       const std::int64_t blocks = ThreadPool::block_count(count, block);
       for (std::int64_t b = 0; b < blocks; ++b) {
@@ -675,6 +726,10 @@ class Executor {
   MeasureFn measure_ = nullptr;
   wire::ChannelPolicy channel_policy_{};
   wire::BandwidthMeter meter_;
+
+  // What the last lookahead threw, rethrown by the next step() in place of
+  // its view() call.
+  std::exception_ptr lookahead_error_;
 
   // Round-engine arena state, reused across rounds (no per-round heap
   // churn once capacities have grown to the schedule's maxima).

@@ -29,6 +29,18 @@ inline void cpu_relax() {
 constexpr int kWorkerSpins = 4096;
 constexpr int kCallerSpins = 1024;
 
+// Runs parallel_blocks' side task and hands back what it threw, so the
+// caller can finish the job before rethrowing it.
+std::exception_ptr run_side_task(TaskFn side) {
+  if (!side) return nullptr;
+  try {
+    side();
+  } catch (...) {
+    return std::current_exception();
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -197,8 +209,7 @@ std::int64_t ThreadPool::block_count(std::int64_t count,
 }
 
 void ThreadPool::parallel_blocks(std::int64_t count, std::int64_t block_size,
-                                 BlockFn fn) {
-  if (count <= 0) return;
+                                 BlockFn fn, TaskFn side) {
   if (block_size < 1) block_size = 1;
   const std::int64_t blocks = block_count(count, block_size);
   if (blocks >= static_cast<std::int64_t>(Impl::kIdle)) {
@@ -215,12 +226,14 @@ void ThreadPool::parallel_blocks(std::int64_t count, std::int64_t block_size,
   } active_guard{impl_->active};
 #endif
 
-  if (threads_ == 1 || blocks == 1) {
-    // Serial fast path: no atomics, exceptions propagate directly.
+  if (threads_ == 1 || blocks <= 1) {
+    // Serial fast path: no atomics, block exceptions propagate directly.
+    const std::exception_ptr side_error = run_side_task(side);
     for (std::int64_t b = 0; b < blocks; ++b) {
       const std::int64_t begin = b * block_size;
       fn(begin, std::min(begin + block_size, count), b);
     }
+    if (side_error) std::rethrow_exception(side_error);
     return;
   }
 
@@ -240,6 +253,9 @@ void ThreadPool::parallel_blocks(std::int64_t count, std::int64_t block_size,
   impl_->epoch.store(gen, std::memory_order_release);
   impl_->epoch.notify_all();
 
+  // The workers claim blocks while the caller runs its side task; the
+  // caller then joins the drain for whatever is left.
+  const std::exception_ptr side_error = run_side_task(side);
   const std::int64_t ran = impl_->drain(Impl::tag(gen));  // caller joins in
   if (ran > 0) impl_->add_done(ran);
 
@@ -274,6 +290,7 @@ void ThreadPool::parallel_blocks(std::int64_t count, std::int64_t block_size,
     impl_->first_error = nullptr;
     std::rethrow_exception(error);
   }
+  if (side_error) std::rethrow_exception(side_error);
 }
 
 }  // namespace anonet

@@ -16,7 +16,9 @@
 // bit-reproducible statistics.
 //
 // The calling thread participates as a worker, so `ThreadPool(1)` spawns no
-// threads at all and parallel_blocks degenerates to a plain loop.
+// threads at all and parallel_blocks degenerates to a plain loop. Before it
+// joins, the caller may run one side task of its own while the workers
+// claim blocks (parallel_blocks' `side`).
 
 #include <concepts>
 #include <cstdint>
@@ -26,35 +28,41 @@
 
 namespace anonet {
 
-// Non-owning reference to a block callable (function_ref style).
-// parallel_blocks is fully synchronous — every block completes before it
-// returns — so borrowing the caller's callable is safe, and unlike
-// std::function no allocation happens however large the capture set is.
-class BlockFn {
+// Non-owning reference to a callable (function_ref style).
+// parallel_blocks is fully synchronous — every block and the side task
+// complete before it returns — so borrowing the caller's callables is safe,
+// and unlike std::function no allocation happens however large the capture
+// set is.
+template <typename Signature>
+class FunctionRef;
+
+template <typename... Args>
+class FunctionRef<void(Args...)> {
  public:
-  BlockFn() = default;
+  FunctionRef() = default;
 
   template <typename F>
-    requires std::invocable<F&, std::int64_t, std::int64_t, std::int64_t> &&
-             (!std::same_as<std::remove_cvref_t<F>, BlockFn>)
-  BlockFn(F&& f)  // NOLINT(google-explicit-constructor): by-design adaptor
+    requires std::invocable<F&, Args...> &&
+             (!std::same_as<std::remove_cvref_t<F>, FunctionRef>)
+  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor): by-design adaptor
       : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
-        call_([](void* obj, std::int64_t begin, std::int64_t end,
-                 std::int64_t block) {
-          (*static_cast<std::remove_reference_t<F>*>(obj))(begin, end, block);
+        call_([](void* obj, Args... args) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(args...);
         }) {}
 
-  void operator()(std::int64_t begin, std::int64_t end,
-                  std::int64_t block) const {
-    call_(obj_, begin, end, block);
-  }
+  void operator()(Args... args) const { call_(obj_, args...); }
 
   [[nodiscard]] explicit operator bool() const { return call_ != nullptr; }
 
  private:
   void* obj_ = nullptr;
-  void (*call_)(void*, std::int64_t, std::int64_t, std::int64_t) = nullptr;
+  void (*call_)(void*, Args...) = nullptr;
 };
+
+// A job's block callable, fn(begin, end, block_index).
+using BlockFn = FunctionRef<void(std::int64_t, std::int64_t, std::int64_t)>;
+// A side task the calling thread runs once per job (see parallel_blocks).
+using TaskFn = FunctionRef<void()>;
 
 class ThreadPool {
  public:
@@ -85,17 +93,27 @@ class ThreadPool {
   // worker count, which is what keeps block-order reductions deterministic.
   // The executor chooses the grain adaptively (see runtime/executor.hpp).
   //
+  // `side`, when set, runs exactly once per call on the calling thread,
+  // concurrently with the workers: the caller releases the job, runs
+  // `side`, and only then joins the drain. The serial path (one thread or
+  // one block) and an empty job run it too, before the first block. It
+  // changes nothing about the job: block boundaries, claiming and
+  // fail-fast are the same with or without it. The round engine uses it to
+  // build the next round's graph while this round delivers.
+  //
   // Exceptions fail fast on both paths: the serial path stops at the first
   // throwing block, and the pooled path cancels all not-yet-claimed blocks
   // of the job (blocks already in flight on other workers still finish).
-  // The first exception thrown by fn is captured and rethrown here.
+  // The first exception thrown by fn is captured and rethrown here. An
+  // exception thrown by `side` cancels nothing: it is rethrown only after
+  // every claimed block has finished, and only if no block threw.
   //
-  // Not reentrant: fn must not call parallel_blocks on the same pool, from
-  // any thread (asserted in debug builds). The job may span at most
-  // 2^32 - 2 blocks (the block half of the tagged cursor, minus the idle
-  // sentinel).
+  // Not reentrant: neither fn nor side may call parallel_blocks on the same
+  // pool, from any thread (asserted in debug builds). The job may span at
+  // most 2^32 - 2 blocks (the block half of the tagged cursor, minus the
+  // idle sentinel); a larger job throws before anything runs.
   void parallel_blocks(std::int64_t count, std::int64_t block_size,
-                       BlockFn fn);
+                       BlockFn fn, TaskFn side = {});
 
   // Number of blocks parallel_blocks will use for the given job; callers
   // size per-block accumulator arrays with this.

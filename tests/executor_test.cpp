@@ -5,20 +5,26 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/exact_pushsum.hpp"
 #include "core/gossip.hpp"
+#include "core/metropolis.hpp"
 #include "core/pushsum.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/convergence.hpp"
+#include "wire/codecs.hpp"
 
 namespace anonet {
 namespace {
@@ -550,8 +556,10 @@ TEST(ExecutorDeterminism, PushSumBitwiseIdenticalAcrossThreadCounts) {
 
 // Steps a 20-round outdegree-aware run on RandomStronglyConnectedSchedule
 // (50, 3, 7). With `interleave`, view(1000 + t) is asked of the same
-// schedule after every step, so the round cache lends round t + 1 from the
-// slot round t used: same address, same edge count, different edges.
+// schedule after every step. Serially, the round cache then lends round
+// t + 1 from the slot round t used: same address, same edge count,
+// different edges. At 4 threads the lookahead has already built round
+// t + 1, and the interleaved view takes the slot round t used.
 template <typename Alg, typename Make>
 std::vector<Alg> run_with_interleaved_views(Make make, int threads,
                                             bool interleave) {
@@ -682,6 +690,152 @@ TEST(ExecutorDeterminism, PhaseTimingsAccumulate) {
   EXPECT_GE(t.validate_seconds, 0.0);
   EXPECT_GE(t.send_seconds, 0.0);
   EXPECT_GT(t.deliver_seconds, 0.0);
+  EXPECT_EQ(t.lookahead_seconds, 0.0);  // serial: no lookahead
+}
+
+// What a lookahead run must reproduce bit for bit: every agent's estimates
+// (value, then the double's bits), the counting fields of ExecutorStats,
+// and the metered per-round bits.
+struct LookaheadOutcome {
+  std::vector<std::uint64_t> estimates;
+  std::int64_t rounds = 0;
+  std::int64_t messages = 0;
+  std::vector<std::int64_t> meter;
+  double lookahead_seconds = 0.0;
+};
+
+template <typename Alg>
+LookaheadOutcome lookahead_outcome(const Executor<Alg>& exec) {
+  LookaheadOutcome out;
+  for (const Alg& agent : exec.agents()) {
+    for (const auto& [value, x] : agent.estimates()) {
+      out.estimates.push_back(static_cast<std::uint64_t>(value));
+      out.estimates.push_back(std::bit_cast<std::uint64_t>(x));
+    }
+  }
+  out.rounds = exec.stats().rounds;
+  out.messages = exec.stats().messages_delivered;
+  for (const wire::RoundBandwidth& r : exec.bandwidth_meter().per_round()) {
+    out.meter.insert(out.meter.end(),
+                     {r.bits_sent, r.bits_received, r.max_message_bits});
+  }
+  out.lookahead_seconds = exec.stats().timings.lookahead_seconds;
+  return out;
+}
+
+TEST(ExecutorDeterminism, LookaheadDoesNotChangeDelivery) {
+  // The shapes of perfbench's large_n at n = 5000: a fresh random graph
+  // every round, so every pooled round builds the next one during delivery.
+  static constexpr Vertex kN = 5000;
+  static constexpr int kRounds = 8;
+  auto run_pushsum = [](int threads) {
+    std::vector<FrequencyPushSumAgent> agents;
+    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 10);
+    Executor<FrequencyPushSumAgent> exec(
+        std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 11),
+        std::move(agents), CommModel::kOutdegreeAware, 11, threads);
+    exec.set_channel_policy(wire::ChannelPolicy::metered());
+    exec.run(kRounds);
+    return lookahead_outcome(exec);
+  };
+  auto run_metropolis = [](int threads) {
+    std::vector<FrequencyMetropolisAgent> agents;
+    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 10);
+    Executor<FrequencyMetropolisAgent> exec(
+        std::make_shared<RandomSymmetricSchedule>(kN, 3, 12),
+        std::move(agents), CommModel::kOutdegreeAware, 11, threads);
+    exec.set_channel_policy(wire::ChannelPolicy::metered());
+    exec.run(kRounds);
+    return lookahead_outcome(exec);
+  };
+  const auto expect_unchanged = [](const auto& run) {
+    const LookaheadOutcome serial = run(1);
+    EXPECT_EQ(serial.rounds, kRounds);
+    EXPECT_EQ(serial.meter.size(), 3u * kRounds);
+    EXPECT_EQ(serial.lookahead_seconds, 0.0);
+    for (const int threads : {2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      const LookaheadOutcome pooled = run(threads);
+      EXPECT_EQ(pooled.estimates, serial.estimates);
+      EXPECT_EQ(pooled.rounds, serial.rounds);
+      EXPECT_EQ(pooled.messages, serial.messages);
+      EXPECT_EQ(pooled.meter, serial.meter);
+      EXPECT_GT(pooled.lookahead_seconds, 0.0);
+    }
+  };
+  expect_unchanged(run_pushsum);
+  expect_unchanged(run_metropolis);
+}
+
+// RandomStronglyConnectedSchedule's rounds, lent through a round cache,
+// except that building round `failing_round` throws.
+class FailingRoundSchedule final : public DynamicGraph {
+ public:
+  FailingRoundSchedule(Vertex n, int failing_round)
+      : inner_(n, 3, 7), failing_round_(failing_round) {}
+
+  [[nodiscard]] Vertex vertex_count() const override {
+    return inner_.vertex_count();
+  }
+  [[nodiscard]] Digraph at(int t) const override {
+    if (t == failing_round_) {
+      throw std::runtime_error("round " + std::to_string(t) + " unavailable");
+    }
+    return inner_.at(t);
+  }
+  [[nodiscard]] RoundGraphRef view(int t) const override {
+    return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
+  }
+
+ private:
+  RandomStronglyConnectedSchedule inner_;
+  int failing_round_;
+  RoundGraphCache cache_;
+};
+
+TEST(Executor, LookaheadFailureFailsTheNextStep) {
+  // At 4 threads, step 2's lookahead is what first asks for round 3. Its
+  // exception must not fail step 2, and must fail step 3 exactly as the
+  // serial executor's own view(3) does.
+  static constexpr Vertex kN = 2000;
+  auto make = [](int threads) {
+    std::vector<PushSumAgent> agents;
+    for (Vertex v = 0; v < kN; ++v) {
+      agents.emplace_back(std::sin(static_cast<double>(v)), 1.0);
+    }
+    return Executor<PushSumAgent>(std::make_shared<FailingRoundSchedule>(kN, 3),
+                                  std::move(agents),
+                                  CommModel::kOutdegreeAware, 0x5eedull,
+                                  threads);
+  };
+  auto states = [](const Executor<PushSumAgent>& exec) {
+    std::vector<std::pair<double, double>> state;
+    for (const auto& a : exec.agents()) state.emplace_back(a.y(), a.z());
+    return state;
+  };
+  Executor<PushSumAgent> serial = make(1);
+  Executor<PushSumAgent> pooled = make(4);
+  for (int t = 1; t <= 2; ++t) {
+    serial.step();
+    ASSERT_NO_THROW(pooled.step()) << t;
+    EXPECT_EQ(states(pooled), states(serial)) << t;  // bitwise
+  }
+  EXPECT_GT(pooled.stats().timings.lookahead_seconds, 0.0);
+  for (Executor<PushSumAgent>* exec : {&serial, &pooled}) {
+    SCOPED_TRACE(exec->threads());
+    // Twice: the failed build left nothing cached for round 3, so the
+    // second attempt asks the schedule again and fails the same way.
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        exec->step();
+        ADD_FAILURE() << "step 3 ran without round 3's graph";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "round 3 unavailable");
+      }
+      EXPECT_EQ(exec->round(), 2);
+    }
+  }
+  EXPECT_EQ(states(pooled), states(serial));
 }
 
 TEST(Convergence, Helpers) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dynamics/adversarial.hpp"
 #include "dynamics/connectivity.hpp"
 #include "dynamics/schedules.hpp"
@@ -314,6 +316,52 @@ TEST(Schedules, RandomScheduleViewsAreCachedPerRound) {
   RandomMatchingSchedule matching(6, 9);
   EXPECT_TRUE(matching.view(2).is_borrowed());
   EXPECT_EQ(matching.view(2).get().edges(), matching.at(2).edges());
+}
+
+TEST(Schedules, RoundCacheMissKeepsTheSlotItLentLast) {
+  // Strict slot alternation used to overwrite round 1 here: the miss for
+  // round 3 took the slot the hit for round 1 had just lent.
+  RoundGraphCache cache;
+  int builds = 0;
+  const auto build = [&](int t) {
+    ++builds;
+    return Digraph(t + 3);
+  };
+  static_cast<void>(cache.get(1, build));
+  static_cast<void>(cache.get(2, build));
+  const Digraph* round1 = cache.get(1, build);
+  const Digraph* round3 = cache.get(3, build);
+  EXPECT_EQ(builds, 3);
+  EXPECT_NE(round1, round3);
+  EXPECT_EQ(round1->vertex_count(), 4);  // still round 1's graph
+  EXPECT_EQ(round3->vertex_count(), 6);
+  EXPECT_EQ(cache.get(1, build), round1);  // and still cached
+  EXPECT_EQ(builds, 3);
+}
+
+TEST(Schedules, RoundCacheRecordsARoundOnlyAfterItsBuildReturns) {
+  RoundGraphCache cache;
+  int builds = 0;
+  const auto build = [&](int t) {
+    ++builds;
+    return Digraph(t + 3);
+  };
+  static_cast<void>(cache.get(1, build));
+  const Digraph* round2 = cache.get(2, build);
+  EXPECT_THROW(static_cast<void>(cache.get(3,
+                                           [](int) -> Digraph {
+                                             throw std::runtime_error(
+                                                 "round 3 unavailable");
+                                           })),
+               std::runtime_error);
+  // The failed build left the cached rounds as they were...
+  EXPECT_EQ(cache.get(2, build), round2);
+  EXPECT_EQ(round2->vertex_count(), 5);
+  EXPECT_EQ(builds, 2);
+  // ...and recorded nothing for round 3: asking again builds it.
+  const Digraph* round3 = cache.get(3, build);
+  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(round3->vertex_count(), 6);
 }
 
 }  // namespace

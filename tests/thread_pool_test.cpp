@@ -1,14 +1,18 @@
 // Tests for the round engine's worker pool: full coverage of the index
-// range, deterministic block boundaries, exception propagation, reuse.
+// range, deterministic block boundaries, exception propagation, reuse, and
+// the caller's side task.
 
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace anonet {
@@ -179,6 +183,110 @@ TEST(ThreadPool, ZeroCountIsNoOp) {
     called = true;
   });
   EXPECT_FALSE(called);
+}
+
+TEST(ThreadPool, SideTaskRunsOnceOnTheCallerWhileWorkersClaimBlocks) {
+  // The side task waits until the job's blocks are all done. That can only
+  // happen if the caller released the job before running it, and the
+  // workers drained the job while it ran: the caller claims no block.
+  ThreadPool pool(4);
+  const std::int64_t blocks = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(blocks));
+  std::atomic<std::int64_t> done{0};
+  std::atomic<std::int64_t> caller_blocks{0};
+  int side_runs = 0;
+  bool side_on_caller = false;
+  std::int64_t done_seen_by_side = 0;
+  pool.parallel_blocks(
+      blocks, 1,
+      [&](std::int64_t begin, std::int64_t, std::int64_t) {
+        hits[static_cast<std::size_t>(begin)].fetch_add(1);
+        if (std::this_thread::get_id() == caller) caller_blocks.fetch_add(1);
+        done.fetch_add(1);
+      },
+      [&] {
+        ++side_runs;
+        side_on_caller = std::this_thread::get_id() == caller;
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (done.load() < blocks &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        done_seen_by_side = done.load();
+      });
+  EXPECT_EQ(side_runs, 1);
+  EXPECT_TRUE(side_on_caller);
+  EXPECT_EQ(done_seen_by_side, blocks);
+  EXPECT_EQ(caller_blocks.load(), 0);
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(b)].load(), 1) << "block " << b;
+  }
+}
+
+TEST(ThreadPool, SideTaskExceptionIsRethrownAfterEveryBlock) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    const std::int64_t blocks = 200;
+    std::atomic<std::int64_t> ran{0};
+    std::string caught;
+    try {
+      pool.parallel_blocks(
+          blocks, 1,
+          [&](std::int64_t, std::int64_t, std::int64_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+            ran.fetch_add(1);
+          },
+          [] { throw std::runtime_error("side"); });
+      ADD_FAILURE() << "parallel_blocks swallowed the side task's exception";
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "side");
+    // The side task's exception cancels nothing: every block ran before
+    // the call returned.
+    EXPECT_EQ(ran.load(), blocks);
+
+    // A throwing block wins over the side task, and still fails fast.
+    EXPECT_THROW(pool.parallel_blocks(
+                     10, 1,
+                     [](std::int64_t, std::int64_t, std::int64_t b) {
+                       if (b == 5) throw std::logic_error("block");
+                     },
+                     [] { throw std::runtime_error("side"); }),
+                 std::logic_error);
+
+    // The pool survives both.
+    std::atomic<int> after{0};
+    pool.parallel_blocks(10, 1, [&](std::int64_t, std::int64_t,
+                                    std::int64_t) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 10);
+  }
+}
+
+TEST(ThreadPool, SerialPathAndEmptyJobsRunTheSideTask) {
+  // One thread, one block, or no block at all: the side task still runs
+  // exactly once, before the first block.
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    for (const std::int64_t count : {0, 1, 16}) {
+      SCOPED_TRACE(count);
+      std::vector<std::string> order;
+      pool.parallel_blocks(
+          count, threads == 1 ? 4 : 16,
+          [&](std::int64_t, std::int64_t, std::int64_t b) {
+            order.push_back("block " + std::to_string(b));
+          },
+          [&] { order.push_back("side"); });
+      ASSERT_FALSE(order.empty());
+      EXPECT_EQ(order.front(), "side");
+      EXPECT_EQ(std::count(order.begin(), order.end(), "side"), 1);
+      EXPECT_EQ(static_cast<std::int64_t>(order.size()) - 1,
+                ThreadPool::block_count(count, threads == 1 ? 4 : 16));
+    }
+  }
 }
 
 }  // namespace
