@@ -13,8 +13,9 @@
 // RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
 // Every row records its validate, send and deliver seconds, the engine's
 // ns per delivered message, and the seconds the pooled engine spent
-// building the next round's graph during delivery (`lookahead_s`, 0 for
-// serial rows and for the static ring, whose graph is built once).
+// fetching and checking the next round's graph during delivery
+// (`lookahead_s`: 0 for serial rows, about 1e-5 s for the static ring,
+// whose one graph is built and checked once).
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
 // docs/round_engine.md.

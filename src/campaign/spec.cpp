@@ -456,7 +456,6 @@ std::vector<Cell> Grid::expand() const {
                           cell.schedule = schedule;
                           cell.variant = variant;
                           cell.tolerance = spec.tolerance;
-                          cell.timeout_ms = spec.timeout_ms;
                           cell.bandwidth_bits = bandwidth;
                           cell.starts = starts;
                           cell.faults = faults;

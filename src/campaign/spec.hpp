@@ -203,7 +203,6 @@ struct Spec {
   int variants = 1;                   // panel / input-set count
   int rounds = 400;
   double tolerance = 1e-3;
-  double timeout_ms = 0.0;  // per-cell wall deadline (<= 0: none)
   // Bandwidth axis (Cell::bandwidth_bits semantics). The {0} default keeps
   // the channel off and — because the bandwidth loop is innermost — leaves
   // the cell list of every pre-bandwidth grid unchanged, index for index.

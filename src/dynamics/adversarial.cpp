@@ -4,14 +4,6 @@
 
 namespace anonet {
 
-namespace {
-
-void require_round(int t) {
-  if (t < 1) throw std::invalid_argument("DynamicGraph::at: rounds start at 1");
-}
-
-}  // namespace
-
 SpoonerSchedule::SpoonerSchedule(Vertex n, int period)
     : n_(n), period_(period) {
   if (n < 3) {
@@ -36,10 +28,6 @@ bool SpoonerSchedule::bridge_round(int t) const {
   return t % period_ == 0;
 }
 
-Digraph SpoonerSchedule::at(int t) const {
-  return bridge_round(t) ? with_bridge_ : without_bridge_;
-}
-
 RoundGraphRef SpoonerSchedule::view(int t) const {
   return RoundGraphRef(bridge_round(t) ? &with_bridge_ : &without_bridge_);
 }
@@ -60,11 +48,6 @@ UnionRingSchedule::UnionRingSchedule(Vertex n, int parts) : n_(n) {
     }
     phases_.push_back(std::move(g));
   }
-}
-
-Digraph UnionRingSchedule::at(int t) const {
-  require_round(t);
-  return phases_[static_cast<std::size_t>(t - 1) % phases_.size()];
 }
 
 RoundGraphRef UnionRingSchedule::view(int t) const {
@@ -96,10 +79,6 @@ GrowingGapRingSchedule::GrowingGapRingSchedule(Vertex n) : n_(n) {
 bool GrowingGapRingSchedule::connected_round(int t) {
   require_round(t);
   return (t & (t - 1)) == 0;  // powers of two (round numbering starts at 1)
-}
-
-Digraph GrowingGapRingSchedule::at(int t) const {
-  return connected_round(t) ? ring_ : idle_;
 }
 
 RoundGraphRef GrowingGapRingSchedule::view(int t) const {

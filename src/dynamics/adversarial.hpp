@@ -13,8 +13,8 @@
 // connected only in the union — no single round graph is connected — yet
 // still has finite dynamic diameter.
 //
-// Both serve borrowed views from precomputed phase storage, so campaigns
-// over them pay no per-round graph materialization.
+// Every schedule here lends its round graphs from precomputed phase
+// storage, so campaigns over them pay no per-round graph materialization.
 
 #include <vector>
 
@@ -44,8 +44,7 @@ class SpoonerSchedule final : public DynamicGraph {
   SpoonerSchedule(Vertex n, int period);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: both phase graphs are precomputed members.
+  // Lends one of the two precomputed phase graphs.
   [[nodiscard]] RoundGraphRef view(int t) const override;
   // True when round t carries the bridge to the handle vertex.
   [[nodiscard]] bool bridge_round(int t) const;
@@ -76,8 +75,7 @@ class UnionRingSchedule final : public DynamicGraph {
   UnionRingSchedule(Vertex n, int parts);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: one precomputed graph per part.
+  // Lends the precomputed graph of part (t - 1) mod parts.
   [[nodiscard]] RoundGraphRef view(int t) const override;
   [[nodiscard]] int parts() const { return static_cast<int>(phases_.size()); }
 
@@ -115,8 +113,7 @@ class GrowingGapRingSchedule final : public DynamicGraph {
   explicit GrowingGapRingSchedule(Vertex n);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: both phase graphs are precomputed members.
+  // Lends one of the two precomputed phase graphs.
   [[nodiscard]] RoundGraphRef view(int t) const override;
   // True when round t serves the ring (t a power of two).
   [[nodiscard]] static bool connected_round(int t);

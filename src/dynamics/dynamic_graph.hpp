@@ -7,54 +7,87 @@
 // analysis and for simulation.
 
 #include <memory>
-#include <utility>
+#include <stdexcept>
 
 #include "graph/digraph.hpp"
 
 namespace anonet {
 
-// A round graph handed out by a schedule, either *borrowed* (a pointer into
-// storage the schedule keeps alive — static and periodic schedules serve
-// the same Digraph object every round) or *owned* (a graph materialized for
-// this round). Borrowed views save the executor a graph copy per round,
-// and a lent graph builds its caches (adjacency, receiver CSR, validation
-// verdicts) once. Nothing in the executor is keyed on the address.
+// A round graph lent by a schedule: a pointer into storage the schedule
+// owns (a stored phase graph, or one of BuiltSchedule's two slots). A lent
+// graph builds its caches (adjacency, receiver CSR, validation verdicts)
+// once, and nothing in the executor is keyed on its address.
 class RoundGraphRef {
  public:
-  // Owned: wraps a freshly built graph.
-  explicit RoundGraphRef(Digraph graph)
-      : owned_(std::make_shared<const Digraph>(std::move(graph))),
-        ptr_(owned_.get()) {}
-
-  // Borrowed: `graph` must outlive every use of this ref (schedules return
-  // pointers to members, which the executor holds via DynamicGraphPtr).
   explicit RoundGraphRef(const Digraph* graph) : ptr_(graph) {}
 
   [[nodiscard]] const Digraph& get() const { return *ptr_; }
-  [[nodiscard]] bool is_borrowed() const { return owned_ == nullptr; }
 
  private:
-  std::shared_ptr<const Digraph> owned_;  // null when borrowed
   const Digraph* ptr_;
 };
 
+// The one contract every schedule keeps: view(t) lends round t's graph,
+// and the lent graph stays valid across one further view() call on the
+// same schedule (the pooled executor asks for round t + 1 while round t's
+// graph is delivered). Lending goes through unsynchronized mutable state
+// (BuiltSchedule's slots, the Digraph caches), so no schedule object is
+// shared between concurrently stepping executors: each executor, and each
+// campaign cell, gets its own.
 class DynamicGraph {
  public:
   virtual ~DynamicGraph() = default;
 
   [[nodiscard]] virtual Vertex vertex_count() const = 0;
 
-  // Communication graph of round t (t >= 1). Must contain a self-loop at
-  // every vertex (an agent always hears itself).
-  [[nodiscard]] virtual Digraph at(int t) const = 0;
+  // Communication graph of round t (t >= 1), lent as above. Must contain a
+  // self-loop at every vertex (an agent always hears itself).
+  [[nodiscard]] virtual RoundGraphRef view(int t) const = 0;
 
-  // Borrowed-or-owned access to the round-t graph. The default materializes
-  // at(t); schedules that store their round graphs (static, periodic,
-  // growing-gap) override this to lend the stored object instead, saving a
-  // full graph copy per round. Semantically view(t).get() == at(t) always.
-  [[nodiscard]] virtual RoundGraphRef view(int t) const {
-    return RoundGraphRef(at(t));
+  // A copy of round t's graph, for callers that keep or modify it.
+  [[nodiscard]] Digraph at(int t) const { return view(t).get(); }
+
+ protected:
+  static void require_round(int t) {
+    if (t < 1) {
+      throw std::invalid_argument("DynamicGraph::view: rounds start at 1");
+    }
   }
+};
+
+// A schedule that generates each round graph: build(t) is a pure function
+// of (construction arguments, t), and view(t) lends the result from two
+// slots. A miss builds into the slot not returned last, so a graph lent for
+// round t stays valid across one further view(), hit or miss; a round is
+// recorded only after its build returns, so a build that throws leaves
+// both slots as they were.
+class BuiltSchedule : public DynamicGraph {
+ public:
+  [[nodiscard]] RoundGraphRef view(int t) const final {
+    require_round(t);
+    for (int i = 0; i < 2; ++i) {
+      if (slots_[i].round == t) {
+        last_ = i;
+        return RoundGraphRef(&slots_[i].graph);
+      }
+    }
+    Slot& slot = slots_[1 - last_];
+    slot.graph = build(t);
+    slot.round = t;
+    last_ = 1 - last_;
+    return RoundGraphRef(&slot.graph);
+  }
+
+ protected:
+  [[nodiscard]] virtual Digraph build(int t) const = 0;
+
+ private:
+  struct Slot {
+    int round = -1;  // rounds start at 1; -1 = empty
+    Digraph graph;
+  };
+  mutable Slot slots_[2];
+  mutable int last_ = 1;  // the slot returned last; the first miss fills 0
 };
 
 using DynamicGraphPtr = std::shared_ptr<const DynamicGraph>;

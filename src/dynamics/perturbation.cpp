@@ -10,10 +10,6 @@ namespace anonet {
 
 namespace {
 
-void require_round(int t) {
-  if (t < 1) throw std::invalid_argument("DynamicGraph::at: rounds start at 1");
-}
-
 void require_positive(Vertex n, const char* who) {
   if (n <= 0) throw std::invalid_argument(std::string(who) + ": n > 0");
 }
@@ -93,9 +89,8 @@ bool ChurnSchedule::present(Vertex v, int t) const {
                     static_cast<std::uint64_t>(v))() >= leave_threshold_;
 }
 
-Digraph ChurnSchedule::at(int t) const {
-  require_round(t);
-  const Digraph inner = inner_->at(t);
+Digraph ChurnSchedule::build(int t) const {
+  const Digraph& inner = inner_->view(t).get();
   Digraph g(inner.vertex_count());
   for (const Edge& e : inner.edges()) {
     if (e.source == e.target ||
@@ -105,11 +100,6 @@ Digraph ChurnSchedule::at(int t) const {
   }
   g.ensure_self_loops();
   return g;
-}
-
-RoundGraphRef ChurnSchedule::view(int t) const {
-  require_round(t);
-  return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
 }
 
 Digraph preferential_attachment_graph(Vertex n, int m, std::uint64_t seed) {

@@ -112,11 +112,12 @@ struct FaultPlan {
 // state freezes and survives to the rejoin (leave/rejoin, not crash).
 // Epoch 1 (rounds 1..epoch_length) always has full membership so every
 // input value is heard at least once, and vertex 0 is a permanent anchor
-// so the population never empties. at(t) is a pure function of
-// (construction arguments, t); like the random schedules, the borrowed
-// view goes through a RoundGraphCache and must not be shared between
-// concurrently stepping executors.
-class ChurnSchedule final : public DynamicGraph {
+// so the population never empties. Round t's graph is a pure function of
+// (construction arguments, t), built from the inner schedule's lent graph
+// and lent like every BuiltSchedule: valid across one further view(), and
+// the schedule (with its inner one) is not shared between concurrently
+// stepping executors.
+class ChurnSchedule final : public BuiltSchedule {
  public:
   ChurnSchedule(DynamicGraphPtr inner, int epoch_length, double churn_rate,
                 std::uint64_t seed);
@@ -124,19 +125,17 @@ class ChurnSchedule final : public DynamicGraph {
   [[nodiscard]] Vertex vertex_count() const override {
     return inner_->vertex_count();
   }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed through the double-buffered round cache (see RoundGraphCache).
-  [[nodiscard]] RoundGraphRef view(int t) const override;
 
   // Is vertex v a member during round t?
   [[nodiscard]] bool present(Vertex v, int t) const;
 
  private:
+  [[nodiscard]] Digraph build(int t) const override;
+
   DynamicGraphPtr inner_;
   int epoch_length_;
   std::uint64_t leave_threshold_;
   std::uint64_t seed_;
-  RoundGraphCache cache_;
 };
 
 // Barabási–Albert style preferential attachment: vertex i attaches to

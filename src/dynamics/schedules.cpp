@@ -19,19 +19,10 @@ std::uint64_t mix_seed(std::uint64_t seed, int t) {
   return z ^ (z >> 31);
 }
 
-void require_round(int t) {
-  if (t < 1) throw std::invalid_argument("DynamicGraph::at: rounds start at 1");
-}
-
 }  // namespace
 
 StaticSchedule::StaticSchedule(Digraph g) : graph_(std::move(g)) {
   graph_.ensure_self_loops();
-}
-
-Digraph StaticSchedule::at(int t) const {
-  require_round(t);
-  return graph_;
 }
 
 RoundGraphRef StaticSchedule::view(int t) const {
@@ -56,11 +47,6 @@ Vertex PeriodicSchedule::vertex_count() const {
   return phases_.front().vertex_count();
 }
 
-Digraph PeriodicSchedule::at(int t) const {
-  require_round(t);
-  return phases_[static_cast<std::size_t>(t - 1) % phases_.size()];
-}
-
 RoundGraphRef PeriodicSchedule::view(int t) const {
   require_round(t);
   return RoundGraphRef(&phases_[static_cast<std::size_t>(t - 1) % phases_.size()]);
@@ -74,14 +60,8 @@ RandomStronglyConnectedSchedule::RandomStronglyConnectedSchedule(
   }
 }
 
-Digraph RandomStronglyConnectedSchedule::at(int t) const {
-  require_round(t);
+Digraph RandomStronglyConnectedSchedule::build(int t) const {
   return random_strongly_connected(n_, extra_edges_, mix_seed(seed_, t));
-}
-
-RoundGraphRef RandomStronglyConnectedSchedule::view(int t) const {
-  require_round(t);
-  return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
 }
 
 RandomSymmetricSchedule::RandomSymmetricSchedule(Vertex n, int extra_pairs,
@@ -90,22 +70,15 @@ RandomSymmetricSchedule::RandomSymmetricSchedule(Vertex n, int extra_pairs,
   if (n <= 0) throw std::invalid_argument("RandomSymmetricSchedule: n > 0");
 }
 
-Digraph RandomSymmetricSchedule::at(int t) const {
-  require_round(t);
+Digraph RandomSymmetricSchedule::build(int t) const {
   return random_symmetric_connected(n_, extra_pairs_, mix_seed(seed_, t));
-}
-
-RoundGraphRef RandomSymmetricSchedule::view(int t) const {
-  require_round(t);
-  return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
 }
 
 TokenRingSchedule::TokenRingSchedule(Vertex n) : n_(n) {
   if (n <= 0) throw std::invalid_argument("TokenRingSchedule: n > 0");
 }
 
-Digraph TokenRingSchedule::at(int t) const {
-  require_round(t);
+Digraph TokenRingSchedule::build(int t) const {
   Digraph g(n_);
   for (Vertex v = 0; v < n_; ++v) g.add_edge(v, v);
   if (n_ > 1) {
@@ -120,8 +93,7 @@ RandomMatchingSchedule::RandomMatchingSchedule(Vertex n, std::uint64_t seed)
   if (n <= 0) throw std::invalid_argument("RandomMatchingSchedule: n > 0");
 }
 
-Digraph RandomMatchingSchedule::at(int t) const {
-  require_round(t);
+Digraph RandomMatchingSchedule::build(int t) const {
   std::mt19937_64 rng(mix_seed(seed_, t));
   std::vector<Vertex> order(static_cast<std::size_t>(n_));
   std::iota(order.begin(), order.end(), 0);
@@ -135,11 +107,6 @@ Digraph RandomMatchingSchedule::at(int t) const {
     g.add_edge(order[i + 1], order[i]);
   }
   return g;
-}
-
-RoundGraphRef RandomMatchingSchedule::view(int t) const {
-  require_round(t);
-  return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
 }
 
 GrowingGapSchedule::GrowingGapSchedule(Digraph base, int burst_length,
@@ -169,13 +136,7 @@ bool GrowingGapSchedule::in_burst(int t) const {
   return false;
 }
 
-Digraph GrowingGapSchedule::at(int t) const {
-  require_round(t);
-  return in_burst(t) ? base_ : isolated_;
-}
-
 RoundGraphRef GrowingGapSchedule::view(int t) const {
-  require_round(t);
   return RoundGraphRef(in_burst(t) ? &base_ : &isolated_);
 }
 
@@ -191,9 +152,8 @@ AsyncStartSchedule::AsyncStartSchedule(DynamicGraphPtr inner,
   }
 }
 
-Digraph AsyncStartSchedule::at(int t) const {
-  require_round(t);
-  const Digraph inner = inner_->at(t);
+Digraph AsyncStartSchedule::build(int t) const {
+  const Digraph& inner = inner_->view(t).get();
   Digraph g(inner.vertex_count());
   for (const Edge& e : inner.edges()) {
     const int needed =

@@ -1,6 +1,11 @@
 #pragma once
 
-// Dynamic-graph schedules used by the experiments.
+// Dynamic-graph schedules used by the experiments. Schedules that store
+// their round graphs lend them from view(t); schedules that generate one
+// per round implement a pure build(t) and lend through BuiltSchedule. Either
+// way a lent graph stays valid across one further view(), and no schedule
+// object is shared between concurrently stepping executors
+// (dynamics/dynamic_graph.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -17,8 +22,7 @@ class StaticSchedule final : public DynamicGraph {
   [[nodiscard]] Vertex vertex_count() const override {
     return graph_.vertex_count();
   }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: the same stored graph every round, no copy.
+  // Lends the same stored graph every round.
   [[nodiscard]] RoundGraphRef view(int t) const override;
 
  private:
@@ -31,95 +35,47 @@ class PeriodicSchedule final : public DynamicGraph {
   explicit PeriodicSchedule(std::vector<Digraph> phases);
 
   [[nodiscard]] Vertex vertex_count() const override;
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: phase storage is immutable after construction, so the
-  // returned pointers are stable and identify the phase topology.
+  // Lends the stored phase graph; phase storage is immutable after
+  // construction.
   [[nodiscard]] RoundGraphRef view(int t) const override;
 
  private:
   std::vector<Digraph> phases_;
 };
 
-// Double-buffered per-schedule cache backing borrowed view(t) for schedules
-// that materialize an independent graph per round. Without it the executor
-// falls back to the owning view(t) path and re-materializes (allocates,
-// copies, re-validates) a graph every round; with it the schedule builds
-// the round graph once into stable storage and lends it out.
-//
-// A miss builds into the slot that was not returned last, so a borrowed
-// ref for round t stays valid across one further view(), hit or miss: the
-// pooled executor relies on this when it asks for round t + 1 while round
-// t's graph is being delivered (docs/round_engine.md). A build that throws
-// leaves both slots as they were.
-// Like the Digraph adjacency cache, the slots are an unsynchronized mutable
-// const path: a schedule with a round cache must not be shared between
-// concurrently stepping executors — give each executor (each campaign
-// cell) its own schedule object.
-class RoundGraphCache {
- public:
-  // Returns stable storage holding build(t), reusing it when round t is
-  // already cached (repeated view(t) calls lend the same object).
-  template <typename BuildFn>
-  [[nodiscard]] const Digraph* get(int t, BuildFn&& build) const {
-    for (int i = 0; i < 2; ++i) {
-      if (slots_[i].round == t) {
-        last_ = i;
-        return &slots_[i].graph;
-      }
-    }
-    Slot& slot = slots_[1 - last_];
-    slot.graph = build(t);
-    slot.round = t;
-    last_ = 1 - last_;
-    return &slot.graph;
-  }
-
- private:
-  struct Slot {
-    int round = -1;  // rounds start at 1; -1 = empty
-    Digraph graph;
-  };
-  mutable Slot slots_[2];
-  mutable int last_ = 1;  // the slot returned last; the first miss fills 0
-};
-
 // Each round: an independent random Hamiltonian cycle plus `extra_edges`
 // random edges plus self-loops. Every round graph is strongly connected, so
 // the dynamic diameter is at most n - 1. Deterministic in (seed, t).
-class RandomStronglyConnectedSchedule final : public DynamicGraph {
+class RandomStronglyConnectedSchedule final : public BuiltSchedule {
  public:
   RandomStronglyConnectedSchedule(Vertex n, int extra_edges,
                                   std::uint64_t seed);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed through the double-buffered round cache (see RoundGraphCache).
-  [[nodiscard]] RoundGraphRef view(int t) const override;
 
  private:
+  [[nodiscard]] Digraph build(int t) const override;
+
   Vertex n_;
   int extra_edges_;
   std::uint64_t seed_;
-  RoundGraphCache cache_;
 };
 
 // Each round: an independent random symmetric connected graph (random
 // attachment tree, both orientations, plus extras). Models the dynamic
 // symmetric-communications class; dynamic diameter at most n - 1.
-class RandomSymmetricSchedule final : public DynamicGraph {
+class RandomSymmetricSchedule final : public BuiltSchedule {
  public:
   RandomSymmetricSchedule(Vertex n, int extra_pairs, std::uint64_t seed);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed through the double-buffered round cache (see RoundGraphCache).
-  [[nodiscard]] RoundGraphRef view(int t) const override;
 
  private:
+  [[nodiscard]] Digraph build(int t) const override;
+
   Vertex n_;
   int extra_pairs_;
   std::uint64_t seed_;
-  RoundGraphCache cache_;
 };
 
 // Sparse adversarial schedule: round t carries only the single ring edge
@@ -127,14 +83,15 @@ class RandomSymmetricSchedule final : public DynamicGraph {
 // maximally disconnected yet the dynamic diameter is finite (at most n^2),
 // exercising the "intermediate graphs may be disconnected" regime of
 // Section 2.1.
-class TokenRingSchedule final : public DynamicGraph {
+class TokenRingSchedule final : public BuiltSchedule {
  public:
   explicit TokenRingSchedule(Vertex n);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
 
  private:
+  [[nodiscard]] Digraph build(int t) const override;
+
   Vertex n_;
 };
 
@@ -144,19 +101,17 @@ class TokenRingSchedule final : public DynamicGraph {
 // whose vertices have degree zero or one. Individual rounds are heavily
 // disconnected; the dynamic diameter is finite with overwhelming probability
 // (experiments certify it empirically via dynamics/connectivity.hpp).
-class RandomMatchingSchedule final : public DynamicGraph {
+class RandomMatchingSchedule final : public BuiltSchedule {
  public:
   RandomMatchingSchedule(Vertex n, std::uint64_t seed);
 
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed through the double-buffered round cache (see RoundGraphCache).
-  [[nodiscard]] RoundGraphRef view(int t) const override;
 
  private:
+  [[nodiscard]] Digraph build(int t) const override;
+
   Vertex n_;
   std::uint64_t seed_;
-  RoundGraphCache cache_;
 };
 
 // Weak connectivity (the concluding-remarks regime of Section 6): the
@@ -175,9 +130,7 @@ class GrowingGapSchedule final : public DynamicGraph {
   [[nodiscard]] Vertex vertex_count() const override {
     return base_.vertex_count();
   }
-  [[nodiscard]] Digraph at(int t) const override;
-  // Borrowed: the burst graph and the self-loop-only gap graph are both
-  // precomputed members.
+  // Lends the burst graph or the self-loop-only gap graph, both stored.
   [[nodiscard]] RoundGraphRef view(int t) const override;
   // True when round t falls inside a communication burst.
   [[nodiscard]] bool in_burst(int t) const;
@@ -192,16 +145,18 @@ class GrowingGapSchedule final : public DynamicGraph {
 // Asynchronous starts (Section 2.2 / end of Section 5.3): the wrapped
 // schedule with edge (i, j) removed while t < max(start[i], start[j]);
 // self-loops always remain. Not-yet-started agents are thereby isolated.
-class AsyncStartSchedule final : public DynamicGraph {
+class AsyncStartSchedule final : public BuiltSchedule {
  public:
   AsyncStartSchedule(DynamicGraphPtr inner, std::vector<int> start_rounds);
 
   [[nodiscard]] Vertex vertex_count() const override {
     return inner_->vertex_count();
   }
-  [[nodiscard]] Digraph at(int t) const override;
 
  private:
+  // Filters the inner schedule's lent round graph.
+  [[nodiscard]] Digraph build(int t) const override;
+
   DynamicGraphPtr inner_;
   std::vector<int> start_rounds_;
 };

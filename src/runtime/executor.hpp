@@ -23,12 +23,11 @@
 // copies for trivially copyable Messages and 4-byte outbox slots for all
 // others (runtime/inbox.hpp). Each inbox is shuffled by a counter-based
 // RNG keyed on (seed, round, vertex), so execution is bitwise-identical
-// across thread counts. Round graphs come from DynamicGraph::view(t), lent
-// or fresh; the graph caches its CSR and validation verdicts, and the
-// executor keeps nothing tied to the previous round's graph. A pooled
-// executor on lent round graphs builds round t + 1's graph, CSR and
-// verdicts on its calling thread while round t delivers, so step t + 1
-// finds them cached.
+// across thread counts. Every schedule lends its round graphs through
+// DynamicGraph::view(t); the graph caches its CSR and validation verdicts,
+// and the executor keeps nothing tied to the previous round's graph. A
+// pooled executor builds round t + 1's graph, CSR and verdicts on its
+// calling thread while round t delivers, so step t + 1 finds them cached.
 
 #include <algorithm>
 #include <chrono>
@@ -93,8 +92,9 @@ struct PhaseTimings {
   double send_seconds = 0.0;      // sending-function evaluation
   double deliver_seconds = 0.0;   // arena fill, shuffle, receive transitions
   // Next round's graph, CSR and verdicts, built during deliver (pooled
-  // executors on lent round graphs only). Already inside deliver_seconds'
-  // wall time: not a fourth phase to add to the three above.
+  // executors only, and not in the last round of run()). Already inside
+  // deliver_seconds' wall time: not a fourth phase to add to the three
+  // above.
   double lookahead_seconds = 0.0;
 };
 
@@ -324,8 +324,31 @@ class Executor {
     return meter_;
   }
 
-  // Runs one communication-closed round.
-  void step() {
+  // Runs one communication-closed round. A pooled executor also builds the
+  // next round's graph while this one delivers (see step_round).
+  void step() { step_round(true); }
+
+  // Runs `rounds` rounds. Its last round does not look ahead: no step of
+  // this run reads the round after it.
+  void run(int rounds) {
+    for (int i = 1; i <= rounds; ++i) step_round(i < rounds);
+  }
+
+  [[nodiscard]] int round() const { return static_cast<int>(stats_.rounds); }
+  [[nodiscard]] const Alg& agent(Vertex v) const {
+    return agents_[static_cast<std::size_t>(v)];
+  }
+  // Mutable access, used by self-stabilization tests to corrupt states.
+  [[nodiscard]] std::vector<Alg>& agents() { return agents_; }
+  [[nodiscard]] const std::vector<Alg>& agents() const { return agents_; }
+  [[nodiscard]] const ExecutorStats& stats() const { return stats_; }
+  [[nodiscard]] CommModel model() const { return model_; }
+  [[nodiscard]] int threads() const { return threads_; }
+
+ private:
+  // One round; with a pool and `look_ahead`, the deliver phase also builds
+  // round t + 1's graph.
+  void step_round(bool look_ahead) {
     using Clock = std::chrono::steady_clock;
     if (deadline_armed_ && Clock::now() >= deadline_) {
       throw DeadlineExceeded(stats_.rounds, deadline_budget_ms_);
@@ -335,34 +358,18 @@ class Executor {
     const int t = static_cast<int>(stats_.rounds) + 1;
     if (lookahead_error_) {
       // The previous round's lookahead already asked for this round's
-      // graph, and the schedule threw: this is where that call belongs.
+      // graph and checked it, and one of the two threw: this is where that
+      // exception belongs.
       std::rethrow_exception(std::exchange(lookahead_error_, nullptr));
     }
-    const RoundGraphRef ref = network_->view(t);
-    const Digraph& g = ref.get();
-    if (g.vertex_count() != network_->vertex_count()) {
-      throw std::logic_error("Executor: schedule changed vertex count");
-    }
-    if (!g.has_all_self_loops()) {
-      throw std::logic_error("Executor: round graph misses a self-loop");
-    }
-    // The verdicts are cached on the graph object, so static schedules pay
-    // once, and a round built by the lookahead pays nothing here.
-    if (model_ == CommModel::kSymmetricBroadcast && !g.is_symmetric()) {
-      throw std::logic_error("Executor: asymmetric round under symmetric model");
-    }
-    if (kRequiresSymmetric && !g.is_symmetric()) {
-      throw std::logic_error(
-          "Executor: asymmetric round graph for an agent declaring "
-          "ModelCapabilities::kSymmetricOnly");
-    }
-    if (model_ == CommModel::kOutputPortAware) validate_output_ports(g);
+    const Digraph& g = network_->view(t).get();
+    check_round_graph(g);
 
     const auto n = static_cast<std::size_t>(g.vertex_count());
     const auto edge_total = static_cast<std::size_t>(g.edge_count());
-    // The graph's receiver CSR addresses the arena; fetching it builds the
-    // lazy adjacency before the parallel phases read it. The outbox holds a
-    // message per slot: the sender, or the edge under port awareness.
+    // The graph's receiver CSR (built by check_round_graph) addresses the
+    // arena. The outbox holds a message per slot: the sender, or the edge
+    // under port awareness.
     const std::span<const std::int32_t> offsets = g.in_offsets();
     const std::span<const Vertex> sources = g.in_source_list();
     const std::span<const EdgeId> in_edges = g.in_edge_list();
@@ -462,18 +469,18 @@ class Executor {
       return std::chrono::duration<double>(to - from).count();
     };
 
-    // Lookahead: with a pool and a lent round graph, the calling thread
-    // asks the schedule for round t + 1 while the workers deliver round t,
-    // and builds everything step t + 1 reads from that graph (see
-    // warm_round_graph). A lent graph stays valid across one further
-    // view() (RoundGraphCache), so round t's graph is untouched. Step t + 1
-    // still calls view(t + 1) and runs every check, against cached
-    // verdicts; an exception is kept for it to rethrow.
+    // Lookahead: with a pool, the calling thread asks the schedule for
+    // round t + 1 while the workers deliver round t, and runs step t + 1's
+    // check_round_graph on it, so step t + 1 finds the CSR and verdicts
+    // cached on the graph. A lent graph stays valid across one further
+    // view(), so round t's graph is untouched. Step t + 1 still calls
+    // view(t + 1) and runs every check; an exception is kept for it to
+    // rethrow.
     double lookahead_seconds = 0.0;
     const auto lookahead = [&] {
       const auto start = Clock::now();
       try {
-        warm_round_graph(network_->view(t + 1).get());
+        check_round_graph(network_->view(t + 1).get());
       } catch (...) {
         lookahead_error_ = std::current_exception();
       }
@@ -554,8 +561,7 @@ class Executor {
                }
                partials_[static_cast<std::size_t>(b)] = local;
              },
-             pool_ != nullptr && ref.is_borrowed() ? TaskFn(lookahead)
-                                                   : TaskFn());
+             pool_ != nullptr && look_ahead ? TaskFn(lookahead) : TaskFn());
     for (std::int64_t b = 0; b < deliver_blocks; ++b) {
       const Partial& p = partials_[static_cast<std::size_t>(b)];
       stats_.messages_delivered += p.messages;
@@ -573,22 +579,6 @@ class Executor {
     update_phase_cost(deliver_ns_per_item_, seconds(t_deliver, t_end), n);
   }
 
-  void run(int rounds) {
-    for (int i = 0; i < rounds; ++i) step();
-  }
-
-  [[nodiscard]] int round() const { return static_cast<int>(stats_.rounds); }
-  [[nodiscard]] const Alg& agent(Vertex v) const {
-    return agents_[static_cast<std::size_t>(v)];
-  }
-  // Mutable access, used by self-stabilization tests to corrupt states.
-  [[nodiscard]] std::vector<Alg>& agents() { return agents_; }
-  [[nodiscard]] const std::vector<Alg>& agents() const { return agents_; }
-  [[nodiscard]] const ExecutorStats& stats() const { return stats_; }
-  [[nodiscard]] CommModel model() const { return model_; }
-  [[nodiscard]] int threads() const { return threads_; }
-
- private:
   // Per-block partial statistics, reduced in block order after each phase
   // (deterministic regardless of which worker ran which block). The same
   // array serves both phases: the send phase fills the bit fields when a
@@ -645,18 +635,28 @@ class Executor {
       has_capability(kAgentCapabilities,
                      ModelCapabilities::kNeedsSymmetricModel);
 
-  // Computes, into g's own caches, exactly what step() reads from a round
-  // graph: the receiver CSR (with the rest of the adjacency) and the
-  // verdicts this executor's model and agent check.
-  void warm_round_graph(const Digraph& g) const {
+  // What a round graph must satisfy under this model and agent; throws
+  // otherwise. Step t runs it on round t's graph and the lookahead on round
+  // t + 1's. The verdicts and the receiver CSR it builds are cached on the
+  // graph object, so a graph already checked, by an earlier round or by
+  // the lookahead, costs a few cached reads.
+  void check_round_graph(const Digraph& g) const {
+    if (g.vertex_count() != network_->vertex_count()) {
+      throw std::logic_error("Executor: schedule changed vertex count");
+    }
+    if (!g.has_all_self_loops()) {
+      throw std::logic_error("Executor: round graph misses a self-loop");
+    }
+    if (model_ == CommModel::kSymmetricBroadcast && !g.is_symmetric()) {
+      throw std::logic_error("Executor: asymmetric round under symmetric model");
+    }
+    if (kRequiresSymmetric && !g.is_symmetric()) {
+      throw std::logic_error(
+          "Executor: asymmetric round graph for an agent declaring "
+          "ModelCapabilities::kSymmetricOnly");
+    }
+    if (model_ == CommModel::kOutputPortAware) validate_output_ports(g);
     static_cast<void>(g.in_offsets());
-    static_cast<void>(g.has_all_self_loops());
-    if (model_ == CommModel::kSymmetricBroadcast || kRequiresSymmetric) {
-      static_cast<void>(g.is_symmetric());
-    }
-    if (model_ == CommModel::kOutputPortAware) {
-      static_cast<void>(g.has_valid_output_ports());
-    }
   }
 
   // What the arena holds per delivery: a copy or an outbox slot.
@@ -727,8 +727,8 @@ class Executor {
   wire::ChannelPolicy channel_policy_{};
   wire::BandwidthMeter meter_;
 
-  // What the last lookahead threw, rethrown by the next step() in place of
-  // its view() call.
+  // What the last lookahead threw, rethrown by the next round in place of
+  // its view() call and checks.
   std::exception_ptr lookahead_error_;
 
   // Round-engine arena state, reused across rounds (no per-round heap

@@ -1142,7 +1142,7 @@ TEST(CampaignTimeout, DeadlineTripsAsATimeoutVerdict) {
 
 TEST(CampaignTimeout, RunnerOptionDefaultsTimeoutsAndSpecOverrides) {
   // RunnerOptions::cell_timeout_ms reaches every cell that does not carry
-  // its own deadline, and Spec::timeout_ms survives expansion.
+  // its own deadline; expanded cells carry none.
   Spec spec = derived_spec();
   spec.agents = {AgentKind::kMetropolis};
   spec.models = {CommModel::kOutdegreeAware};
@@ -1155,10 +1155,8 @@ TEST(CampaignTimeout, RunnerOptionDefaultsTimeoutsAndSpecOverrides) {
   ASSERT_EQ(plain.size(), 1u);
   EXPECT_LE(plain[0].timeout_ms, 0.0);
 
-  Spec with_deadline = spec;
-  with_deadline.timeout_ms = 40.0;
-  const std::vector<Cell> armed = single_spec_grid(with_deadline).expand();
-  ASSERT_EQ(armed.size(), 1u);
+  std::vector<Cell> armed = plain;
+  apply_cell_overrides(armed, 40.0, 0);
   EXPECT_DOUBLE_EQ(armed[0].timeout_ms, 40.0);
 
   RunnerOptions options;

@@ -21,6 +21,8 @@
 #include "core/gossip.hpp"
 #include "core/metropolis.hpp"
 #include "core/pushsum.hpp"
+#include "dynamics/adversarial.hpp"
+#include "dynamics/perturbation.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/convergence.hpp"
@@ -277,7 +279,9 @@ TEST(Executor, MissingSelfLoopIsRejected) {
     [[nodiscard]] Vertex vertex_count() const override {
       return g_.vertex_count();
     }
-    [[nodiscard]] Digraph at(int) const override { return g_; }
+    [[nodiscard]] RoundGraphRef view(int) const override {
+      return RoundGraphRef(&g_);
+    }
 
    private:
     Digraph g_;
@@ -767,9 +771,61 @@ TEST(ExecutorDeterminism, LookaheadDoesNotChangeDelivery) {
   expect_unchanged(run_metropolis);
 }
 
-// RandomStronglyConnectedSchedule's rounds, lent through a round cache,
+TEST(ExecutorDeterminism, LookaheadCoversEveryScheduleKind) {
+  // Two generated schedules (the token ring, and async starts over a random
+  // schedule), a churn wrapper and a stored-phase adversary: a pooled
+  // executor looks ahead on each, and delivery is unchanged.
+  static constexpr Vertex kN = 2000;
+  static constexpr int kRounds = 8;
+  const auto run_on = [](auto agent, const auto& make_schedule, int threads) {
+    using Agent = decltype(agent);
+    std::vector<Agent> agents;
+    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 10);
+    Executor<Agent> exec(make_schedule(), std::move(agents),
+                         CommModel::kOutdegreeAware, 11, threads);
+    exec.run(kRounds);
+    return lookahead_outcome(exec);
+  };
+  const auto expect_unchanged = [&](auto agent, const auto& make_schedule) {
+    const LookaheadOutcome serial = run_on(agent, make_schedule, 1);
+    const LookaheadOutcome pooled = run_on(agent, make_schedule, 4);
+    EXPECT_EQ(serial.rounds, kRounds);
+    EXPECT_EQ(pooled.estimates, serial.estimates);
+    EXPECT_EQ(pooled.rounds, serial.rounds);
+    EXPECT_EQ(pooled.messages, serial.messages);
+    EXPECT_GT(pooled.lookahead_seconds, 0.0);
+  };
+  std::vector<int> starts;
+  for (Vertex v = 0; v < kN; ++v) starts.push_back(1 + v % 5);
+  {
+    SCOPED_TRACE("token ring");
+    expect_unchanged(FrequencyPushSumAgent(0), [] {
+      return std::make_shared<TokenRingSchedule>(kN);
+    });
+  }
+  {
+    SCOPED_TRACE("async start");
+    expect_unchanged(FrequencyPushSumAgent(0), [&] {
+      return std::make_shared<AsyncStartSchedule>(
+          std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 11), starts);
+    });
+  }
+  {
+    SCOPED_TRACE("geometric churn");
+    expect_unchanged(FrequencyMetropolisAgent(0),
+                     [] { return geometric_churn_schedule(kN, 12); });
+  }
+  {
+    SCOPED_TRACE("spooner");
+    expect_unchanged(FrequencyMetropolisAgent(0), [] {
+      return std::make_shared<SpoonerSchedule>(kN, 5);
+    });
+  }
+}
+
+// RandomStronglyConnectedSchedule's rounds, lent through BuiltSchedule,
 // except that building round `failing_round` throws.
-class FailingRoundSchedule final : public DynamicGraph {
+class FailingRoundSchedule final : public BuiltSchedule {
  public:
   FailingRoundSchedule(Vertex n, int failing_round)
       : inner_(n, 3, 7), failing_round_(failing_round) {}
@@ -777,20 +833,17 @@ class FailingRoundSchedule final : public DynamicGraph {
   [[nodiscard]] Vertex vertex_count() const override {
     return inner_.vertex_count();
   }
-  [[nodiscard]] Digraph at(int t) const override {
+
+ private:
+  [[nodiscard]] Digraph build(int t) const override {
     if (t == failing_round_) {
       throw std::runtime_error("round " + std::to_string(t) + " unavailable");
     }
     return inner_.at(t);
   }
-  [[nodiscard]] RoundGraphRef view(int t) const override {
-    return RoundGraphRef(cache_.get(t, [this](int round) { return at(round); }));
-  }
 
- private:
   RandomStronglyConnectedSchedule inner_;
   int failing_round_;
-  RoundGraphCache cache_;
 };
 
 TEST(Executor, LookaheadFailureFailsTheNextStep) {
@@ -836,6 +889,42 @@ TEST(Executor, LookaheadFailureFailsTheNextStep) {
     }
   }
   EXPECT_EQ(states(pooled), states(serial));
+}
+
+// A static ring that records every round it is asked for.
+class RecordingSchedule final : public DynamicGraph {
+ public:
+  explicit RecordingSchedule(Vertex n) : ring_(bidirectional_ring(n)) {
+    ring_.ensure_self_loops();
+  }
+
+  [[nodiscard]] Vertex vertex_count() const override {
+    return ring_.vertex_count();
+  }
+  [[nodiscard]] RoundGraphRef view(int t) const override {
+    requested.push_back(t);
+    return RoundGraphRef(&ring_);
+  }
+
+  mutable std::vector<int> requested;
+
+ private:
+  Digraph ring_;
+};
+
+TEST(Executor, RunDoesNotLookPastItsLastRound) {
+  // run(5) knows its last round and builds no graph for round 6; step()
+  // cannot know which round is last and always looks ahead.
+  auto net = std::make_shared<RecordingSchedule>(64);
+  std::vector<PushSumAgent> agents;
+  for (Vertex v = 0; v < 64; ++v) agents.emplace_back(v, 1.0);
+  Executor<PushSumAgent> exec(net, std::move(agents),
+                              CommModel::kOutdegreeAware, 0x5eedull, 4);
+  exec.run(5);
+  EXPECT_EQ(net->requested, (std::vector<int>{1, 2, 2, 3, 3, 4, 4, 5, 5}));
+  exec.step();
+  EXPECT_EQ(net->requested,
+            (std::vector<int>{1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7}));
 }
 
 TEST(Convergence, Helpers) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "dynamics/adversarial.hpp"
 #include "dynamics/connectivity.hpp"
+#include "dynamics/perturbation.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
@@ -264,7 +269,6 @@ TEST(Schedules, GrowingGapRingHasUnboundedDelayButConnectsInfinitelyOften) {
 
 TEST(Schedules, GrowingGapRingServesBorrowedPhaseViews) {
   GrowingGapRingSchedule schedule(4);
-  EXPECT_TRUE(schedule.view(3).is_borrowed());
   // Both phase graphs are stable members.
   EXPECT_EQ(&schedule.view(1).get(), &schedule.view(4).get());
   EXPECT_EQ(&schedule.view(3).get(), &schedule.view(5).get());
@@ -283,14 +287,12 @@ TEST(Schedules, GrowingGapRingValidates) {
 
 TEST(Schedules, AdversarialSchedulesServeBorrowedPhaseViews) {
   SpoonerSchedule spooner(5, 4);
-  EXPECT_TRUE(spooner.view(4).is_borrowed());
   // The two phase graphs are stable members: same round class, same object.
   EXPECT_EQ(&spooner.view(4).get(), &spooner.view(8).get());
   EXPECT_EQ(&spooner.view(1).get(), &spooner.view(2).get());
   EXPECT_NE(&spooner.view(1).get(), &spooner.view(4).get());
 
   UnionRingSchedule ring(6, 3);
-  EXPECT_TRUE(ring.view(2).is_borrowed());
   EXPECT_EQ(&ring.view(2).get(), &ring.view(5).get());
   EXPECT_NE(&ring.view(2).get(), &ring.view(3).get());
 }
@@ -300,67 +302,147 @@ TEST(Schedules, RandomScheduleViewsAreCachedPerRound) {
   // Repeating a round serves the cached graph: same object, no rebuild.
   const RoundGraphRef a = schedule.view(3);
   const RoundGraphRef b = schedule.view(3);
-  EXPECT_TRUE(a.is_borrowed());
   EXPECT_EQ(&a.get(), &b.get());
-  // Consecutive rounds come from different slots, so a borrowed ref stays
+  // Consecutive rounds come from different slots, so a lent ref stays
   // valid across one further view().
   const RoundGraphRef c = schedule.view(4);
   EXPECT_NE(&b.get(), &c.get());
-  // Cached views carry exactly the at(t) graph, wherever they live.
+  // Cached views carry exactly the graph a fresh schedule lends for round
+  // t, wherever they live.
   for (int t : {1, 2, 3, 2, 5, 1}) {
-    EXPECT_EQ(schedule.view(t).get().edges(), schedule.at(t).edges()) << t;
+    EXPECT_EQ(schedule.view(t).get().edges(),
+              RandomStronglyConnectedSchedule(6, 3, 17).at(t).edges())
+        << t;
   }
   RandomSymmetricSchedule symmetric(6, 3, 9);
-  EXPECT_TRUE(symmetric.view(2).is_borrowed());
-  EXPECT_EQ(symmetric.view(2).get().edges(), symmetric.at(2).edges());
+  EXPECT_EQ(symmetric.view(2).get().edges(),
+            RandomSymmetricSchedule(6, 3, 9).at(2).edges());
   RandomMatchingSchedule matching(6, 9);
-  EXPECT_TRUE(matching.view(2).is_borrowed());
-  EXPECT_EQ(matching.view(2).get().edges(), matching.at(2).edges());
+  EXPECT_EQ(matching.view(2).get().edges(),
+            RandomMatchingSchedule(6, 9).at(2).edges());
 }
+
+TEST(Schedules, EveryScheduleLendsAPureRoundGraph) {
+  // Every schedule kind, generated or stored: round t's graph depends on t
+  // alone, not on which rounds were asked for before, and a graph lent for
+  // round t keeps its edges across one further view().
+  static constexpr Vertex kN = 12;
+  static constexpr int kRounds = 16;
+  const std::vector<std::pair<const char*, std::function<DynamicGraphPtr()>>>
+      kinds = {
+          {"static",
+           [] { return std::make_shared<StaticSchedule>(directed_ring(kN)); }},
+          {"periodic",
+           [] {
+             return std::make_shared<PeriodicSchedule>(std::vector<Digraph>{
+                 directed_ring(kN), bidirectional_ring(kN),
+                 complete_graph(kN)});
+           }},
+          {"random strongly connected",
+           [] {
+             return std::make_shared<RandomStronglyConnectedSchedule>(kN, 3,
+                                                                      17);
+           }},
+          {"random symmetric",
+           [] { return std::make_shared<RandomSymmetricSchedule>(kN, 3, 9); }},
+          {"random matching",
+           [] { return std::make_shared<RandomMatchingSchedule>(kN, 9); }},
+          {"token ring",
+           [] { return std::make_shared<TokenRingSchedule>(kN); }},
+          {"growing gap",
+           [] {
+             return std::make_shared<GrowingGapSchedule>(
+                 bidirectional_ring(kN), 2, 3);
+           }},
+          {"async start",
+           [] {
+             std::vector<int> starts;
+             for (Vertex v = 0; v < kN; ++v) starts.push_back(1 + v % 6);
+             return std::make_shared<AsyncStartSchedule>(
+                 std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 5),
+                 std::move(starts));
+           }},
+          {"spooner",
+           [] { return std::make_shared<SpoonerSchedule>(kN, 3); }},
+          {"union ring",
+           [] { return std::make_shared<UnionRingSchedule>(kN, 3); }},
+          {"growing gap ring",
+           [] { return std::make_shared<GrowingGapRingSchedule>(kN); }},
+          {"preferential churn",
+           [] { return preferential_churn_schedule(kN, 5); }},
+          {"geometric churn",
+           [] { return geometric_churn_schedule(kN, 5); }},
+      };
+  for (const auto& [name, make] : kinds) {
+    SCOPED_TRACE(name);
+    const DynamicGraphPtr forward = make();
+    std::vector<std::vector<Edge>> edges(kRounds + 1);
+    for (int t = 1; t <= kRounds; ++t) {
+      edges[t] = forward->view(t).get().edges();
+    }
+    const DynamicGraphPtr backward = make();
+    for (int t = kRounds; t >= 1; --t) {
+      EXPECT_EQ(backward->view(t).get().edges(), edges[t]) << t;
+    }
+    const DynamicGraphPtr lender = make();
+    for (int t = 1; t <= kRounds; ++t) {
+      for (const int other : {t + 1, t - 1, t + 100}) {
+        if (other < 1) continue;
+        const RoundGraphRef lent = lender->view(t);
+        static_cast<void>(lender->view(other));
+        EXPECT_EQ(lent.get().edges(), edges[t]) << t << " then " << other;
+      }
+    }
+  }
+}
+
+// The two-slot lending of BuiltSchedule on a test schedule whose round t is
+// Digraph(t + 3), counting its builds; building `failing_round` throws.
+class CountingSchedule final : public BuiltSchedule {
+ public:
+  [[nodiscard]] Vertex vertex_count() const override { return 0; }
+
+  mutable int builds = 0;
+  int failing_round = 0;
+
+ private:
+  [[nodiscard]] Digraph build(int t) const override {
+    if (t == failing_round) throw std::runtime_error("round 3 unavailable");
+    ++builds;
+    return Digraph(t + 3);
+  }
+};
 
 TEST(Schedules, RoundCacheMissKeepsTheSlotItLentLast) {
   // Strict slot alternation used to overwrite round 1 here: the miss for
   // round 3 took the slot the hit for round 1 had just lent.
-  RoundGraphCache cache;
-  int builds = 0;
-  const auto build = [&](int t) {
-    ++builds;
-    return Digraph(t + 3);
-  };
-  static_cast<void>(cache.get(1, build));
-  static_cast<void>(cache.get(2, build));
-  const Digraph* round1 = cache.get(1, build);
-  const Digraph* round3 = cache.get(3, build);
-  EXPECT_EQ(builds, 3);
+  CountingSchedule schedule;
+  static_cast<void>(schedule.view(1));
+  static_cast<void>(schedule.view(2));
+  const Digraph* round1 = &schedule.view(1).get();
+  const Digraph* round3 = &schedule.view(3).get();
+  EXPECT_EQ(schedule.builds, 3);
   EXPECT_NE(round1, round3);
   EXPECT_EQ(round1->vertex_count(), 4);  // still round 1's graph
   EXPECT_EQ(round3->vertex_count(), 6);
-  EXPECT_EQ(cache.get(1, build), round1);  // and still cached
-  EXPECT_EQ(builds, 3);
+  EXPECT_EQ(&schedule.view(1).get(), round1);  // and still cached
+  EXPECT_EQ(schedule.builds, 3);
 }
 
 TEST(Schedules, RoundCacheRecordsARoundOnlyAfterItsBuildReturns) {
-  RoundGraphCache cache;
-  int builds = 0;
-  const auto build = [&](int t) {
-    ++builds;
-    return Digraph(t + 3);
-  };
-  static_cast<void>(cache.get(1, build));
-  const Digraph* round2 = cache.get(2, build);
-  EXPECT_THROW(static_cast<void>(cache.get(3,
-                                           [](int) -> Digraph {
-                                             throw std::runtime_error(
-                                                 "round 3 unavailable");
-                                           })),
-               std::runtime_error);
+  CountingSchedule schedule;
+  static_cast<void>(schedule.view(1));
+  const Digraph* round2 = &schedule.view(2).get();
+  schedule.failing_round = 3;
+  EXPECT_THROW(static_cast<void>(schedule.view(3)), std::runtime_error);
+  schedule.failing_round = 0;
   // The failed build left the cached rounds as they were...
-  EXPECT_EQ(cache.get(2, build), round2);
+  EXPECT_EQ(&schedule.view(2).get(), round2);
   EXPECT_EQ(round2->vertex_count(), 5);
-  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(schedule.builds, 2);
   // ...and recorded nothing for round 3: asking again builds it.
-  const Digraph* round3 = cache.get(3, build);
-  EXPECT_EQ(builds, 3);
+  const Digraph* round3 = &schedule.view(3).get();
+  EXPECT_EQ(schedule.builds, 3);
   EXPECT_EQ(round3->vertex_count(), 6);
 }
 

@@ -29,9 +29,9 @@ Rule families (docs/static_analysis.md has the full table):
                      (must be lambda-local, per-slot, atomic, or padded)
   F1 float order     FP accumulation in pooled phases must go through
                      block-ordered partials (bitwise-replay contract)
-  S1 schedule purity DynamicGraph subclasses must not hold stateful
-                     generator members — at(t) is a pure function of
-                     (constructor arguments, t)
+  S1 schedule purity DynamicGraph and BuiltSchedule subclasses must not
+                     hold stateful generator members — round t's graph
+                     is a pure function of (constructor arguments, t)
 
 Output: human-readable findings by default, `--json FILE` for the
 machine-readable form (content-addressed fingerprints). Ratchet:

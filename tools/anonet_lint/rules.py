@@ -30,8 +30,9 @@
                        must go through block-ordered partials — atomic
                        fetch_add on FP or shared FP += breaks bitwise
                        replay even when C1-safe.
-  S1 schedule purity   DynamicGraph subclasses must not hold stateful
-                       generator members: at(t) is contractually a pure
+  S1 schedule purity   DynamicGraph and BuiltSchedule subclasses must
+                       not hold stateful generator members: round t's
+                       graph (view(t), build(t)) is contractually a pure
                        function of (constructor arguments, t), and an
                        advancing member RNG makes the topology depend on
                        call history and replay order. Per-call local
@@ -84,18 +85,21 @@ A1_BANNED = {
     "agent_index", "self_index", "my_id",
 }
 
-# S1: schedule classes (anything deriving from DynamicGraph) must keep at(t)
-# a pure function of (constructor arguments, t). Any of these engine types
-# held as a *member* advances state across calls, so the emitted topology
-# would depend on how many rounds were queried before — and in what order.
+# S1: schedule classes (anything deriving from DynamicGraph, directly or
+# through the lending base BuiltSchedule) must keep round t's graph a pure
+# function of (constructor arguments, t). Any of these engine types held as
+# a *member* advances state across calls, so the emitted topology would
+# depend on how many rounds were queried before — and in what order.
 S1_STATEFUL_RNGS = (
     "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
     "default_random_engine", "knuth_b", "ranlux24", "ranlux24_base",
     "ranlux48", "ranlux48_base", "linear_congruential_engine",
     "mersenne_twister_engine", "subtract_with_carry_engine",
 )
+S1_SCHEDULE_BASES = ("DynamicGraph", "BuiltSchedule")
 S1_SCHEDULE_CLASS_RE = re.compile(
-    r"\b(?:class|struct)\s+(\w+)[^{;]*?:\s*[^{;]*\bDynamicGraph\b[^{;]*\{")
+    r"\b(?:class|struct)\s+(\w+)[^{;]*?:\s*[^{;]*\b(?:"
+    + "|".join(S1_SCHEDULE_BASES) + r")\b[^{;]*\{")
 S1_RNG_RE = re.compile(r"\b(" + "|".join(S1_STATEFUL_RNGS) + r")\b")
 
 # C1: member calls that mutate their object.
@@ -503,7 +507,7 @@ class RuleEngine:
             body = text[body_open + 1:body_close - 1]
             # Blank out nested brace groups (inline member-function bodies,
             # brace initializers) while preserving offsets: a *local*
-            # generator keyed by mix_seed(seed, t) inside at()/view() is the
+            # generator keyed by mix_seed(seed, t) inside view()/build() is the
             # sanctioned pattern; only engines stored as members — declared
             # at depth 1 of the class body — persist across calls.
             chars = list(body)

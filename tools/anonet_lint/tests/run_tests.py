@@ -64,6 +64,7 @@ FIXTURE_RULES = {
     "c1_shared_accumulator.cpp": "C1",
     "f1_float_accumulation.cpp": "F1",
     "s1_stateful_schedule.cpp": "S1",
+    "s1_stateful_built_schedule.cpp": "S1",
 }
 
 
