@@ -34,7 +34,6 @@
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
-#include "wire/codecs.hpp"
 
 using namespace anonet;
 

@@ -36,7 +36,6 @@
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
 #include "support/thread_pool.hpp"
-#include "wire/codecs.hpp"
 
 using namespace anonet;
 

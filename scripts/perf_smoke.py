@@ -24,10 +24,13 @@ binary, so none depends on how fast the host is:
     dynamic table from growing into the dominant cost of the tables grid.
   - History solve: fails when table2's history-tree cells take more than
     MAX_HISTORY_OVER_GOSSIP times the summed cell time of its set-gossip
-    cells from the same run. The history-tree agents solve their class
-    relations every round; this keeps that solve from growing back, and
-    reads it directly rather than through table1, whose own speed-ups
-    would move the table2/table1 ratio.
+    cells. bench/campaign times both sets in one serial pass, best of
+    several runs per cell, because each side sums under 0.1 s and read
+    1.56 once, against 0.78-1.05 otherwise, while pool neighbors ran. The
+    history-tree agents solve their class relations every round; this
+    keeps that solve from growing back, and reads it directly rather than
+    through table1, whose own speed-ups would move the table2/table1
+    ratio.
 
 Intended to run against freshly generated files (scripts/bench.sh), not the
 committed snapshots, so the gates measure the checkout under test.

@@ -18,7 +18,6 @@
 #include "runtime/convergence.hpp"
 #include "runtime/executor.hpp"
 #include "support/thread_pool.hpp"
-#include "wire/codecs.hpp"
 #include "wire/meter.hpp"
 
 namespace anonet::campaign {

@@ -191,73 +191,6 @@ std::string_view slug(Knowledge knowledge) {
   return "?";
 }
 
-namespace {
-
-template <typename E>
-E parse_enum(std::string_view text, std::initializer_list<E> values,
-             const char* what) {
-  for (E value : values) {
-    if (slug(value) == text) return value;
-  }
-  throw std::invalid_argument(std::string(what) + ": unknown name '" +
-                              std::string(text) + "'");
-}
-
-}  // namespace
-
-AgentKind parse_agent(std::string_view text) {
-  return parse_enum(text,
-                    {AgentKind::kAuto, AgentKind::kSetGossip,
-                     AgentKind::kFrequencyPushSum, AgentKind::kMetropolis},
-                    "parse_agent");
-}
-
-ScheduleKind parse_schedule(std::string_view text) {
-  return parse_enum(
-      text,
-      {ScheduleKind::kStaticPanel, ScheduleKind::kRandomStronglyConnected,
-       ScheduleKind::kRandomSymmetric, ScheduleKind::kRandomMatching,
-       ScheduleKind::kTokenRing, ScheduleKind::kSpooner,
-       ScheduleKind::kUnionRing, ScheduleKind::kGrowingGap,
-       ScheduleKind::kPreferentialChurn, ScheduleKind::kGeometricChurn},
-      "parse_schedule");
-}
-
-StartsKind parse_starts(std::string_view text) {
-  return parse_enum(text,
-                    {StartsKind::kSynchronous, StartsKind::kStaggered,
-                     StartsKind::kStraggler},
-                    "parse_starts");
-}
-
-FaultsKind parse_faults(std::string_view text) {
-  return parse_enum(text,
-                    {FaultsKind::kNone, FaultsKind::kCrash, FaultsKind::kDrop,
-                     FaultsKind::kCrashDrop},
-                    "parse_faults");
-}
-
-FunctionKind parse_function(std::string_view text) {
-  return parse_enum(
-      text, {FunctionKind::kMax, FunctionKind::kAverage, FunctionKind::kSum},
-      "parse_function");
-}
-
-CommModel parse_model(std::string_view text) {
-  return parse_enum(text,
-                    {CommModel::kSimpleBroadcast, CommModel::kOutdegreeAware,
-                     CommModel::kSymmetricBroadcast,
-                     CommModel::kOutputPortAware},
-                    "parse_model");
-}
-
-Knowledge parse_knowledge(std::string_view text) {
-  return parse_enum(text,
-                    {Knowledge::kNone, Knowledge::kUpperBound,
-                     Knowledge::kExactSize, Knowledge::kLeaders},
-                    "parse_knowledge");
-}
-
 SymmetricFunction make_function(FunctionKind kind) {
   switch (kind) {
     case FunctionKind::kMax: return max_function();

@@ -80,6 +80,8 @@ enum class FunctionKind {
   kSum,     // multiset-based
 };
 
+// The names Cell::key() spells each coordinate with: distinct within each
+// enum, so distinct cells get distinct keys.
 [[nodiscard]] std::string_view slug(AgentKind kind);
 [[nodiscard]] std::string_view slug(ScheduleKind kind);
 [[nodiscard]] std::string_view slug(FunctionKind kind);
@@ -87,15 +89,6 @@ enum class FunctionKind {
 [[nodiscard]] std::string_view slug(Knowledge knowledge);
 [[nodiscard]] std::string_view slug(StartsKind kind);
 [[nodiscard]] std::string_view slug(FaultsKind kind);
-
-// Inverse of slug(); throws std::invalid_argument on unknown names.
-[[nodiscard]] AgentKind parse_agent(std::string_view text);
-[[nodiscard]] ScheduleKind parse_schedule(std::string_view text);
-[[nodiscard]] FunctionKind parse_function(std::string_view text);
-[[nodiscard]] CommModel parse_model(std::string_view text);
-[[nodiscard]] Knowledge parse_knowledge(std::string_view text);
-[[nodiscard]] StartsKind parse_starts(std::string_view text);
-[[nodiscard]] FaultsKind parse_faults(std::string_view text);
 
 // The SymmetricFunction behind a FunctionKind (functions/functions.hpp).
 [[nodiscard]] SymmetricFunction make_function(FunctionKind kind);

@@ -19,7 +19,6 @@
 #include "graph/analysis.hpp"
 #include "runtime/convergence.hpp"
 #include "runtime/executor.hpp"
-#include "wire/codecs.hpp"
 #include "wire/meter.hpp"
 
 namespace anonet {

@@ -16,6 +16,7 @@
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
 #include "support/rational.hpp"
+#include "wire/wire.hpp"
 
 namespace anonet {
 
@@ -45,6 +46,28 @@ class ExactPushSumAgent {
  private:
   Rational y_;
   Rational z_;
+};
+
+// Exact Push-Sum: two arbitrary-precision rationals, each numerator then
+// denominator as sign + length + magnitude. The only unbounded per-entry
+// payload in the suite — its measured growth round over round is the
+// paper's "infinite bandwidth" made visible.
+template <>
+struct wire::MessageTraits<ExactPushSumAgent::Message> {
+  using M = ExactPushSumAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_rational(m.y_share);
+    sink.write_rational(m.z_share);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.y_share = src.read_rational();
+    m.z_share = src.read_rational();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(ExactPushSumAgent);

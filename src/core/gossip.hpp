@@ -21,6 +21,7 @@
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "wire/codecs.hpp"
 
 namespace anonet {
 
@@ -72,6 +73,38 @@ class SetGossipAgent {
  private:
   std::int64_t input_;
   std::set<std::int64_t> known_;
+};
+
+// Known-set snapshot: count + delta-coded sorted values (wire/codecs.hpp).
+template <>
+struct wire::MessageTraits<SetGossipAgent::Message> {
+  using M = SetGossipAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_uvarint(m.values.size());
+    std::int64_t prev = 0;
+    bool first = true;
+    for (const std::int64_t v : m.values) {
+      write_key(sink, v, first, prev);
+      prev = v;
+      first = false;
+    }
+  }
+
+  static M decode(BitReader& src) {
+    // Every value costs at least one 8-bit varint group; the clamped count
+    // read makes a corrupt count a DecodeError, not a giant reserve().
+    const std::uint64_t count = src.read_count(8);
+    M m;
+    m.values.reserve(count);
+    std::int64_t prev = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      prev = read_key(src, i == 0, prev);
+      m.values.push_back(prev);
+    }
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(SetGossipAgent);

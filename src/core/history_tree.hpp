@@ -59,6 +59,7 @@
 #include "support/bigint.hpp"
 #include "views/label_codec.hpp"
 #include "views/view_registry.hpp"
+#include "wire/wire.hpp"
 
 namespace anonet {
 
@@ -128,6 +129,27 @@ class HistoryFrequencyAgent {
   int rounds_ = 0;
   mutable std::optional<ClassCensus> census_;
   mutable int census_round_ = -1;
+};
+
+// History-tree view announcement: one interned view reference. A ViewId
+// names a registry slot both endpoints can rebuild, not a serialized
+// subtree (the §4.2 trick of exchanging O(log V)-bit names for views), so
+// the message stays small however deep the view grows; kInvalidView = -1
+// zigzags to a single 8-bit group.
+template <>
+struct wire::MessageTraits<HistoryFrequencyAgent::Message> {
+  using M = HistoryFrequencyAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_svarint(m.view);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.view = src.read_varint<ViewId>();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(HistoryFrequencyAgent);

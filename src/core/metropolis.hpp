@@ -30,6 +30,7 @@
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "wire/codecs.hpp"
 
 namespace anonet {
 
@@ -66,6 +67,25 @@ class MetropolisAgent {
  private:
   double x_ = 0.0;
   mutable int degree_ = 1;  // round degree recorded at send time
+};
+
+// Metropolis value + announced round degree.
+template <>
+struct wire::MessageTraits<MetropolisAgent::Message> {
+  using M = MetropolisAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_double(m.x);
+    sink.write_svarint(m.degree);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.x = src.read_double();
+    m.degree = src.read_varint<int>();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(MetropolisAgent);
@@ -117,6 +137,39 @@ class FrequencyMetropolisAgent {
   std::vector<double> before_;
   std::vector<double> delta_;
   mutable int degree_ = 1;
+};
+
+// Frequency Metropolis: count + (delta key, x) per entry + degree.
+template <>
+struct wire::MessageTraits<FrequencyMetropolisAgent::Message> {
+  using M = FrequencyMetropolisAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_uvarint(m.keys.size());
+    std::int64_t prev = 0;
+    for (std::size_t i = 0; i < m.keys.size(); ++i) {
+      write_key(sink, m.keys[i], i == 0, prev);
+      sink.write_double(m.xs[i]);
+      prev = m.keys[i];
+    }
+    sink.write_svarint(m.degree);
+  }
+
+  static M decode(BitReader& src) {
+    const std::uint64_t count = src.read_count(8 + kDoubleBits);
+    M m;
+    m.keys.reserve(count);
+    m.xs.reserve(count);
+    std::int64_t prev = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      prev = read_key(src, i == 0, prev);
+      m.keys.push_back(prev);
+      m.xs.push_back(src.read_double());
+    }
+    m.degree = src.read_varint<int>();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(FrequencyMetropolisAgent);

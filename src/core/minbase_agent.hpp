@@ -32,6 +32,7 @@
 #include "views/base_extraction.hpp"
 #include "views/label_codec.hpp"
 #include "views/view_registry.hpp"
+#include "wire/wire.hpp"
 
 namespace anonet {
 
@@ -98,6 +99,26 @@ class MinBaseAgent {
   int rounds_ = 0;
   mutable ExtractedBase candidate_;
   mutable int candidate_round_ = -1;
+};
+
+// Minimum-base view reference (interned, as for HistoryFrequencyAgent) +
+// output port.
+template <>
+struct wire::MessageTraits<MinBaseAgent::Message> {
+  using M = MinBaseAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_svarint(m.view);
+    sink.write_svarint(m.port);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.view = src.read_varint<ViewId>();
+    m.port = src.read_varint<int>();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(MinBaseAgent);

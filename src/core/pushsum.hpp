@@ -33,6 +33,7 @@
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "wire/codecs.hpp"
 
 namespace anonet {
 
@@ -71,6 +72,25 @@ class PushSumAgent {
  private:
   double y_;
   double z_;
+};
+
+// Push-Sum share pair: two exact doubles.
+template <>
+struct wire::MessageTraits<PushSumAgent::Message> {
+  using M = PushSumAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_double(m.y_share);
+    sink.write_double(m.z_share);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.y_share = src.read_double();
+    m.z_share = src.read_double();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(PushSumAgent);
@@ -139,6 +159,42 @@ class FrequencyPushSumAgent {
   std::vector<std::int64_t> merged_;
   std::vector<double> acc_y_;
   std::vector<double> acc_z_;
+};
+
+// Frequency Push-Sum: count + (delta key, y, z) per entry + outdegree.
+template <>
+struct wire::MessageTraits<FrequencyPushSumAgent::Message> {
+  using M = FrequencyPushSumAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_uvarint(m.keys.size());
+    std::int64_t prev = 0;
+    for (std::size_t i = 0; i < m.keys.size(); ++i) {
+      write_key(sink, m.keys[i], i == 0, prev);
+      sink.write_double(m.ys[i]);
+      sink.write_double(m.zs[i]);
+      prev = m.keys[i];
+    }
+    sink.write_svarint(m.outdegree);
+  }
+
+  static M decode(BitReader& src) {
+    const std::uint64_t count = src.read_count(8 + 2 * kDoubleBits);
+    M m;
+    m.keys.reserve(count);
+    m.ys.reserve(count);
+    m.zs.reserve(count);
+    std::int64_t prev = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      prev = read_key(src, i == 0, prev);
+      m.keys.push_back(prev);
+      m.ys.push_back(src.read_double());
+      m.zs.push_back(src.read_double());
+    }
+    m.outdegree = src.read_varint<int>();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(FrequencyPushSumAgent);

@@ -28,6 +28,7 @@
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "wire/codecs.hpp"
 
 namespace anonet {
 
@@ -58,6 +59,23 @@ class UniformWeightAgent {
  private:
   double x_;
   double step_;  // 1/N
+};
+
+// Uniform-weight consensus: one exact double.
+template <>
+struct wire::MessageTraits<UniformWeightAgent::Message> {
+  using M = UniformWeightAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_double(m.x);
+  }
+
+  static M decode(BitReader& src) {
+    M m;
+    m.x = src.read_double();
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(UniformWeightAgent);
@@ -97,6 +115,36 @@ class FrequencyUniformAgent {
   std::uint32_t bound_;
   double step_;
   std::map<std::int64_t, double> x_;
+};
+
+// Frequency uniform consensus: count + (delta key, x) per entry.
+template <>
+struct wire::MessageTraits<FrequencyUniformAgent::Message> {
+  using M = FrequencyUniformAgent::Message;
+
+  template <typename Sink>
+  static void encode(const M& m, Sink& sink) {
+    sink.write_uvarint(m.x.size());
+    std::int64_t prev = 0;
+    bool first = true;
+    for (const auto& [value, x] : m.x) {
+      write_key(sink, value, first, prev);
+      sink.write_double(x);
+      prev = value;
+      first = false;
+    }
+  }
+
+  static M decode(BitReader& src) {
+    const std::uint64_t count = src.read_count(8 + kDoubleBits);
+    M m;
+    std::int64_t prev = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      prev = read_key(src, i == 0, prev);
+      m.x.emplace(prev, src.read_double());
+    }
+    return m;
+  }
 };
 
 ANONET_STATIC_AUDIT_DECLARATIONS(FrequencyUniformAgent);

@@ -77,8 +77,8 @@ HelloPayload decode_hello(const Frame& frame) {
       throw FrameError("decode HELLO: bad magic (not an anonet peer)");
     }
     HelloPayload payload;
-    payload.version = static_cast<std::uint32_t>(reader.read_uvarint());
-    payload.window = static_cast<std::uint32_t>(reader.read_uvarint());
+    payload.version = reader.read_varint<std::uint32_t>();
+    payload.window = reader.read_varint<std::uint32_t>();
     finish_payload(reader, FrameType::kHello);
     return payload;
   } catch (const wire::DecodeError& error) {
@@ -90,7 +90,7 @@ Frame encode_welcome(const WelcomePayload& payload) {
   wire::BitWriter writer;
   writer.write_uvarint(payload.version);
   write_string(writer, payload.grid);
-  writer.write_bits(payload.include_timings ? 1u : 0u, 8);
+  writer.write_uvarint(payload.include_timings ? 1u : 0u);
   writer.write_svarint(payload.bandwidth_bits);
   writer.write_double(payload.cell_timeout_ms);
   return seal(FrameType::kWelcome, writer);
@@ -100,9 +100,9 @@ WelcomePayload decode_welcome(const Frame& frame) {
   try {
     wire::BitReader reader = open_payload(frame, FrameType::kWelcome);
     WelcomePayload payload;
-    payload.version = static_cast<std::uint32_t>(reader.read_uvarint());
+    payload.version = reader.read_varint<std::uint32_t>();
     payload.grid = read_string(reader);
-    payload.include_timings = reader.read_bits(8) != 0;
+    payload.include_timings = reader.read_varint<bool>();
     payload.bandwidth_bits = reader.read_svarint();
     payload.cell_timeout_ms = reader.read_double();
     finish_payload(reader, FrameType::kWelcome);
@@ -123,7 +123,7 @@ AssignPayload decode_assign(const Frame& frame) {
   try {
     wire::BitReader reader = open_payload(frame, FrameType::kAssign);
     AssignPayload payload;
-    payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
+    payload.cell_index = reader.read_varint<std::uint32_t>();
     payload.key = read_string(reader);
     finish_payload(reader, FrameType::kAssign);
     return payload;
@@ -144,7 +144,7 @@ VerdictPayload decode_verdict(const Frame& frame) {
   try {
     wire::BitReader reader = open_payload(frame, FrameType::kVerdict);
     VerdictPayload payload;
-    payload.cell_index = static_cast<std::uint32_t>(reader.read_uvarint());
+    payload.cell_index = reader.read_varint<std::uint32_t>();
     payload.key = read_string(reader);
     payload.line = read_string(reader);
     finish_payload(reader, FrameType::kVerdict);

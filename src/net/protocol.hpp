@@ -9,7 +9,10 @@
 // Frame and a decode_* taking one; decoders validate the frame type, the
 // handshake magic/version, and reject trailing bytes, converting every
 // wire::DecodeError into a FrameError — one exception type means "this
-// peer's stream is poisoned".
+// peer's stream is poisoned". Every field has one encoding: varints must be
+// minimal and fit their field (BitReader::read_varint), and a boolean is a
+// one-byte uvarint of 0 or 1, so a payload that decodes re-encodes to
+// exactly the bytes received.
 //
 // The conversation (one coordinator, N workers):
 //

@@ -245,21 +245,19 @@ class Executor {
   }
 
   // Installs a wire::ChannelPolicy (unbounded | metered | bounded-B-bits).
-  // Metered and bounded channels measure every message with the canonical
-  // MessageTraits codec, so calling this with a non-unbounded policy
-  // requires wire/codecs.hpp in the including translation unit — the
-  // static_assert below names the missing specialization otherwise. The
-  // executor itself never touches the codec: step() only sees the function
-  // pointer installed here, so its instantiation is identical whether or
-  // not codecs are visible (no ODR split between metered and unmetered
-  // translation units), and with the default unbounded policy the
-  // send/deliver path is the pre-wire code byte for byte.
+  // Metered and bounded channels measure every message with
+  // wire::encoded_bits: its MessageTraits encode, which a core agent's
+  // header defines beside its Message, run into a counting sink. The
+  // static_assert below names a missing specialization. step() only sees
+  // the function pointer installed here, so agents that are never metered
+  // need no codec, and with the default unbounded policy the send/deliver
+  // path never touches it.
   void set_channel_policy(wire::ChannelPolicy policy) {
     static_assert(
         wire::WireEncodable<Message>,
         "Executor::set_channel_policy requires a canonical codec for the "
-        "agent's Message: include wire/codecs.hpp (or specialize "
-        "wire::MessageTraits<Message>) in this translation unit.");
+        "agent's Message: specialize wire::MessageTraits<Message> beside "
+        "the agent, as every core agent header does.");
     if (policy.mode == wire::ChannelMode::kBounded && policy.budget_bits <= 0) {
       throw std::invalid_argument(
           "Executor: a bounded channel needs a positive per-message budget");
@@ -267,7 +265,7 @@ class Executor {
     channel_policy_ = policy;
     measure_ = policy.mode == wire::ChannelMode::kUnbounded
                    ? nullptr
-                   : &measure_message;
+                   : &wire::encoded_bits<Message>;
   }
 
   [[nodiscard]] const wire::ChannelPolicy& channel_policy() const {
@@ -669,13 +667,6 @@ class Executor {
     outbox_bits_[slot] = bits;
     local.sent_bits += bits * copies;
     if (bits > local.max_bits) local.max_bits = bits;
-  }
-
-  // The one point where the executor touches the codec. Only instantiated
-  // from set_channel_policy (taking its address), so translation units that
-  // never arm a channel policy compile without wire/codecs.hpp.
-  static std::int64_t measure_message(const Message& message) {
-    return wire::MessageTraits<Message>::encoded_bits(message);
   }
 
   // `side` is set only with a pool (the deliver phase's lookahead).

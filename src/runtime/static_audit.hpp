@@ -8,9 +8,10 @@
 //
 //     ANONET_STATIC_AUDIT_DECLARATIONS(TheAgent);
 //
-// right after the class definition, which static_asserts — with named,
-// greppable messages — that the class declares the two annotations the
-// runtime dispatches on:
+// right after the class definition and its wire codec, which static_asserts
+// — with named, greppable messages — that the class declares the two
+// annotations the runtime dispatches on and that its Message can cross the
+// channel:
 //
 //   - kModelCapabilities (runtime/capabilities.hpp): the machine-checked
 //     Table 1 row. Without it, agent_capabilities<A>() silently defaults to
@@ -26,18 +27,17 @@
 //     and a typo'd member name would silently serialize every campaign.
 //     lint rule C1/P1 are the textual twins.
 //
-// ANONET_CORE_AGENT_LIST is the registry: an X-macro over every core agent.
-// src/runtime/static_audit.cpp expands it twice — once to re-run the
-// declaration audit centrally, once (with wire/codecs.hpp in scope) to
-// static_assert that each agent's Message satisfies wire::WireEncodable,
-// i.e. has a complete MessageTraits specialization. lint rule W1 keeps the
-// list honest in the other direction: an agent class defined under
-// src/core/ that is missing from this list, or whose header does not invoke
-// the audit macro, is a W1 finding.
+//   - a complete wire::MessageTraits<Message> (wire/wire.hpp's
+//     WireEncodable): the canonical format the bandwidth meter and bounded
+//     channels measure. Because the macro sits in the agent's own header,
+//     an agent whose codec is deleted fails to compile wherever it is
+//     included. lint rule W1 is the textual twin, and also flags a core
+//     agent header that does not invoke this macro.
 
 #include <concepts>
 
 #include "runtime/capabilities.hpp"
+#include "wire/wire.hpp"
 
 namespace anonet {
 
@@ -63,31 +63,20 @@ template <typename A>
                 "treats an undeclared agent as unsafe, so a renamed or "
                 "missing member serializes every campaign without any "
                 "diagnostic");
+  static_assert(wire::WireEncodable<typename A::Message>,
+                "static audit: agent's Message has no complete "
+                "MessageTraits specialization (encode, decode) — every "
+                "message that can cross the channel needs a canonical wire "
+                "format beside the agent, or bandwidth metering and bounded "
+                "channels silently lie");
   return true;
 }
 
 }  // namespace anonet
 
-// Invoked at namespace scope in the agent's own header, right after the
-// class definition, so the audit fires wherever the class is visible.
+// Invoked at namespace scope in the agent's own header, after the class and
+// its MessageTraits specialization, so the audit fires wherever the class
+// is visible.
 #define ANONET_STATIC_AUDIT_DECLARATIONS(Agent)                         \
   static_assert(::anonet::audit_declarations<Agent>(),                  \
                 "static audit failed for " #Agent)
-
-// The core agent registry. One X(...) entry per agent class defined under
-// src/core/; anonet_lint rule W1 flags any core agent missing from this
-// list. Keep the entries contiguous (no blank lines) — the lint front end
-// reads the block.
-#define ANONET_CORE_AGENT_LIST(X) \
-  X(SetGossipAgent)               \
-  X(PushSumAgent)                 \
-  X(FrequencyPushSumAgent)        \
-  X(ExactPushSumAgent)            \
-  X(MetropolisAgent)              \
-  X(FrequencyMetropolisAgent)     \
-  X(UniformWeightAgent)           \
-  X(FrequencyUniformAgent)        \
-  X(HistoryFrequencyAgent)        \
-  X(MinBaseAgent)
-
-// (blank line above terminates the list for the lint front end)

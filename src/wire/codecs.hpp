@@ -1,366 +1,45 @@
 #pragma once
 
-// MessageTraits specializations: the canonical wire format of every core
-// agent Message. Including this header is what makes a translation unit
-// "wire-aware" — the executor itself never includes it (channel policies
-// install a measuring function pointer at set_channel_policy time, so the
-// executor template stays codec-agnostic; see runtime/executor.hpp).
+// Delta codec for strictly-increasing std::int64_t key sequences, shared by
+// the four codecs that carry one (SetGossip known sets and the frequency
+// Push-Sum, Metropolis and uniform-consensus maps). Each agent's
+// MessageTraits specialization lives in its own src/core header, beside the
+// Message it encodes.
 //
-// Conventions:
-//   - Scalars: doubles are their 64 IEEE-754 bits (exact, NaN-preserving);
-//     small ints are zigzag svarints; counts are uvarints.
-//   - Sorted std::int64_t key sequences (SetGossip values, frequency-map
-//     keys) are delta-encoded: first key svarint, then uvarint gaps >= 1.
-//     The containers guarantee strictly-increasing order, so gaps of zero
-//     are a decode error, not a representable message.
-//   - Exact Push-Sum rationals ride the BigInt codec of wire/wire.cpp:
-//     numerator and denominator as sign + length + magnitude, so the
-//     measured growth of exact shares is the paper's "infinite bandwidth"
-//     made visible round by round.
-//   - ViewIds are interned references, not serialized subtrees: a view
-//     label travels as one svarint naming its registry slot, the same
-//     compression views/label_codec.hpp applies inside the registry. That
-//     is precisely the minimum-base trick of §4.2 — exchange O(log V)-bit
-//     names for views both sides can reconstruct — and why MinBase messages
-//     stay small while exact Push-Sum messages grow without bound.
+// The first key travels as an svarint, every later one as its uvarint gap
+// from the previous key. The containers guarantee strictly-increasing
+// order, so a gap of zero, or one that carries a key past INT64_MAX, is a
+// decode error, not a representable message. Gaps are computed in uint64
+// arithmetic, so keys at both ends of the range encode without overflow.
 
 #include <cstdint>
-#include <stdexcept>
+#include <limits>
 
-#include "core/exact_pushsum.hpp"
-#include "core/gossip.hpp"
-#include "core/history_tree.hpp"
-#include "core/metropolis.hpp"
-#include "core/minbase_agent.hpp"
-#include "core/pushsum.hpp"
-#include "core/uniform_consensus.hpp"
 #include "wire/wire.hpp"
 
 namespace anonet::wire {
 
-namespace detail {
-
-// Delta codec for one key of a strictly-increasing std::int64_t sequence.
-inline void write_key(BitWriter& sink, std::int64_t key, bool first,
-                      std::int64_t prev) {
+template <typename Sink>
+void write_key(Sink& sink, std::int64_t key, bool first, std::int64_t prev) {
   if (first) {
     sink.write_svarint(key);
   } else {
-    sink.write_uvarint(static_cast<std::uint64_t>(key - prev));
+    sink.write_uvarint(static_cast<std::uint64_t>(key) -
+                       static_cast<std::uint64_t>(prev));
   }
-}
-
-[[nodiscard]] inline std::int64_t key_bits(std::int64_t key, bool first,
-                                           std::int64_t prev) {
-  return first ? svarint_bits(key)
-               : uvarint_bits(static_cast<std::uint64_t>(key - prev));
 }
 
 [[nodiscard]] inline std::int64_t read_key(BitReader& src, bool first,
                                            std::int64_t prev) {
   if (first) return src.read_svarint();
   const std::uint64_t delta = src.read_uvarint();
-  if (delta == 0) {
+  const std::uint64_t headroom =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) -
+      static_cast<std::uint64_t>(prev);
+  if (delta == 0 || delta > headroom) {
     throw DecodeError("wire: keys must be strictly increasing");
   }
-  return prev + static_cast<std::int64_t>(delta);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) + delta);
 }
-
-}  // namespace detail
-
-// Known-set snapshot: count + delta-encoded sorted values.
-template <>
-struct MessageTraits<SetGossipAgent::Message> {
-  using M = SetGossipAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    std::int64_t bits = uvarint_bits(m.values.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const std::int64_t v : m.values) {
-      bits += detail::key_bits(v, first, prev);
-      prev = v;
-      first = false;
-    }
-    return bits;
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_uvarint(m.values.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const std::int64_t v : m.values) {
-      detail::write_key(sink, v, first, prev);
-      prev = v;
-      first = false;
-    }
-  }
-
-  static M decode(BitReader& src) {
-    // Every value costs at least one 8-bit varint group; the clamped count
-    // read makes a corrupt count a DecodeError, not a giant reserve().
-    const std::uint64_t count = src.read_count(8);
-    M m;
-    m.values.reserve(count);
-    std::int64_t prev = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      prev = detail::read_key(src, i == 0, prev);
-      m.values.push_back(prev);
-    }
-    return m;
-  }
-};
-
-// Push-Sum share pair: two exact doubles.
-template <>
-struct MessageTraits<PushSumAgent::Message> {
-  using M = PushSumAgent::Message;
-
-  static std::int64_t encoded_bits(const M&) { return 2 * kDoubleBits; }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_double(m.y_share);
-    sink.write_double(m.z_share);
-  }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.y_share = src.read_double();
-    m.z_share = src.read_double();
-    return m;
-  }
-};
-
-// Frequency Push-Sum: count + (delta key, y, z) per entry + outdegree.
-template <>
-struct MessageTraits<FrequencyPushSumAgent::Message> {
-  using M = FrequencyPushSumAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    std::int64_t bits = uvarint_bits(m.keys.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const std::int64_t value : m.keys) {
-      bits += detail::key_bits(value, first, prev) + 2 * kDoubleBits;
-      prev = value;
-      first = false;
-    }
-    return bits + svarint_bits(m.outdegree);
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_uvarint(m.keys.size());
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < m.keys.size(); ++i) {
-      detail::write_key(sink, m.keys[i], i == 0, prev);
-      sink.write_double(m.ys[i]);
-      sink.write_double(m.zs[i]);
-      prev = m.keys[i];
-    }
-    sink.write_svarint(m.outdegree);
-  }
-
-  static M decode(BitReader& src) {
-    const std::uint64_t count = src.read_count(8 + 2 * kDoubleBits);
-    M m;
-    m.keys.reserve(count);
-    m.ys.reserve(count);
-    m.zs.reserve(count);
-    std::int64_t prev = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      prev = detail::read_key(src, i == 0, prev);
-      m.keys.push_back(prev);
-      m.ys.push_back(src.read_double());
-      m.zs.push_back(src.read_double());
-    }
-    m.outdegree = static_cast<int>(src.read_svarint());
-    return m;
-  }
-};
-
-// Exact Push-Sum: two arbitrary-precision rationals. The only unbounded
-// per-entry payload in the suite — its measured growth is the point.
-template <>
-struct MessageTraits<ExactPushSumAgent::Message> {
-  using M = ExactPushSumAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    return rational_bits(m.y_share) + rational_bits(m.z_share);
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_rational(m.y_share);
-    sink.write_rational(m.z_share);
-  }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.y_share = src.read_rational();
-    m.z_share = src.read_rational();
-    return m;
-  }
-};
-
-// Metropolis value + announced round degree.
-template <>
-struct MessageTraits<MetropolisAgent::Message> {
-  using M = MetropolisAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    return kDoubleBits + svarint_bits(m.degree);
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_double(m.x);
-    sink.write_svarint(m.degree);
-  }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.x = src.read_double();
-    m.degree = static_cast<int>(src.read_svarint());
-    return m;
-  }
-};
-
-// Frequency Metropolis: count + (delta key, x) per entry + degree.
-template <>
-struct MessageTraits<FrequencyMetropolisAgent::Message> {
-  using M = FrequencyMetropolisAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    std::int64_t bits = uvarint_bits(m.keys.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const std::int64_t value : m.keys) {
-      bits += detail::key_bits(value, first, prev) + kDoubleBits;
-      prev = value;
-      first = false;
-    }
-    return bits + svarint_bits(m.degree);
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_uvarint(m.keys.size());
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < m.keys.size(); ++i) {
-      detail::write_key(sink, m.keys[i], i == 0, prev);
-      sink.write_double(m.xs[i]);
-      prev = m.keys[i];
-    }
-    sink.write_svarint(m.degree);
-  }
-
-  static M decode(BitReader& src) {
-    const std::uint64_t count = src.read_count(8 + kDoubleBits);
-    M m;
-    m.keys.reserve(count);
-    m.xs.reserve(count);
-    std::int64_t prev = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      prev = detail::read_key(src, i == 0, prev);
-      m.keys.push_back(prev);
-      m.xs.push_back(src.read_double());
-    }
-    m.degree = static_cast<int>(src.read_svarint());
-    return m;
-  }
-};
-
-// Uniform-weight consensus: one exact double.
-template <>
-struct MessageTraits<UniformWeightAgent::Message> {
-  using M = UniformWeightAgent::Message;
-
-  static std::int64_t encoded_bits(const M&) { return kDoubleBits; }
-
-  static void encode(const M& m, BitWriter& sink) { sink.write_double(m.x); }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.x = src.read_double();
-    return m;
-  }
-};
-
-// Frequency uniform consensus: count + (delta key, x) per entry.
-template <>
-struct MessageTraits<FrequencyUniformAgent::Message> {
-  using M = FrequencyUniformAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    std::int64_t bits = uvarint_bits(m.x.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const auto& [value, x] : m.x) {
-      bits += detail::key_bits(value, first, prev) + kDoubleBits;
-      prev = value;
-      first = false;
-    }
-    return bits;
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_uvarint(m.x.size());
-    std::int64_t prev = 0;
-    bool first = true;
-    for (const auto& [value, x] : m.x) {
-      detail::write_key(sink, value, first, prev);
-      sink.write_double(x);
-      prev = value;
-      first = false;
-    }
-  }
-
-  static M decode(BitReader& src) {
-    const std::uint64_t count = src.read_count(8 + kDoubleBits);
-    M m;
-    std::int64_t prev = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      prev = detail::read_key(src, i == 0, prev);
-      m.x.emplace(prev, src.read_double());
-    }
-    return m;
-  }
-};
-
-// History-tree view announcement: one interned view reference (see the
-// header comment — kInvalidView = -1 zigzags to a single 8-bit group).
-template <>
-struct MessageTraits<HistoryFrequencyAgent::Message> {
-  using M = HistoryFrequencyAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) { return svarint_bits(m.view); }
-
-  static void encode(const M& m, BitWriter& sink) { sink.write_svarint(m.view); }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.view = static_cast<ViewId>(src.read_svarint());
-    return m;
-  }
-};
-
-// Minimum-base view reference + output port.
-template <>
-struct MessageTraits<MinBaseAgent::Message> {
-  using M = MinBaseAgent::Message;
-
-  static std::int64_t encoded_bits(const M& m) {
-    return svarint_bits(m.view) + svarint_bits(m.port);
-  }
-
-  static void encode(const M& m, BitWriter& sink) {
-    sink.write_svarint(m.view);
-    sink.write_svarint(m.port);
-  }
-
-  static M decode(BitReader& src) {
-    M m;
-    m.view = static_cast<ViewId>(src.read_svarint());
-    m.port = static_cast<int>(src.read_svarint());
-    return m;
-  }
-};
 
 }  // namespace anonet::wire

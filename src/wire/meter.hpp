@@ -3,7 +3,7 @@
 // Bandwidth metering and channel policies for the executor.
 //
 // A ChannelPolicy tells the executor what to do with the canonical message
-// sizes of wire/codecs.hpp:
+// sizes of wire/wire.hpp (wire::encoded_bits):
 //   - kUnbounded: nothing — the meter is off and the send/deliver path pays
 //     zero accounting cost (the pre-wire behavior, byte-for-byte);
 //   - kMetered: account every round's sent/received bits and the largest

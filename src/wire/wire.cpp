@@ -1,25 +1,9 @@
 #include "wire/wire.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace anonet::wire {
-
-void BitWriter::write_bigint(const BigInt& value) {
-  write_bit(value.is_negative());
-  const std::size_t length = value.bit_length();
-  write_uvarint(length);
-  // Magnitude LSB-first, packed in 32-bit chunks to amortize the per-bit
-  // loop of write_bits.
-  for (std::size_t base = 0; base < length; base += 32) {
-    std::uint64_t chunk = 0;
-    const int count =
-        static_cast<int>(std::min<std::size_t>(32, length - base));
-    for (int i = 0; i < count; ++i) {
-      if (value.bit(base + static_cast<std::size_t>(i))) chunk |= 1ull << i;
-    }
-    write_bits(chunk, count);
-  }
-}
 
 BigInt BitReader::read_bigint() {
   const bool negative = read_bit();
@@ -27,6 +11,13 @@ BigInt BitReader::read_bigint() {
   if (length > static_cast<std::uint64_t>(remaining())) {
     throw DecodeError("BitReader: truncated bigint");
   }
+  // One spelling per value: zero has sign 0, and the length is the
+  // magnitude's bit length (its top bit is set).
+  if (negative && length == 0) {
+    throw DecodeError("BitReader: negative zero bigint");
+  }
+  constexpr const char* kNonMinimal =
+      "BitReader: bigint length above its top bit";
   if (length <= 64) {
     // Small-magnitude fast lane: one or two chunk reads land directly in
     // BigInt's inline representation, no shifted-left/add chain.
@@ -36,8 +27,10 @@ BigInt BitReader::read_bigint() {
           static_cast<int>(std::min<std::uint64_t>(32, length - base));
       magnitude_bits |= read_bits(count) << base;
     }
-    return BigInt::from_sign_magnitude(negative && magnitude_bits != 0,
-                                       magnitude_bits);
+    if (static_cast<std::uint64_t>(std::bit_width(magnitude_bits)) != length) {
+      throw DecodeError(kNonMinimal);
+    }
+    return BigInt::from_sign_magnitude(negative, magnitude_bits);
   }
   BigInt magnitude;
   for (std::uint64_t base = 0; base < length; base += 32) {
@@ -48,13 +41,8 @@ BigInt BitReader::read_bigint() {
                        .shifted_left(static_cast<std::size_t>(base));
     }
   }
-  if (magnitude.is_zero()) return magnitude;  // the sign bit of zero is 0
+  if (magnitude.bit_length() != length) throw DecodeError(kNonMinimal);
   return negative ? magnitude.negate() : magnitude;
-}
-
-std::int64_t bigint_bits(const BigInt& value) {
-  const auto length = static_cast<std::int64_t>(value.bit_length());
-  return 1 + uvarint_bits(static_cast<std::uint64_t>(length)) + length;
 }
 
 }  // namespace anonet::wire

@@ -1,6 +1,6 @@
 // Tests for channel policies and the bandwidth meter (wire/meter.hpp) as
-// enforced by the Executor: metering accuracy against hand-measured
-// messages, the bounded-channel failure contract, and thread-count
+// enforced by the Executor: metering accuracy against hand-measured and
+// rendered messages, the bounded-channel failure contract, and thread-count
 // invariance of the metered series (the "Determin" suites run under TSan in
 // scripts/check.sh).
 
@@ -13,12 +13,16 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/exact_pushsum.hpp"
 #include "core/gossip.hpp"
+#include "core/history_tree.hpp"
+#include "core/metropolis.hpp"
+#include "core/minbase_agent.hpp"
 #include "core/pushsum.hpp"
+#include "core/uniform_consensus.hpp"
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
-#include "wire/codecs.hpp"
 
 namespace anonet {
 namespace {
@@ -196,6 +200,131 @@ TEST(BandwidthDeterminism, MeteredSeriesIdenticalAcrossThreadCounts) {
     EXPECT_EQ(parallel.bandwidth_meter().max_message_bits(),
               reference.bandwidth_meter().max_message_bits());
   }
+}
+
+// The slow path kept as the oracle for the meter's counting sink: round
+// t's bits_sent and max_message_bits recomputed by rendering each sender's
+// message into a BitWriter. The agents are snapshotted before each step
+// (send() may update a sender's own bookkeeping). An isotropic message is
+// charged once per out-edge, self-loop included; a port-aware model sends
+// one message per out-edge.
+template <typename Agent>
+void expect_metered_bits_are_rendered_bits(DynamicGraphPtr net,
+                                           std::vector<Agent> agents,
+                                           CommModel model, int threads) {
+  Executor<Agent> exec(net, std::move(agents), model, 0x5eedull, threads);
+  exec.set_channel_policy(wire::ChannelPolicy::metered());
+  const auto rendered = [](const typename Agent::Message& m) {
+    wire::BitWriter w;
+    wire::encode(m, w);
+    return w.bit_size();
+  };
+  for (int t = 1; t <= 4; ++t) {
+    const std::vector<Agent> before = exec.agents();
+    const Digraph g = net->at(t);
+    wire::RoundBandwidth expected;
+    const auto charge = [&](std::int64_t bits, int copies) {
+      expected.bits_sent += bits * copies;
+      expected.max_message_bits = std::max(expected.max_message_bits, bits);
+    };
+    for (Vertex v = 0; v < g.vertex_count(); ++v) {
+      const Agent& agent = before[static_cast<std::size_t>(v)];
+      const auto out = g.out_edges(v);
+      const int d = static_cast<int>(out.size());
+      if (model == CommModel::kOutputPortAware) {
+        for (EdgeId id : out) {
+          charge(rendered(agent.send(d, static_cast<int>(g.edge(id).color))),
+                 1);
+        }
+      } else {
+        charge(rendered(agent.send(sees_outdegree(model) ? d : 0, 0)), d);
+      }
+    }
+    exec.step();
+    const wire::RoundBandwidth& got = exec.bandwidth_meter().round(t);
+    EXPECT_GT(got.bits_sent, 0);
+    EXPECT_EQ(got.bits_sent, expected.bits_sent)
+        << "round " << t << ", " << threads << " threads";
+    EXPECT_EQ(got.bits_received, expected.bits_sent) << "round " << t;
+    EXPECT_EQ(got.max_message_bits, expected.max_message_bits)
+        << "round " << t << ", " << threads << " threads";
+  }
+}
+
+template <typename Agent, typename Make>
+std::vector<Agent> agents_of(Vertex n, Make make) {
+  std::vector<Agent> agents;
+  for (Vertex v = 0; v < n; ++v) agents.push_back(make(v));
+  return agents;
+}
+
+TEST(BandwidthDeterminism, MeteredBitsAreRenderedBitsForEveryCoreAgent) {
+  static constexpr Vertex n = 7;
+  const auto strong = [] {
+    return std::make_shared<RandomStronglyConnectedSchedule>(n, 5, 31);
+  };
+  const auto symmetric = [] {
+    return std::make_shared<RandomSymmetricSchedule>(n, 4, 32);
+  };
+  for (int threads : {1, 4}) {
+    expect_metered_bits_are_rendered_bits(
+        strong(),
+        agents_of<SetGossipAgent>(
+            n, [](Vertex v) { return SetGossipAgent(3 * v - 5); }),
+        CommModel::kSimpleBroadcast, threads);
+    expect_metered_bits_are_rendered_bits(
+        strong(),
+        agents_of<PushSumAgent>(
+            n, [](Vertex v) { return PushSumAgent(v + 0.5, 1.0); }),
+        CommModel::kOutdegreeAware, threads);
+    expect_metered_bits_are_rendered_bits(
+        strong(), agents_of<FrequencyPushSumAgent>(n, [](Vertex v) {
+          return FrequencyPushSumAgent(v % 3);
+        }),
+        CommModel::kOutdegreeAware, threads);
+    expect_metered_bits_are_rendered_bits(
+        strong(), agents_of<ExactPushSumAgent>(n, [](Vertex v) {
+          return ExactPushSumAgent(Rational(v), Rational(1));
+        }),
+        CommModel::kOutdegreeAware, threads);
+    expect_metered_bits_are_rendered_bits(
+        symmetric(),
+        agents_of<MetropolisAgent>(
+            n, [](Vertex v) { return MetropolisAgent(0.25 * v); }),
+        CommModel::kOutdegreeAware, threads);
+    expect_metered_bits_are_rendered_bits(
+        symmetric(), agents_of<FrequencyMetropolisAgent>(n, [](Vertex v) {
+          return FrequencyMetropolisAgent(v % 4);
+        }),
+        CommModel::kOutdegreeAware, threads);
+    expect_metered_bits_are_rendered_bits(
+        symmetric(), agents_of<UniformWeightAgent>(n, [](Vertex v) {
+          return UniformWeightAgent(v - 2.0, n);
+        }),
+        CommModel::kSymmetricBroadcast, threads);
+    expect_metered_bits_are_rendered_bits(
+        symmetric(), agents_of<FrequencyUniformAgent>(n, [](Vertex v) {
+          return FrequencyUniformAgent(v % 2, n);
+        }),
+        CommModel::kSymmetricBroadcast, threads);
+  }
+  // The two interning agents share one registry and are not kParallelSafe.
+  auto registry = std::make_shared<ViewRegistry>();
+  auto codec = std::make_shared<LabelCodec>();
+  expect_metered_bits_are_rendered_bits(
+      symmetric(), agents_of<HistoryFrequencyAgent>(n, [&](Vertex v) {
+        return HistoryFrequencyAgent(registry, codec, v % 3);
+      }),
+      CommModel::kSymmetricBroadcast, 1);
+  Digraph ported = random_strongly_connected(n, 5, 33);
+  ported.assign_output_ports();
+  expect_metered_bits_are_rendered_bits(
+      std::make_shared<StaticSchedule>(ported),
+      agents_of<MinBaseAgent>(n, [&](Vertex v) {
+        return MinBaseAgent(registry, codec, v % 2,
+                            CommModel::kOutputPortAware);
+      }),
+      CommModel::kOutputPortAware, 1);
 }
 
 TEST(BandwidthDeterminism, BoundedOverflowDetectedAtAnyThreadCount) {

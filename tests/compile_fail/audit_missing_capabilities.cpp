@@ -32,8 +32,21 @@ class UndeclaredAgent {
   std::int64_t value_ = 0;
 };
 
-ANONET_STATIC_AUDIT_DECLARATIONS(UndeclaredAgent);
-
 }  // namespace
+
+// A complete codec, so the missing kModelCapabilities is the drill's only
+// fault.
+template <>
+struct anonet::wire::MessageTraits<UndeclaredAgent::Message> {
+  template <typename Sink>
+  static void encode(const UndeclaredAgent::Message& m, Sink& sink) {
+    sink.write_svarint(m.value);
+  }
+  static UndeclaredAgent::Message decode(BitReader& src) {
+    return {src.read_svarint()};
+  }
+};
+
+ANONET_STATIC_AUDIT_DECLARATIONS(UndeclaredAgent);
 
 int main() { return 0; }

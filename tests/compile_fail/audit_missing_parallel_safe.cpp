@@ -36,8 +36,20 @@ class SilentAgent {
   std::int64_t value_ = 0;
 };
 
-ANONET_STATIC_AUDIT_DECLARATIONS(SilentAgent);
-
 }  // namespace
+
+// A complete codec, so the missing kParallelSafe is the drill's only fault.
+template <>
+struct anonet::wire::MessageTraits<SilentAgent::Message> {
+  template <typename Sink>
+  static void encode(const SilentAgent::Message& m, Sink& sink) {
+    sink.write_svarint(m.value);
+  }
+  static SilentAgent::Message decode(BitReader& src) {
+    return {src.read_svarint()};
+  }
+};
+
+ANONET_STATIC_AUDIT_DECLARATIONS(SilentAgent);
 
 int main() { return 0; }

@@ -26,7 +26,6 @@
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "runtime/convergence.hpp"
-#include "wire/codecs.hpp"
 
 namespace anonet {
 namespace {

@@ -202,6 +202,111 @@ TEST(NetProtocol, HelloWithWrongMagicIsRejected) {
   EXPECT_THROW((void)decode_hello(impostor), FrameError);
 }
 
+// Crafted payloads that decoded at one point: narrowed out-of-range
+// integers, a redundant zero varint group, a timings byte other than 0/1.
+TEST(NetProtocol, OutOfRangeAndNonCanonicalFieldsAreRejected) {
+  const auto hello = [](std::uint64_t version, std::uint64_t window) {
+    wire::BitWriter w;
+    w.write_uvarint(kMagic);
+    w.write_uvarint(version);
+    w.write_uvarint(window);
+    return Frame{FrameType::kHello, w.bytes()};
+  };
+  EXPECT_THROW((void)decode_hello(hello((1ull << 32) + 2, (1ull << 32) + 1)),
+               FrameError);
+  EXPECT_THROW((void)decode_hello(hello(kProtocolVersion, (1ull << 32) + 1)),
+               FrameError);
+
+  // WELCOME with version 2 spelled 0x82 0x00 and/or a timings byte of 2.
+  const auto welcome = [](bool two_byte_version, std::uint8_t timings) {
+    wire::BitWriter w;
+    if (two_byte_version) {
+      w.write_bits(0x82, 8);
+      w.write_bits(0x00, 8);
+    } else {
+      w.write_uvarint(2);
+    }
+    w.write_uvarint(5);
+    for (const char c : std::string("smoke")) w.write_bits(c, 8);
+    w.write_bits(timings, 8);
+    w.write_svarint(0);
+    w.write_double(0.0);
+    return Frame{FrameType::kWelcome, w.bytes()};
+  };
+  EXPECT_EQ(decode_welcome(welcome(false, 1)).version, 2u);
+  EXPECT_THROW((void)decode_welcome(welcome(true, 2)), FrameError);
+  EXPECT_THROW((void)decode_welcome(welcome(true, 1)), FrameError);
+  EXPECT_THROW((void)decode_welcome(welcome(false, 2)), FrameError);
+
+  wire::BitWriter assign;
+  assign.write_uvarint(1ull << 32);
+  assign.write_uvarint(0);
+  EXPECT_THROW((void)decode_assign(Frame{FrameType::kAssign, assign.bytes()}),
+               FrameError);
+  wire::BitWriter verdict;
+  verdict.write_uvarint((1ull << 32) + 5);
+  verdict.write_uvarint(0);
+  verdict.write_uvarint(0);
+  EXPECT_THROW(
+      (void)decode_verdict(Frame{FrameType::kVerdict, verdict.bytes()}),
+      FrameError);
+}
+
+// Every single-bit flip and every truncation of a valid payload either
+// throws FrameError or decodes to a payload that re-encodes to exactly the
+// mutated bytes: no field has a second spelling, so nothing a peer sends
+// can mean something other than what it says.
+template <typename Payload>
+void expect_mutants_rejected_or_canonical(const Payload& valid,
+                                          Frame (*encode)(const Payload&),
+                                          Payload (*decode)(const Frame&)) {
+  const Frame frame = encode(valid);
+  const auto check = [&](const std::vector<std::uint8_t>& bytes) {
+    try {
+      const Payload payload = decode(Frame{frame.type, bytes});
+      EXPECT_EQ(encode(payload).payload, bytes) << to_string(frame.type);
+    } catch (const FrameError&) {
+      // rejected: fine
+    }
+  };
+  const std::vector<std::uint8_t>& bytes = frame.payload;
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    check({bytes.begin(),
+           bytes.begin() + static_cast<std::ptrdiff_t>(size)});
+  }
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    check(flipped);
+  }
+}
+
+TEST(NetProtocol, EveryBitFlipAndTruncationIsRejectedOrCanonical) {
+  HelloPayload hello;
+  hello.window = 300;
+  expect_mutants_rejected_or_canonical(hello, encode_hello, decode_hello);
+
+  WelcomePayload welcome;
+  welcome.grid = "faults";
+  welcome.include_timings = true;
+  welcome.bandwidth_bits = -1;
+  welcome.cell_timeout_ms = 250.0;
+  expect_mutants_rejected_or_canonical(welcome, encode_welcome,
+                                       decode_welcome);
+
+  AssignPayload assign;
+  assign.cell_index = 200;
+  assign.key = "faults/set-gossip/b-1";
+  expect_mutants_rejected_or_canonical(assign, encode_assign, decode_assign);
+
+  VerdictPayload verdict;
+  verdict.cell_index = 130;
+  verdict.key = "faults/k";
+  verdict.line = R"({"cell":130,"exact":true})";
+  expect_mutants_rejected_or_canonical(verdict, encode_verdict,
+                                       decode_verdict);
+}
+
 // --- sockets --------------------------------------------------------------
 
 TEST(NetSocket, FramesCrossALoopbackSocketIntact) {

@@ -18,7 +18,6 @@
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "runtime/executor.hpp"
-#include "wire/codecs.hpp"
 #include "wire/meter.hpp"
 
 namespace anonet {

@@ -1,12 +1,14 @@
 // Tests for the wire layer (wire/wire.hpp, wire/codecs.hpp): primitive
-// round trips, exact bit accounting, truncation behavior, and the
-// per-message-type property `decode(encode(m)) == m` with
-// `encoded_bits(m) == bits actually written` for every core agent Message.
+// round trips, exact bit accounting, truncation and non-canonical input,
+// and the per-message-type property `decode(encode(m)) == m` with
+// `encoded_bits(m)` (the encode run into a BitCounter) equal to the bits a
+// BitWriter holds, for every core agent Message.
 
 #include "wire/wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,12 +18,43 @@
 #include <utility>
 #include <vector>
 
+#include "core/exact_pushsum.hpp"
+#include "core/gossip.hpp"
+#include "core/history_tree.hpp"
+#include "core/metropolis.hpp"
+#include "core/minbase_agent.hpp"
+#include "core/pushsum.hpp"
+#include "core/uniform_consensus.hpp"
 #include "wire/codecs.hpp"
 
 namespace anonet {
 namespace {
 
 // --- primitives --------------------------------------------------------------
+
+// Size formulas kept here as oracles: LEB128 spends one 8-bit group per 7
+// value bits (at least one), a BigInt a sign bit, its length as a uvarint
+// and its magnitude.
+std::int64_t uvarint_size(std::uint64_t value) {
+  return 8 * std::max(1, (static_cast<int>(std::bit_width(value)) + 6) / 7);
+}
+
+std::int64_t bigint_size(const BigInt& value) {
+  const auto length = static_cast<std::int64_t>(value.bit_length());
+  return 1 + uvarint_size(static_cast<std::uint64_t>(length)) + length;
+}
+
+// Runs `write` into a BitWriter and a BitCounter; the counter must count
+// exactly the bits the writer holds.
+template <typename Write>
+wire::BitWriter written_and_counted(Write write) {
+  wire::BitWriter w;
+  write(w);
+  wire::BitCounter c;
+  write(c);
+  EXPECT_EQ(c.bit_size(), w.bit_size());
+  return w;
+}
 
 TEST(Wire, BitsRoundTripLsbFirst) {
   wire::BitWriter w;
@@ -51,9 +84,9 @@ TEST(Wire, UvarintRoundTripMatchesSizeFormula) {
                                  1ull << 63,
                                  std::numeric_limits<std::uint64_t>::max()};
   for (std::uint64_t v : cases) {
-    wire::BitWriter w;
-    w.write_uvarint(v);
-    EXPECT_EQ(w.bit_size(), wire::uvarint_bits(v)) << v;
+    const wire::BitWriter w =
+        written_and_counted([v](auto& sink) { sink.write_uvarint(v); });
+    EXPECT_EQ(w.bit_size(), uvarint_size(v)) << v;
     wire::BitReader r(w);
     EXPECT_EQ(r.read_uvarint(), v);
     EXPECT_EQ(r.remaining(), 0) << v;
@@ -71,9 +104,11 @@ TEST(Wire, SvarintRoundTripMatchesSizeFormula) {
                                 std::numeric_limits<std::int64_t>::min(),
                                 std::numeric_limits<std::int64_t>::max()};
   for (std::int64_t v : cases) {
-    wire::BitWriter w;
-    w.write_svarint(v);
-    EXPECT_EQ(w.bit_size(), wire::svarint_bits(v)) << v;
+    const wire::BitWriter w =
+        written_and_counted([v](auto& sink) { sink.write_svarint(v); });
+    const std::uint64_t zigzag = v < 0 ? 2 * ~static_cast<std::uint64_t>(v) + 1
+                                       : 2 * static_cast<std::uint64_t>(v);
+    EXPECT_EQ(w.bit_size(), uvarint_size(zigzag)) << v;
     wire::BitReader r(w);
     EXPECT_EQ(r.read_svarint(), v);
   }
@@ -89,9 +124,9 @@ TEST(Wire, DoubleRoundTripIsBitExact) {
                           -std::numeric_limits<double>::infinity(),
                           std::numeric_limits<double>::quiet_NaN()};
   for (double v : cases) {
-    wire::BitWriter w;
-    w.write_double(v);
-    EXPECT_EQ(w.bit_size(), wire::kDoubleBits);
+    const wire::BitWriter w =
+        written_and_counted([v](auto& sink) { sink.write_double(v); });
+    EXPECT_EQ(w.bit_size(), 64);
     wire::BitReader r(w);
     // Bit-level comparison: distinguishes -0.0 from 0.0, preserves NaN.
     EXPECT_EQ(std::bit_cast<std::uint64_t>(r.read_double()),
@@ -119,6 +154,50 @@ TEST(Wire, UvarintOverflowingSixtyFourBitsThrows) {
   EXPECT_THROW((void)r.read_uvarint(), std::out_of_range);
 }
 
+TEST(Wire, NonMinimalUvarintIsADecodeError) {
+  // 0x82 0x00 spells 2 with a redundant zero group; the writer renders 2
+  // as the single byte 0x02, so only that form decodes.
+  for (const std::vector<std::uint8_t>& bytes :
+       {std::vector<std::uint8_t>{0x82, 0x00},
+        std::vector<std::uint8_t>{0x80, 0x00},
+        std::vector<std::uint8_t>{0xff, 0x80, 0x00}}) {
+    wire::BitReader r(bytes.data(),
+                      static_cast<std::int64_t>(bytes.size()) * 8);
+    EXPECT_THROW((void)r.read_uvarint(), wire::DecodeError);
+  }
+  const std::vector<std::uint8_t> minimal = {0x80, 0x01};
+  wire::BitReader r(minimal.data(), 16);
+  EXPECT_EQ(r.read_uvarint(), 128u);
+}
+
+TEST(Wire, NarrowingReadRejectsValuesOutsideTheTarget) {
+  const auto read_back = [](auto write, auto read) {
+    wire::BitWriter w;
+    write(w);
+    wire::BitReader r(w);
+    return read(r);
+  };
+  const auto as_u32 = [](wire::BitReader& r) {
+    return r.read_varint<std::uint32_t>();
+  };
+  const auto as_int = [](wire::BitReader& r) { return r.read_varint<int>(); };
+  const auto as_bool = [](wire::BitReader& r) { return r.read_varint<bool>(); };
+  EXPECT_EQ(read_back([](auto& w) { w.write_uvarint(4294967295u); }, as_u32),
+            4294967295u);
+  EXPECT_THROW(
+      read_back([](auto& w) { w.write_uvarint((1ull << 32) + 2); }, as_u32),
+      wire::DecodeError);
+  EXPECT_EQ(read_back([](auto& w) { w.write_svarint(-2147483648); }, as_int),
+            -2147483647 - 1);
+  EXPECT_THROW(read_back([](auto& w) { w.write_svarint(2147483648); }, as_int),
+               wire::DecodeError);
+  EXPECT_THROW(read_back([](auto& w) { w.write_svarint(-2147483649); }, as_int),
+               wire::DecodeError);
+  EXPECT_TRUE(read_back([](auto& w) { w.write_uvarint(1); }, as_bool));
+  EXPECT_THROW(read_back([](auto& w) { w.write_uvarint(2); }, as_bool),
+               wire::DecodeError);
+}
+
 TEST(Wire, BigIntRoundTripMatchesSizeFormula) {
   std::mt19937_64 rng(2024);
   std::vector<BigInt> cases = {BigInt(0), BigInt(1), BigInt(-1), BigInt(255),
@@ -144,9 +223,9 @@ TEST(Wire, BigIntRoundTripMatchesSizeFormula) {
     }
   }
   for (const BigInt& v : cases) {
-    wire::BitWriter w;
-    w.write_bigint(v);
-    EXPECT_EQ(w.bit_size(), wire::bigint_bits(v));
+    const wire::BitWriter w =
+        written_and_counted([&v](auto& sink) { sink.write_bigint(v); });
+    EXPECT_EQ(w.bit_size(), bigint_size(v));
     wire::BitReader r(w);
     EXPECT_EQ(r.read_bigint(), v);
     EXPECT_EQ(r.remaining(), 0);
@@ -164,9 +243,10 @@ TEST(Wire, RationalRoundTrip) {
   const Rational cases[] = {Rational(0), Rational(1), Rational(-7, 3),
                             Rational(BigInt(1).shifted_left(200), BigInt(3).shifted_left(100) + BigInt(1))};
   for (const Rational& v : cases) {
-    wire::BitWriter w;
-    w.write_rational(v);
-    EXPECT_EQ(w.bit_size(), wire::rational_bits(v));
+    const wire::BitWriter w =
+        written_and_counted([&v](auto& sink) { sink.write_rational(v); });
+    EXPECT_EQ(w.bit_size(),
+              bigint_size(v.numerator()) + bigint_size(v.denominator()));
     wire::BitReader r(w);
     EXPECT_EQ(r.read_rational(), v);
   }
@@ -174,8 +254,9 @@ TEST(Wire, RationalRoundTrip) {
 
 // --- message codecs ----------------------------------------------------------
 
-// Encodes m, checks the size formula against the bits actually written,
-// decodes from exactly those bits, and checks full consumption.
+// Encodes m, checks encoded_bits (the counting sink) against the bits
+// actually written, decodes from exactly those bits, and checks full
+// consumption.
 template <typename M>
 M round_trip_checked(const M& m) {
   wire::BitWriter w;
@@ -210,6 +291,46 @@ TEST(Wire, SetGossipDecodeRejectsNonIncreasingKeys) {
   w.write_uvarint(0);  // forged zero gap
   wire::BitReader r(w);
   EXPECT_THROW((void)wire::decode<SetGossipAgent::Message>(r),
+               wire::DecodeError);
+}
+
+TEST(Wire, KeysAtBothEndsOfTheRangeRoundTrip) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  SetGossipAgent::Message m;
+  m.values = {kMin, -1, kMax};  // gaps of 2^63 - 1 and 2^63
+  EXPECT_EQ(round_trip_checked(m).values, m.values);
+  // A gap that carries a key past INT64_MAX is corrupt, not a wrap.
+  wire::BitWriter w;
+  w.write_uvarint(2);
+  w.write_svarint(kMax - 1);
+  w.write_uvarint(2);
+  wire::BitReader r(w);
+  EXPECT_THROW((void)wire::decode<SetGossipAgent::Message>(r),
+               wire::DecodeError);
+}
+
+TEST(Wire, OutOfRangeIntFieldsAreDecodeErrors) {
+  // outdegree, degree, port and ViewId are ints on the wire as svarints; a
+  // value past 32 bits is corrupt input, not a truncated int.
+  wire::BitWriter w;
+  w.write_svarint(std::int64_t{1} << 40);
+  w.write_svarint(3);
+  {
+    wire::BitReader r(w);
+    EXPECT_THROW((void)wire::decode<HistoryFrequencyAgent::Message>(r),
+                 wire::DecodeError);
+  }
+  {
+    wire::BitReader r(w);
+    EXPECT_THROW((void)wire::decode<MinBaseAgent::Message>(r),
+                 wire::DecodeError);
+  }
+  wire::BitWriter metro;
+  metro.write_double(0.5);
+  metro.write_svarint(std::int64_t{1} << 40);
+  wire::BitReader r(metro);
+  EXPECT_THROW((void)wire::decode<MetropolisAgent::Message>(r),
                wire::DecodeError);
 }
 
@@ -248,14 +369,26 @@ TEST(Wire, CorruptRationalDenominatorIsADecodeError) {
 }
 
 // Property test for socket-facing decode paths: over truncations and
-// single-bit flips of valid encodings, decode either succeeds or throws
-// wire::DecodeError — never UB (ASan/UBSan cover the never-crash half in
-// the sanitizer stages) and never a foreign exception type.
+// single-bit flips of valid encodings, decode either throws
+// wire::DecodeError or yields a message that re-encodes to exactly the
+// bits it consumed (no field has a second spelling) — never UB
+// (ASan/UBSan cover the never-crash half in the sanitizer stages) and
+// never a foreign exception type.
 template <typename M>
-void expect_decode_contained(const wire::BitWriter& w, std::int64_t bits) {
-  wire::BitReader r(w.bytes().data(), bits);
+void expect_rejected_or_canonical(const std::vector<std::uint8_t>& bytes,
+                                  std::int64_t bits) {
+  wire::BitReader r(bytes.data(), bits);
   try {
-    (void)wire::decode<M>(r);
+    const M decoded = wire::decode<M>(r);
+    wire::BitWriter again;
+    wire::encode(decoded, again);
+    ASSERT_EQ(again.bit_size(), r.cursor());
+    for (std::int64_t i = 0; i < r.cursor(); ++i) {
+      const auto bit = [i](const std::vector<std::uint8_t>& b) {
+        return (b[static_cast<std::size_t>(i >> 3)] >> (i & 7)) & 1;
+      };
+      ASSERT_EQ(bit(again.bytes()), bit(bytes)) << "bit " << i;
+    }
   } catch (const wire::DecodeError&) {
     // fine: corrupt input reported as such
   }
@@ -268,18 +401,14 @@ void corrupt_stream_property(const M& message) {
   wire::encode(message, w);
   // Every truncation length, including zero.
   for (std::int64_t bits = 0; bits < w.bit_size(); ++bits) {
-    expect_decode_contained<M>(w, bits);
+    expect_rejected_or_canonical<M>(w.bytes(), bits);
   }
   // Every single-bit flip.
   for (std::int64_t bit = 0; bit < w.bit_size(); ++bit) {
     std::vector<std::uint8_t> bytes = w.bytes();
     bytes[static_cast<std::size_t>(bit >> 3)] ^=
         static_cast<std::uint8_t>(1u << (bit & 7));
-    wire::BitReader r(bytes.data(), w.bit_size());
-    try {
-      (void)wire::decode<M>(r);
-    } catch (const wire::DecodeError&) {
-    }
+    expect_rejected_or_canonical<M>(bytes, w.bit_size());
   }
 }
 
@@ -310,6 +439,14 @@ TEST(Wire, CorruptStreamsNeverEscapeDecodeError) {
   base.view = ViewId{129};
   base.port = 7;
   corrupt_stream_property(base);
+
+  FrequencyUniformAgent::Message uniform;
+  uniform.x = {{-40, 0.5}, {2, 0.25}};
+  corrupt_stream_property(uniform);
+
+  HistoryFrequencyAgent::Message history;
+  history.view = ViewId{300};
+  corrupt_stream_property(history);
 }
 
 TEST(Wire, PushSumMessageRoundTrip) {
@@ -360,7 +497,7 @@ TEST(Wire, ExactPushSumMessageRoundTripAndGrowth) {
   EXPECT_EQ(out.y_share, m.y_share);
   EXPECT_EQ(out.z_share, m.z_share);
   // The denominators of exact shares grow with the round; the measured
-  // bits must grow along (the "infinite bandwidth" regime, wire/codecs.hpp).
+  // bits must grow along (the "infinite bandwidth" regime).
   ExactPushSumAgent::Message deep;
   deep.y_share = Rational(BigInt(1), BigInt(3).shifted_left(512));
   deep.z_share = Rational(BigInt(1), BigInt(5).shifted_left(512));
@@ -416,9 +553,9 @@ TEST(Wire, UniformConsensusMessagesRoundTrip) {
 }
 
 TEST(Wire, ViewReferenceMessagesRoundTrip) {
-  // Interned references (codecs.hpp header comment): the wire carries a
-  // registry slot, not a serialized subtree, so the bits stay logarithmic
-  // in the registry size however large the mathematical view grows.
+  // Interned references (the codec comment in core/history_tree.hpp): the
+  // wire carries a registry slot, not a serialized subtree, so the bits
+  // stay logarithmic in the registry size however large the view grows.
   for (ViewId view : {kInvalidView, ViewId{0}, ViewId{1}, ViewId{4096}}) {
     HistoryFrequencyAgent::Message h;
     h.view = view;

@@ -22,9 +22,9 @@ Rule families (docs/static_analysis.md has the full table):
                      pure forwarding into a capability-declared agent is
                      whitelisted; audience info flowing INTO a
                      non-declaring agent through helper chains is caught
-  W1 wire integrity  MessageTraits present and complete for every agent
-                     Message reachable from send(); core agents must
-                     register with the static_audit X-macro list
+  W1 wire integrity  MessageTraits (encode and decode) present for every
+                     agent Message reachable from send(); core agent
+                     headers must invoke ANONET_STATIC_AUDIT_DECLARATIONS
   C1 parallel phase  shared-mutable state in parallel_blocks callbacks
                      (must be lambda-local, per-slot, atomic, or padded)
   F1 float order     FP accumulation in pooled phases must go through

@@ -1,10 +1,11 @@
 // Negative fixture — anonet_lint MUST flag this file under rule W1.
 //
-// A MessageTraits specialization that defines encoded_bits and encode but
-// NOT decode: a half-implemented codec passes "is there a specialization?"
-// checks while still breaking the round-trip property the wire layer
-// depends on. W1 requires the three members to be defined together, and
-// names the missing ones.
+// A MessageTraits specialization, written beside the agent the way core
+// agent headers write theirs (`struct wire::MessageTraits<...>`), that
+// defines encode but NOT decode: a half-implemented codec passes "is there
+// a specialization?" checks while still breaking the round-trip property
+// the wire layer depends on. W1 requires both members, and names the
+// missing one.
 
 #include <cstdint>
 #include <vector>
@@ -36,21 +37,16 @@ namespace wire {
 template <typename M>
 struct MessageTraits;  // primary template: never defined
 
-struct BitWriter;
-struct BitReader;
+}  // namespace wire
 
 template <>
-struct MessageTraits<HalfCodecAgent::Message> {
-  [[nodiscard]] static std::size_t encoded_bits(
-      const HalfCodecAgent::Message&) {
-    return 64;
+struct wire::MessageTraits<HalfCodecAgent::Message> {
+  template <typename Sink>
+  static void encode(const HalfCodecAgent::Message& m, Sink& sink) {
+    sink.write_svarint(m.value);
   }
-
-  static void encode(const HalfCodecAgent::Message&, BitWriter&) {}
 
   // decode() is missing: the round trip cannot be completed.
 };
-
-}  // namespace wire
 
 }  // namespace anonet_fixtures

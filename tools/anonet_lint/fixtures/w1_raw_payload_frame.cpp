@@ -56,12 +56,8 @@ namespace wire {
 
 template <>
 struct MessageTraits<PayloadAgent::Message> {
-  [[nodiscard]] static std::int64_t encoded_bits(
-      const PayloadAgent::Message&) {
-    return 128;
-  }
-
-  static void encode(const PayloadAgent::Message& m, BitWriter& sink) {
+  template <typename Sink>
+  static void encode(const PayloadAgent::Message& m, Sink& sink) {
     sink.write_svarint(m.value);
     sink.write_svarint(m.round);
   }
@@ -90,9 +86,9 @@ inline void pack_control_frame(const HelloFrame& hello,
   std::memcpy(out.data(), &hello, sizeof(hello));  // exempt: control frame
 }
 
-// VIOLATION: the agent payload bypasses its codec. The meter charges
-// encoded_bits() = 128 bits; this puts sizeof(Message) ABI bytes on the
-// wire instead.
+// VIOLATION: the agent payload bypasses its codec. The meter charges the
+// bits encode() writes; this puts sizeof(Message) ABI bytes on the wire
+// instead.
 inline void pack_payload_frame(const PayloadAgent::Message& message,
                                std::vector<std::uint8_t>& out) {
   out.resize(sizeof(message));

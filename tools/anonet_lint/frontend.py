@@ -9,7 +9,8 @@ suppression comments, and extract a *declaration/definition index*:
   * every out-of-line member definition, including template
     specializations (`Foo<T>::send(...) { ... }`);
   * every free function definition at any scope;
-  * every `MessageTraits<...>` specialization and what it defines;
+  * every `MessageTraits<...>` specialization (qualified or not) and what
+    it defines, and every ANONET_STATIC_AUDIT_DECLARATIONS invocation;
   * unordered-container declarations, *including* those hidden behind
     `using`/`typedef` aliases and `auto&`/`auto` value aliases (rule D1).
 
@@ -42,13 +43,14 @@ PARALLEL_SAFE_RE = re.compile(r"\bkParallelSafe\s*=\s*(true|false)\b")
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 USING_ALIAS_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([^;]+);")
 TYPEDEF_RE = re.compile(r"\btypedef\s+([^;]+?)\s+([A-Za-z_]\w*)\s*;")
+# Specializations match with or without a namespace qualifier
+# (`struct MessageTraits<...>` inside namespace wire, or
+# `struct wire::MessageTraits<...>` beside the agent).
 MESSAGE_TRAITS_RE = re.compile(
-    r"\bstruct\s+MessageTraits\s*<\s*([A-Za-z_]\w*)\s*(?:<[^<>]*>\s*)?"
-    r"::\s*Message\s*>")
+    r"\bstruct\s+(?:::\s*)?(?:[A-Za-z_]\w*\s*::\s*)*MessageTraits\s*<\s*"
+    r"([A-Za-z_]\w*)\s*(?:<[^<>]*>\s*)?::\s*Message\s*>")
 AUDIT_REGISTER_RE = re.compile(r"\bANONET_STATIC_AUDIT_DECLARATIONS\s*\(\s*"
                                r"([A-Za-z_]\w*)\s*\)")
-AUDIT_LIST_ENTRY_RE = re.compile(r"^\s*X\s*\(\s*([A-Za-z_]\w*)\s*\)",
-                                 re.MULTILINE)
 
 # Keywords that look like call expressions in a token scan.
 NOT_A_CALL = {"if", "for", "while", "switch", "return", "sizeof", "catch",
@@ -276,8 +278,6 @@ class ProgramIndex:
         self.classes: dict[str, ClassInfo] = {}
         self.free_functions: dict[str, list[FunctionDef]] = {}
         self.traits_specs: dict[str, list[TraitsSpec]] = {}
-        self.audit_list: list[str] = []      # ANONET_CORE_AGENT_LIST entries
-        self.audit_list_seen: bool = False
         self.has_wire_layer: bool = False    # any MessageTraits in scope
         # path -> set of unordered-container *variable* names (incl. aliases)
         self.unordered_vars: dict[str, set] = {}
@@ -306,7 +306,7 @@ class ProgramIndex:
             self._collect_out_of_line(scan)
             self._collect_free_functions(scan)
             self._collect_traits(scan)
-            self._collect_audit_registry(scan)
+            self._collect_audit_calls(scan)
             self._collect_unordered(scan)
 
     # -- classes -------------------------------------------------------------
@@ -315,7 +315,8 @@ class ProgramIndex:
         text = scan.text
         for m in CLASS_RE.finditer(text):
             name = m.group(2)
-            if name == "MessageTraits":
+            qualified_traits = MESSAGE_TRAITS_RE.match(text, m.start())
+            if name == "MessageTraits" or qualified_traits:
                 continue  # indexed separately by _collect_traits
             i = m.end()
             depth_angle = depth_paren = 0
@@ -474,7 +475,7 @@ class ProgramIndex:
                              body_offset=text.index(body, p_close))
             self.free_functions.setdefault(name, []).append(fn)
 
-    # -- wire traits / audit registry ---------------------------------------
+    # -- wire traits / audit calls ------------------------------------------
 
     def _collect_traits(self, scan: FileScan):
         text = scan.text
@@ -489,19 +490,9 @@ class ProgramIndex:
             self.traits_specs.setdefault(m.group(1), []).append(
                 TraitsSpec(m.group(1), scan, m.start(), body))
 
-    def _collect_audit_registry(self, scan: FileScan):
-        text = scan.text
-        for m in AUDIT_REGISTER_RE.finditer(text):
+    def _collect_audit_calls(self, scan: FileScan):
+        for m in AUDIT_REGISTER_RE.finditer(scan.text):
             self.class_info(m.group(1)).audit_registered = True
-        list_m = re.search(r"#define\s+ANONET_CORE_AGENT_LIST\s*\(\s*X\s*\)",
-                           scan.raw)
-        if list_m:
-            self.audit_list_seen = True
-            # The X(...) entries of the continued macro definition.
-            tail = scan.raw[list_m.end():]
-            block = tail.split("\n\n", 1)[0]
-            self.audit_list = re.findall(r"X\s*\(\s*([A-Za-z_]\w*)\s*\)",
-                                         block)
 
     # -- unordered containers incl. aliases (rule D1) ------------------------
 

@@ -18,11 +18,11 @@
                        (out_degree & friends) flowing through helper
                        chains *into* a non-declaring agent's methods.
   W1 wire integrity    every agent Message reachable from send() must
-                       have a MessageTraits specialization, with
-                       encode/decode/encoded_bits defined together; core
-                       agents must register with the static_audit
-                       X-macro list (active only when the wire layer /
-                       audit registry are in the scanned set).
+                       have a MessageTraits specialization defining both
+                       encode and decode (active only when the wire layer
+                       is in the scanned set); every agent defined under
+                       src/core/ must invoke ANONET_STATIC_AUDIT_DECLARATIONS
+                       in its header.
   C1 parallel phase    state written from parallel_blocks/parallel block
                        callbacks must be lambda-local, per-slot
                        (subscripted), atomic, or cache-line padded.
@@ -396,6 +396,7 @@ class RuleEngine:
     # --- W1 -----------------------------------------------------------------
 
     def rule_w1(self):
+        self._rule_w1_core_audit()
         if not self.index.has_wire_layer:
             return  # wire layer out of scope (e.g. a standalone D1 fixture)
         for info in self.index.classes.values():
@@ -412,48 +413,41 @@ class RuleEngine:
                     f"{info.name}::Message is reachable from send() but has "
                     "no MessageTraits specialization: every message that "
                     "can cross the channel must have a canonical wire "
-                    "format (wire/codecs.hpp), or bandwidth metering and "
+                    "format beside the agent, or bandwidth metering and "
                     "bounded channels silently lie")
                 continue
             for spec in specs:
-                missing = [m for m in ("encoded_bits", "encode", "decode")
+                missing = [m for m in ("encode", "decode")
                            if not spec.defines(m)]
                 if missing:
                     self.report(
                         spec.scan, spec.offset, "W1",
                         f"MessageTraits<{info.name}::Message> defines only "
                         "part of the codec (missing: "
-                        f"{', '.join(missing)}): encoded_bits/encode/decode "
-                        "must be defined together — a size without a codec "
-                        "(or vice versa) lets measured and transported bits "
-                        "disagree")
+                        f"{', '.join(missing)}): encode and decode must be "
+                        "defined together — the meter counts what encode "
+                        "writes, so a codec that cannot read it back lets "
+                        "measured and transported bits disagree")
         self._rule_w1_raw_payload()
-        # Registry mirror: when the static_audit X-macro list is in scope,
-        # every core agent must appear in it and register in its header.
-        if not self.index.audit_list_seen:
-            return
-        listed = set(self.index.audit_list)
+
+    # Every agent defined under src/core/ runs the compile-time audit
+    # (capabilities, parallel safety, codec) where it is defined. Keyed on
+    # the path alone, so the check holds whatever else is scanned.
+    def _rule_w1_core_audit(self):
         for info in self.index.classes.values():
-            if not (info.is_agent and info.has_message and info.has_send):
+            if not (info.is_agent and info.has_message and info.has_send) \
+                    or info.audit_registered:
                 continue
-            core_bodies = [(s, b, o) for s, b, o in info.bodies
-                           if "/src/core/" in s.path.replace("\\", "/")]
+            core_bodies = [(s, b, o) for s, b, o in info.bodies if "/src/core/"
+                           in "/" + s.path.replace("\\", "/")]
             if not core_bodies:
                 continue
             scan, _body, base = core_bodies[0]
-            if info.name not in listed:
-                self.report(
-                    scan, base, "W1",
-                    f"core agent {info.name} is missing from "
-                    "ANONET_CORE_AGENT_LIST (src/runtime/static_audit.hpp): "
-                    "the compile-time audit cannot vouch for an unlisted "
-                    "agent")
-            if not info.audit_registered:
-                self.report(
-                    scan, base, "W1",
-                    f"core agent {info.name} does not invoke "
-                    "ANONET_STATIC_AUDIT_DECLARATIONS in its header: the "
-                    "declaration audit must run where the class is defined")
+            self.report(
+                scan, base, "W1",
+                f"core agent {info.name} does not invoke "
+                "ANONET_STATIC_AUDIT_DECLARATIONS in its header: the "
+                "compile-time audit must run where the class is defined")
 
     # Raw-payload escape (transport hardening): a statement that pushes an
     # agent's Message across a byte boundary with memcpy / reinterpret_cast /

@@ -352,8 +352,8 @@ class RawPayloadEscapeTests(unittest.TestCase):
         };
         namespace wire {
         template <> struct MessageTraits<PayloadAgent::Message> {
-          static long encoded_bits(const PayloadAgent::Message&) { return 64; }
-          static void encode(const PayloadAgent::Message&, int&) {}
+          template <typename Sink>
+          static void encode(const PayloadAgent::Message&, Sink&) {}
           static PayloadAgent::Message decode(int&) { return {}; }
         };
         }
@@ -383,14 +383,12 @@ class RawPayloadEscapeTests(unittest.TestCase):
 
     def test_codec_routed_statement_is_exempt(self):
         # A memcpy whose own statement routes through the codec (here:
-        # sizing the copy from encoded_bits) is the sanctioned staging
-        # pattern, not an escape.
+        # sizing the copy from what encode writes) is the sanctioned
+        # staging pattern, not an escape.
         findings = self._raw_payload_findings("""
             void pack(const PayloadAgent::Message& m, unsigned char* out,
                       const unsigned char* staged) {
-              memcpy(out, staged,
-                     wire::MessageTraits<PayloadAgent::Message>
-                         ::encoded_bits(m) / 8);
+              memcpy(out, staged, wire::encoded_bits(m) / 8);
             }
             PayloadAgent::Message unpack(int& src) {
               return wire::decode<PayloadAgent::Message>(src);
@@ -406,6 +404,56 @@ class RawPayloadEscapeTests(unittest.TestCase):
             }
         """)
         self.assertEqual(len(findings), 1)
+
+
+class WireCodecTests(unittest.TestCase):
+    """W1 codec completeness on specializations written beside the agent
+    (`struct wire::MessageTraits<...>`), and the core-agent audit check,
+    which no longer depends on any registry being in scope."""
+
+    AGENT = """
+        namespace wire { template <typename M> struct MessageTraits; }
+        class CoreAgent {
+         public:
+          struct Message { long v; };
+          static constexpr bool kParallelSafe = true;
+          Message send(int outdegree, int port) { return Message{1}; }
+        };
+    """
+    ENCODE = """
+          template <typename Sink>
+          static void encode(const CoreAgent::Message&, Sink&) {}"""
+    DECODE = """
+          static CoreAgent::Message decode(int&) { return {}; }"""
+
+    def _w1(self, path, codec_body, audit=True):
+        text = (self.AGENT +
+                "template <> struct wire::MessageTraits<CoreAgent::Message> {"
+                + codec_body + "\n};\n" +
+                ("ANONET_STATIC_AUDIT_DECLARATIONS(CoreAgent);\n"
+                 if audit else ""))
+        _, findings = analyze_source([(path, text)])
+        return [f.message for f in findings if f.rule == "W1"]
+
+    def test_qualified_complete_codec_is_clean(self):
+        self.assertEqual(self._w1("src/core/a.hpp",
+                                  self.ENCODE + self.DECODE), [])
+
+    def test_qualified_codec_without_decode_is_flagged(self):
+        messages = self._w1("src/core/a.hpp", self.ENCODE)
+        self.assertEqual(len(messages), 1)
+        self.assertIn("(missing: decode)", messages[0])
+
+    def test_core_agent_without_audit_call_is_flagged(self):
+        messages = self._w1("src/core/a.hpp", self.ENCODE + self.DECODE,
+                            audit=False)
+        self.assertEqual(len(messages), 1)
+        self.assertIn("does not invoke ANONET_STATIC_AUDIT_DECLARATIONS",
+                      messages[0])
+
+    def test_audit_call_is_only_required_under_src_core(self):
+        self.assertEqual(self._w1("examples/a.cpp", self.ENCODE + self.DECODE,
+                                  audit=False), [])
 
 
 def regen():
