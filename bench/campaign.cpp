@@ -11,8 +11,10 @@
 // record-level determinism guarantee is untouched) to report each suite's
 // summed cell time (`cell_ms`, the input of scripts/perf_smoke.py's
 // table2/table1 ratio gate) and to score the sharding policies: the
-// shard-imbalance block reports max/mean shard wall time for the 4-way
-// cost (LPT) and index splits over the measured costs. Table2's
+// shard-imbalance block reports max/mean shard wall time, over the measured
+// costs, of the 4-way splits each policy makes without measurements: LPT
+// over the static estimates (`--shard-by cost` with no `--cost-file`) and
+// index % 4. Table2's
 // history-tree and set-gossip cells (the history/gossip gate) are timed
 // again in a separate serial pass, best of several runs per cell: each
 // side sums under 0.1 s, too little to read while pool neighbors run.
@@ -176,7 +178,10 @@ int main() {
       table2_serial_cell_ms(tables, table_cells, {"history-tree", "gossip"});
 
   // Score the sharding policies on the measured per-cell wall times: how
-  // uneven a 4-way split of this campaign would be under each policy.
+  // uneven the 4-way split each policy makes before any measurement (LPT
+  // over the static estimates, index % 4) turned out on this campaign.
+  // Scoring an LPT split of the same measurements would read 1.0 by
+  // construction.
   CostModel measured;
   for (const CellRecord& record : tables) {
     if (record.wall_ms >= 0.0) measured.set_measured(record.key, record.wall_ms);
@@ -194,7 +199,7 @@ int main() {
   }
   constexpr int kShards = 4;
   const std::vector<int> by_cost =
-      assign_shards_by_cost(cells, measured, kShards);
+      assign_shards_by_cost(cells, CostModel{}, kShards);
   std::vector<int> by_index(cells.size(), 0);
   for (std::size_t i = 0; i < cells.size(); ++i) {
     by_index[i] = static_cast<int>(i % kShards);

@@ -10,6 +10,7 @@
 // Build & run:  ./examples/sensor_average
 
 #include <cstdio>
+#include <optional>
 #include <random>
 
 #include "core/metropolis.hpp"
@@ -67,20 +68,21 @@ int main() {
   for (std::int64_t r : readings) freq_agents.emplace_back(r);
   Executor<FrequencyMetropolisAgent> exact_exec(
       mesh, std::move(freq_agents), under<CommModel::kOutdegreeAware>);
-  int locked_round = -1;
+  // Each sensor scores 1 once its rounded frequency vector is the exact
+  // distribution; the first round in which all of them do is the lock.
   const Frequency truth_freq = Frequency::of(readings);
-  for (int round = 1; round <= 2000 && locked_round == -1; ++round) {
-    exact_exec.step();
-    bool all_locked = true;
-    for (Vertex v = 0; v < kSensors; ++v) {
-      const auto rounded = exact_exec.agent(v).rounded_frequency(kFleetBound);
-      if (!rounded.has_value() || !(*rounded == truth_freq)) {
-        all_locked = false;
-        break;
-      }
-    }
-    if (all_locked) locked_round = round;
-  }
+  const int locked_round =
+      observe(exact_exec, 2000, Rational(1), 0.0,
+              [&](const FrequencyMetropolisAgent& agent)
+                  -> std::optional<Rational> {
+                const auto rounded = agent.rounded_frequency(kFleetBound);
+                if (rounded.has_value() && *rounded == truth_freq) {
+                  return Rational(1);
+                }
+                return std::nullopt;
+              },
+              StopRule::kFirstSuccess)
+          .stabilization_round;
   std::printf(
       "\nwith the fleet bound N = %u, every sensor's Q_N-rounded frequency\n"
       "vector locked onto the exact distribution at round %d — from there\n"

@@ -36,6 +36,35 @@ std::vector<std::int64_t> decoded_inputs(
   return result;
 }
 
+// Centralized help must describe the network it comes with: the output
+// layer builds multisets from a known n or ℓ, so help that contradicts the
+// inputs would compute f of another network (or expand a huge multiset).
+void check_help(const char* entry, const std::vector<std::int64_t>& inputs,
+                const Attempt& attempt) {
+  const auto n = static_cast<std::int64_t>(inputs.size());
+  const char* problem = nullptr;
+  switch (attempt.knowledge) {
+    case Knowledge::kNone:
+      break;
+    case Knowledge::kUpperBound:
+      if (attempt.parameter < n) problem = "a bound N must be at least n";
+      break;
+    case Knowledge::kExactSize:
+      if (attempt.parameter != n) problem = "a known n must be the input count";
+      break;
+    case Knowledge::kLeaders:
+      if (attempt.parameter < 1 ||
+          attempt.parameter != std::count_if(inputs.begin(), inputs.end(),
+                                             decode_leader_flag)) {
+        problem = "ℓ must be the number of leader-flagged inputs, at least 1";
+      }
+      break;
+  }
+  if (problem != nullptr) {
+    throw std::invalid_argument(std::string(entry) + ": " + problem);
+  }
+}
+
 AttemptResult failure(std::string reason) {
   AttemptResult result;
   result.mechanism = std::move(reason);
@@ -340,6 +369,7 @@ AttemptResult attempt_static(const Digraph& g,
   if (inputs.size() != static_cast<std::size_t>(g.vertex_count())) {
     throw std::invalid_argument("attempt_static: one input per vertex");
   }
+  check_help("attempt_static", inputs, attempt);
   if (!is_strongly_connected(g)) {
     throw std::invalid_argument("attempt_static: graph must be strongly "
                                 "connected (the class of Theorem 4.1)");
@@ -393,6 +423,7 @@ AttemptResult attempt_dynamic(const DynamicGraphPtr& network,
     throw std::invalid_argument(
         "attempt_dynamic: a bound or n must lie in [1, 2^32 - 1]");
   }
+  check_help("attempt_dynamic", inputs, attempt);
   const Rational truth = ground_truth(inputs, f, attempt.knowledge);
 
   if (f.declared_class() == FunctionClass::kSetBased) {

@@ -51,6 +51,10 @@ struct Attempt {
   std::int64_t bandwidth_bits = 0;
 };
 
+// Both entry points throw std::invalid_argument when the help contradicts
+// the inputs: a bound below n, a known n other than the input count, or ℓ
+// other than the number of leader-flagged inputs (or below 1).
+
 // Static strongly connected networks (Theorem 4.1, Corollaries 4.2-4.4).
 // For kOutputPortAware the graph's ports are assigned automatically when
 // absent. For kLeaders, code the inputs with encode_leader_input().

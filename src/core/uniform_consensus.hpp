@@ -13,7 +13,7 @@
 // diagonal >= 1/N, hence sum-preserving and convergent to the average on
 // every connected symmetric round graph — at the price of a much smaller
 // spectral gap than Metropolis (the O(n^4)-ish regime the paper mentions;
-// bench/degree_oblivious_ablation.cpp measures the contrast).
+// bench/metropolis_convergence.cpp measures the contrast, A3).
 //
 // Messages carry only the state: this is genuinely the simple broadcast
 // sending function, so these agents run under CommModel::kSymmetricBroadcast

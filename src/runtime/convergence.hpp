@@ -70,7 +70,9 @@ enum class StopRule {
 //    when every agent outputs exactly `truth`. `stabilization_round` is the
 //    first round of the final run of successful rounds, so `success` means
 //    exact and stable at the last round. `final_error` is the sup-distance
-//    of the last outputs, NaN when some agent has no output.
+//    of the last outputs, NaN when some agent has no output. The output
+//    may also be an indicator judged against `truth` = 1: 1 when the
+//    agent's state is correct, nullopt when it is not.
 //  - δ2, when `output` returns double: a round succeeds when its
 //    max_abs_error is within `tolerance`; `final_error` is that error at
 //    the last round (+inf before any round ran).

@@ -173,6 +173,34 @@ TEST(Table1, ValidatesNetworkClass) {
                std::invalid_argument);
 }
 
+TEST(Table1, HelpThatContradictsTheNetworkIsRejected) {
+  // Known n = 12 on a 6-agent ring would read the multiset of a 12-agent
+  // network off the same frequency, and return its sum.
+  const Digraph g = bidirectional_ring(6);
+  const std::vector<std::int64_t> inputs{1, 2, 3, 1, 2, 3};
+  EXPECT_THROW((void)attempt_static(
+                   g, inputs, sum_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kExactSize, 12, 25)),
+               std::invalid_argument);
+  EXPECT_THROW((void)attempt_static(
+                   g, inputs, average_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kUpperBound, 5, 25)),
+               std::invalid_argument);
+  // ℓ = 1 with no flagged input, and ℓ = 0 with none: no leader to pin.
+  EXPECT_THROW((void)attempt_static(
+                   g, inputs, sum_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kLeaders, 1, 25)),
+               std::invalid_argument);
+  EXPECT_THROW((void)attempt_static(
+                   g, inputs, sum_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kLeaders, 0, 25)),
+               std::invalid_argument);
+}
+
 TEST(Table1, WholeFrequencyBasedLibraryIsComputableWithDegrees) {
   // Not just the average: every frequency-based function in the library is
   // exactly computable once frequencies are (Theorem 4.1's "if" direction
@@ -246,6 +274,34 @@ TEST(Table2, BoundOrSizeOutsideUint32IsRejected) {
           << to_string(knowledge) << ", parameter " << parameter;
     }
   }
+}
+
+TEST(Table2, HelpThatContradictsTheNetworkIsRejected) {
+  std::vector<std::int64_t> coded;
+  for (int i = 0; i < 6; ++i) {
+    coded.push_back(encode_leader_input(1 + i % 2, i == 0));
+  }
+  // ℓ = 2 with one flagged input doubles every multiplicity.
+  EXPECT_THROW((void)attempt_dynamic(
+                   std::make_shared<RandomStronglyConnectedSchedule>(6, 3, 8),
+                   coded, sum_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kLeaders, 2, 60)),
+               std::invalid_argument);
+  // A bound N = 3 for 6 agents: Q_3 has no 1/6, the frequency of 1 here.
+  const std::vector<std::int64_t> inputs{1, 2, 2, 2, 2, 2};
+  EXPECT_THROW((void)attempt_dynamic(
+                   std::make_shared<RandomStronglyConnectedSchedule>(6, 3, 8),
+                   inputs, average_function(),
+                   make_attempt(CommModel::kOutdegreeAware,
+                                Knowledge::kUpperBound, 3, 60)),
+               std::invalid_argument);
+  EXPECT_THROW((void)attempt_dynamic(
+                   std::make_shared<RandomSymmetricSchedule>(6, 3, 8), inputs,
+                   average_function(),
+                   make_attempt(CommModel::kSymmetricBroadcast,
+                                Knowledge::kExactSize, 7, 60)),
+               std::invalid_argument);
 }
 
 TEST(Table2, PushSumWithoutBoundOnlyApproximates) {
