@@ -10,14 +10,10 @@
 // are timed individually (in memory only — no JSONL is written, so the
 // record-level determinism guarantee is untouched) to report each suite's
 // summed cell time (`cell_ms`, the input of scripts/perf_smoke.py's
-// table2/table1 ratio gate) and to score the sharding policies: the
-// shard-imbalance block reports max/mean shard wall time, over the measured
-// costs, of the 4-way splits each policy makes without measurements: LPT
-// over the static estimates (`--shard-by cost` with no `--cost-file`) and
-// index % 4. Table2's
-// history-tree and set-gossip cells (the history/gossip gate) are timed
-// again in a separate serial pass, best of several runs per cell: each
-// side sums under 0.1 s, too little to read while pool neighbors run.
+// table2/table1 ratio gate). Table2's history-tree and set-gossip cells
+// (the history/gossip gate) are timed again in a separate serial pass,
+// best of several runs per cell: each side sums under 0.1 s, too little to
+// read while pool neighbors run.
 
 #include <algorithm>
 #include <chrono>
@@ -29,7 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "campaign/cost_model.hpp"
 #include "campaign/metrics.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
@@ -121,23 +116,6 @@ std::vector<double> table2_serial_cell_ms(
   return sums;
 }
 
-// max/mean shard wall time of `assignment` over the measured costs — 1.0
-// is a perfect split, `shards` the degenerate everything-on-one-shard one.
-double imbalance(const std::vector<Cell>& cells, const CostModel& model,
-                 const std::vector<int>& assignment, int shards) {
-  std::vector<double> load(static_cast<std::size_t>(shards), 0.0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    load[static_cast<std::size_t>(assignment[i])] += model.cost(cells[i]);
-  }
-  double total = 0.0;
-  double max_load = 0.0;
-  for (double l : load) {
-    total += l;
-    max_load = std::max(max_load, l);
-  }
-  return total > 0.0 ? max_load / (total / shards) : 1.0;
-}
-
 }  // namespace
 
 int main() {
@@ -146,7 +124,7 @@ int main() {
   RunnerOptions options;
   options.threads = ThreadPool::hardware_threads();
   options.resume = false;
-  options.include_timings = true;  // in-memory wall_ms feeds the cost model
+  options.include_timings = true;  // in-memory wall_ms feeds cell_ms
   const Runner runner(options);
 
   std::printf("campaign bench: running 'tables' grid...\n");
@@ -177,39 +155,6 @@ int main() {
   const std::vector<double> serial_ms =
       table2_serial_cell_ms(tables, table_cells, {"history-tree", "gossip"});
 
-  // Score the sharding policies on the measured per-cell wall times: how
-  // uneven the 4-way split each policy makes before any measurement (LPT
-  // over the static estimates, index % 4) turned out on this campaign.
-  // Scoring an LPT split of the same measurements would read 1.0 by
-  // construction.
-  CostModel measured;
-  for (const CellRecord& record : tables) {
-    if (record.wall_ms >= 0.0) measured.set_measured(record.key, record.wall_ms);
-  }
-  for (const CellRecord& record : adversarial) {
-    if (record.wall_ms >= 0.0) measured.set_measured(record.key, record.wall_ms);
-  }
-  for (const CellRecord& record : faults) {
-    if (record.wall_ms >= 0.0) measured.set_measured(record.key, record.wall_ms);
-  }
-  std::vector<Cell> cells = table_cells;
-  for (const char* extra_grid : {"adversarial", "faults"}) {
-    const std::vector<Cell> extra = Grid::preset(extra_grid).expand();
-    cells.insert(cells.end(), extra.begin(), extra.end());
-  }
-  constexpr int kShards = 4;
-  const std::vector<int> by_cost =
-      assign_shards_by_cost(cells, CostModel{}, kShards);
-  std::vector<int> by_index(cells.size(), 0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    by_index[i] = static_cast<int>(i % kShards);
-  }
-  const double cost_imbalance = imbalance(cells, measured, by_cost, kShards);
-  const double index_imbalance = imbalance(cells, measured, by_index, kShards);
-  std::printf("shard imbalance (max/mean over %d shards): cost %.3f, "
-              "index %.3f\n",
-              kShards, cost_imbalance, index_imbalance);
-
   FILE* out = std::fopen("BENCH_campaign.json", "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open BENCH_campaign.json\n");
@@ -228,10 +173,6 @@ int main() {
                std::llround(serial_ms[0]));
   std::fprintf(out, "  \"table2_gossip_cell_ms\": %lld,\n",
                std::llround(serial_ms[1]));
-  std::fprintf(out, "  \"shard_imbalance\": {\"shards\": %d, "
-               "\"cost_max_over_mean\": %.4f, "
-               "\"index_max_over_mean\": %.4f},\n",
-               kShards, cost_imbalance, index_imbalance);
   std::fprintf(out, "  \"results\": [\n");
   for (std::size_t i = 0; i < suites.size(); ++i) {
     const SuiteSummary& s = suites[i];

@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -38,6 +39,7 @@
 #include "dynamics/schedules.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
+#include "cli.hpp"
 
 using namespace anonet;
 
@@ -54,35 +56,58 @@ std::vector<std::string> split(const std::string& text, char sep) {
   std::istringstream stream(text);
   std::string part;
   while (std::getline(stream, part, sep)) parts.push_back(part);
+  if (parts.empty()) parts.emplace_back();  // "" names no spec, not none
   return parts;
 }
 
-long as_long(const std::string& text) {
-  try {
-    return std::stol(text);
-  } catch (...) {
-    die("expected a number, got '" + text + "'");
+// Field i of a colon-separated spec; a missing one is a usage error.
+const std::string& field(const std::vector<std::string>& parts,
+                         std::size_t i) {
+  if (i >= parts.size()) {
+    die("'" + parts.front() + "' needs field " + std::to_string(i));
   }
+  return parts[i];
+}
+
+// The whole field must be one number that T holds (tools/cli.hpp's rule):
+// a value outside T is an error, never a narrowed one.
+template <typename T>
+T as(const std::string& text) {
+  T value{};
+  if (!tools::parse_number(text.c_str(), value)) {
+    die("expected a number that fits, got '" + text + "'");
+  }
+  return value;
+}
+
+std::uint64_t as_seed(const std::string& text) {
+  const auto seed = as<std::int64_t>(text);
+  if (seed < 0) die("expected a non-negative seed, got '" + text + "'");
+  return static_cast<std::uint64_t>(seed);
 }
 
 Digraph parse_graph(const std::string& spec) {
   const auto p = split(spec, ':');
-  if (p[0] == "ring") return bidirectional_ring(as_long(p.at(1)));
-  if (p[0] == "dring") return directed_ring(as_long(p.at(1)));
-  if (p[0] == "complete") return complete_graph(as_long(p.at(1)));
-  if (p[0] == "torus") return torus(as_long(p.at(1)), as_long(p.at(2)));
-  if (p[0] == "hypercube") return hypercube(as_long(p.at(1)));
+  if (p[0] == "ring") return bidirectional_ring(as<Vertex>(field(p, 1)));
+  if (p[0] == "dring") return directed_ring(as<Vertex>(field(p, 1)));
+  if (p[0] == "complete") return complete_graph(as<Vertex>(field(p, 1)));
+  if (p[0] == "torus") {
+    return torus(as<Vertex>(field(p, 1)), as<Vertex>(field(p, 2)));
+  }
+  if (p[0] == "hypercube") return hypercube(as<int>(field(p, 1)));
   if (p[0] == "sc") {
-    return random_strongly_connected(as_long(p.at(1)), as_long(p.at(2)),
-                                     static_cast<std::uint64_t>(as_long(p.at(3))));
+    return random_strongly_connected(as<Vertex>(field(p, 1)),
+                                     as<int>(field(p, 2)),
+                                     as_seed(field(p, 3)));
   }
   if (p[0] == "sym") {
-    return random_symmetric_connected(as_long(p.at(1)), as_long(p.at(2)),
-                                      static_cast<std::uint64_t>(as_long(p.at(3))));
+    return random_symmetric_connected(as<Vertex>(field(p, 1)),
+                                      as<int>(field(p, 2)),
+                                      as_seed(field(p, 3)));
   }
   if (p[0] == "file") {
-    std::ifstream in(p.at(1));
-    if (!in) die("cannot open " + p.at(1));
+    std::ifstream in(field(p, 1));
+    if (!in) die("cannot open " + field(p, 1));
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return parse_edge_list(buffer.str());
@@ -94,20 +119,18 @@ DynamicGraphPtr parse_dynamic(const std::string& spec) {
   const auto p = split(spec, ':');
   if (p[0] == "sc") {
     return std::make_shared<RandomStronglyConnectedSchedule>(
-        as_long(p.at(1)), as_long(p.at(2)),
-        static_cast<std::uint64_t>(as_long(p.at(3))));
+        as<Vertex>(field(p, 1)), as<int>(field(p, 2)), as_seed(field(p, 3)));
   }
   if (p[0] == "sym") {
     return std::make_shared<RandomSymmetricSchedule>(
-        as_long(p.at(1)), as_long(p.at(2)),
-        static_cast<std::uint64_t>(as_long(p.at(3))));
+        as<Vertex>(field(p, 1)), as<int>(field(p, 2)), as_seed(field(p, 3)));
   }
   if (p[0] == "token") {
-    return std::make_shared<TokenRingSchedule>(as_long(p.at(1)));
+    return std::make_shared<TokenRingSchedule>(as<Vertex>(field(p, 1)));
   }
   if (p[0] == "matching") {
-    return std::make_shared<RandomMatchingSchedule>(
-        as_long(p.at(1)), static_cast<std::uint64_t>(as_long(p.at(2))));
+    return std::make_shared<RandomMatchingSchedule>(as<Vertex>(field(p, 1)),
+                                                    as_seed(field(p, 2)));
   }
   die("unknown dynamic spec '" + spec + "'");
 }
@@ -116,19 +139,21 @@ std::vector<std::int64_t> parse_inputs(const std::string& spec, Vertex n) {
   const auto p = split(spec, ':');
   std::vector<std::int64_t> inputs;
   if (p[0] == "random") {
-    const long count = as_long(p.at(1));
-    std::mt19937_64 rng(static_cast<std::uint64_t>(as_long(p.at(4))));
-    std::uniform_int_distribution<std::int64_t> dist(as_long(p.at(2)),
-                                                     as_long(p.at(3)));
-    for (long i = 0; i < count; ++i) inputs.push_back(dist(rng));
+    const auto count = as<Vertex>(field(p, 1));
+    const auto lo = as<std::int64_t>(field(p, 2));
+    const auto hi = as<std::int64_t>(field(p, 3));
+    if (lo > hi) die("random inputs need LO <= HI in '" + spec + "'");
+    std::mt19937_64 rng(as_seed(field(p, 4)));
+    std::uniform_int_distribution<std::int64_t> dist(lo, hi);
+    for (Vertex i = 0; i < count; ++i) inputs.push_back(dist(rng));
   } else if (p[0] == "alt") {
-    const long count = as_long(p.at(1));
-    for (long i = 0; i < count; ++i) {
-      inputs.push_back(i % 2 == 0 ? as_long(p.at(2)) : as_long(p.at(3)));
-    }
+    const auto count = as<Vertex>(field(p, 1));
+    const auto a = as<std::int64_t>(field(p, 2));
+    const auto b = as<std::int64_t>(field(p, 3));
+    for (Vertex i = 0; i < count; ++i) inputs.push_back(i % 2 == 0 ? a : b);
   } else {
-    for (const std::string& field : split(spec, ',')) {
-      inputs.push_back(as_long(field));
+    for (const std::string& value : split(spec, ',')) {
+      inputs.push_back(as<std::int64_t>(value));
     }
   }
   if (n > 0 && inputs.size() != static_cast<std::size_t>(n)) {
@@ -161,9 +186,7 @@ SymmetricFunction parse_function(const std::string& name) {
   die("unknown function '" + name + "'");
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc == 1) {
     std::printf(
         "anonet explorer — see the usage block at the top of "
@@ -192,7 +215,7 @@ int main(int argc, char** argv) {
     else if (arg == "--model") model_name = next();
     else if (arg == "--function") function_name = next();
     else if (arg == "--knowledge") knowledge_spec = next();
-    else if (arg == "--rounds") rounds = static_cast<int>(as_long(next()));
+    else if (arg == "--rounds") rounds = as<int>(next());
     else if (arg == "--dot") want_dot = true;
     else die("unknown flag '" + arg + "'");
   }
@@ -207,12 +230,12 @@ int main(int argc, char** argv) {
     attempt.knowledge = Knowledge::kNone;
   } else if (knowledge_parts[0] == "bound") {
     attempt.knowledge = Knowledge::kUpperBound;
-    attempt.parameter = as_long(knowledge_parts.at(1));
+    attempt.parameter = as<std::int64_t>(field(knowledge_parts, 1));
   } else if (knowledge_parts[0] == "size") {
     attempt.knowledge = Knowledge::kExactSize;
   } else if (knowledge_parts[0] == "leaders") {
     attempt.knowledge = Knowledge::kLeaders;
-    attempt.parameter = as_long(knowledge_parts.at(1));
+    attempt.parameter = as<std::int64_t>(field(knowledge_parts, 1));
   } else {
     die("unknown knowledge '" + knowledge_spec + "'");
   }
@@ -275,4 +298,16 @@ int main(int argc, char** argv) {
     std::printf("RESULT: not computed — %s\n", result.mechanism.c_str());
   }
   return result.success ? 0 : 1;
+}
+
+}  // namespace
+
+// Every rejected input, including help that contradicts the network and a
+// round graph the model forbids, ends as a usage error with exit status 2.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    die(e.what());
+  }
 }

@@ -1,40 +1,18 @@
 #include "campaign/cost_model.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "campaign/metrics.hpp"
 
 namespace anonet::campaign {
 
-std::string_view slug(ShardBy mode) {
-  switch (mode) {
-    case ShardBy::kIndex: return "index";
-    case ShardBy::kCost: return "cost";
-  }
-  return "?";
-}
-
-ShardBy parse_shard_by(std::string_view text) {
-  if (text == "index") return ShardBy::kIndex;
-  if (text == "cost") return ShardBy::kCost;
-  throw std::invalid_argument("parse_shard_by: unknown mode '" +
-                              std::string(text) +
-                              "' (expected index or cost)");
-}
-
 CostModel CostModel::from_timings_file(const std::string& path) {
   CostModel model;
   if (path.empty()) return model;
   for (const CellRecord& record : MetricsSink::read_file(path)) {
-    if (record.wall_ms >= 0.0) model.set_measured(record.key, record.wall_ms);
+    if (record.wall_ms >= 0.0) model.measured_[record.key] = record.wall_ms;
   }
   return model;
-}
-
-void CostModel::set_measured(const std::string& key, double wall_ms) {
-  if (wall_ms < 0.0) return;
-  measured_[key] = wall_ms;
 }
 
 double CostModel::cost(const Cell& cell) const {
@@ -46,8 +24,7 @@ double CostModel::cost(const Cell& cell) const {
 }
 
 double CostModel::static_estimate(const Cell& cell) {
-  // Skipped rows are rendered, not simulated: negligible but nonzero so
-  // LPT still spreads long runs of them across shards.
+  // Skipped rows are rendered, not simulated: negligible but nonzero.
   if (!cell.admissible) return 1e-3;
 
   const auto n = static_cast<double>(std::max(cell.n(), 1));
@@ -111,34 +88,12 @@ std::vector<std::size_t> cost_descending_order(const std::vector<Cell>& cells,
   std::vector<std::size_t> order(cells.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   // stable_sort on strictly-greater cost keeps equal-cost cells in index
-  // order — the tie-break that makes the schedule reproducible.
+  // order — the tie-break that makes the work order reproducible.
   std::stable_sort(order.begin(), order.end(),
                    [&costs](std::size_t a, std::size_t b) {
                      return costs[a] > costs[b];
                    });
   return order;
-}
-
-std::vector<int> assign_shards_by_cost(const std::vector<Cell>& cells,
-                                       const CostModel& model, int shards) {
-  if (shards < 1) {
-    throw std::invalid_argument("assign_shards_by_cost: shards must be >= 1");
-  }
-  std::vector<int> assignment(cells.size(), 0);
-  if (shards == 1 || cells.empty()) return assignment;
-  std::vector<double> load(static_cast<std::size_t>(shards), 0.0);
-  for (std::size_t pos : cost_descending_order(cells, model)) {
-    int lightest = 0;
-    for (int s = 1; s < shards; ++s) {
-      if (load[static_cast<std::size_t>(s)] <
-          load[static_cast<std::size_t>(lightest)]) {
-        lightest = s;
-      }
-    }
-    assignment[pos] = lightest;
-    load[static_cast<std::size_t>(lightest)] += model.cost(cells[pos]);
-  }
-  return assignment;
 }
 
 }  // namespace anonet::campaign

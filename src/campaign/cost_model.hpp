@@ -1,42 +1,29 @@
 #pragma once
 
-// Cost-aware campaign scheduling (docs/campaign.md).
+// The campaign work order (docs/campaign.md).
 //
 // Cell wall costs in a heterogeneous grid vary by orders of magnitude — a
 // large-n Push-Sum cell near Theorem 5.2's O(n^{2D}·D·log 1/ε) worst case,
 // or a history-tree cell with its per-round exact solve, dwarfs a skipped
-// row or a small gossip cell. `index % shards` sharding is oblivious to
-// this, so one shard can end up with most of the expensive cells. The
-// CostModel estimates per-cell wall cost — preferring *measured* wall_ms
-// from a previous run's timings JSONL, falling back to a deterministic
-// static estimate from the cell's coordinates — and drives:
-//   1. a longest-processing-time (LPT) assignment of cells to shards
-//      (`--shard-by=cost`), and
-//   2. the cost-descending in-process work order the runner's worker pool
-//      steals cells from, so the longest cell starts first and cannot
-//      serialize a worker's tail.
-// Both are pure functions of the cost model, so every shard process of a
-// campaign computes the same assignment from the same inputs, and the
-// canonical (cell-index-sorted) output file stays byte-identical across
-// shard counts and policies.
+// row or a small gossip cell. The CostModel estimates per-cell wall cost —
+// preferring *measured* wall_ms from a previous run's timings JSONL,
+// falling back to a deterministic static estimate from the cell's
+// coordinates — and campaign::start_campaign sorts the pending cells by it,
+// most expensive first, so the longest cell starts first and cannot
+// serialize a worker's tail. Both campaign executors (the in-process
+// Runner and the socket coordinator) consume that one order front to back.
+// Where a cell runs never depends on it: a shard is `index % shards`, and
+// the canonical (cell-index-sorted) output file is byte-identical whatever
+// the order.
 
 #include <cstddef>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "campaign/spec.hpp"
 
 namespace anonet::campaign {
-
-// How cells are assigned to shards: the compatible default pins cell index
-// mod shard count; kCost runs the LPT assignment below.
-enum class ShardBy { kIndex, kCost };
-
-[[nodiscard]] std::string_view slug(ShardBy mode);
-// Inverse of slug(); throws std::invalid_argument on unknown names.
-[[nodiscard]] ShardBy parse_shard_by(std::string_view text);
 
 class CostModel {
  public:
@@ -49,14 +36,13 @@ class CostModel {
   // so cold-starting a campaign needs no special casing.
   [[nodiscard]] static CostModel from_timings_file(const std::string& path);
 
-  void set_measured(const std::string& key, double wall_ms);
   [[nodiscard]] std::size_t measured_count() const {
     return measured_.size();
   }
 
   // Estimated wall cost for a cell, on the wall_ms scale: the measured
   // value when the cell's key is known, else static_estimate(). Only the
-  // *relative* magnitudes matter for scheduling.
+  // *relative* magnitudes matter for the work order.
   [[nodiscard]] double cost(const Cell& cell) const;
 
   // Deterministic fallback estimate from the cell's coordinates: round
@@ -71,17 +57,8 @@ class CostModel {
 };
 
 // Positions into `cells` sorted by descending cost (ties broken by
-// ascending cell index): the order LPT consumes and the runner's worker
-// pool steals from.
+// ascending position): the work order start_campaign hands both executors.
 [[nodiscard]] std::vector<std::size_t> cost_descending_order(
     const std::vector<Cell>& cells, const CostModel& model);
-
-// Longest-processing-time shard assignment: walk cells in cost-descending
-// order, placing each on the currently lightest shard (lowest index on
-// ties). Returns the shard of each cell, parallel to `cells`. Deterministic
-// given the model, so independent shard processes agree on the partition.
-// Throws std::invalid_argument for shards < 1.
-[[nodiscard]] std::vector<int> assign_shards_by_cost(
-    const std::vector<Cell>& cells, const CostModel& model, int shards);
 
 }  // namespace anonet::campaign

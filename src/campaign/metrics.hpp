@@ -124,7 +124,7 @@ class MetricsSink {
       const std::string& path);
 
   // Rewrites `path` with the records sorted by (cell index, key) — the
-  // canonical form compared across shard counts and sharding policies.
+  // canonical form compared across shard and thread counts.
   // Duplicate keys keep the first occurrence. Throws std::runtime_error on
   // I/O failure.
   static void write_canonical(const std::string& path,

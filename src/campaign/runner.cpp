@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "campaign/cost_model.hpp"
 #include "core/census.hpp"
 #include "core/gossip.hpp"
 #include "core/metropolis.hpp"
@@ -310,26 +311,11 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
   std::vector<Cell> cells = grid.expand();
   apply_cell_overrides(cells, options.cell_timeout_ms, options.bandwidth_bits);
 
-  // Cost model: measured wall times when a timings file is given, static
-  // estimates otherwise. Both sharding (under kCost) and the callers' work
-  // order consult it.
   CampaignRun run;
-  run.costs = CostModel::from_timings_file(options.cost_path);
-
   std::vector<Cell> mine;
-  if (options.shard_by == ShardBy::kCost) {
-    const std::vector<int> assignment =
-        assign_shards_by_cost(cells, run.costs, options.shards);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (assignment[i] == options.shard_index) {
-        mine.push_back(cells[i]);
-      }
-    }
-  } else {
-    for (const Cell& cell : cells) {
-      if (cell.index % options.shards == options.shard_index) {
-        mine.push_back(cell);
-      }
+  for (const Cell& cell : cells) {
+    if (cell.index % options.shards == options.shard_index) {
+      mine.push_back(cell);
     }
   }
 
@@ -361,7 +347,11 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
     }
   }
 
-  for (Cell& cell : mine) {
+  // Work order: measured wall times when a timings file is given, static
+  // estimates otherwise, most expensive first.
+  const CostModel costs = CostModel::from_timings_file(options.cost_path);
+  for (std::size_t pos : cost_descending_order(mine, costs)) {
+    Cell& cell = mine[pos];
     if (finished.count(cell.key()) == 0) run.pending.push_back(std::move(cell));
   }
 
@@ -403,21 +393,19 @@ std::vector<CellRecord> finish_campaign(CampaignRun run,
 std::vector<CellRecord> Runner::run(const Grid& grid) const {
   CampaignRun run = start_campaign(grid, options_);
 
-  // Work-stealing order: workers claim cells one block at a time from a
-  // cost-descending permutation, so the most expensive cell starts first
+  // Work stealing: workers claim cells one block at a time in
+  // start_campaign's work order, so the most expensive cell starts first
   // and a slow cell pins at most the worker that claimed it.
   const std::vector<Cell>& pending = run.pending;
-  const std::vector<std::size_t> order =
-      cost_descending_order(pending, run.costs);
   std::vector<CellRecord> fresh(pending.size());
   MetricsSink* const sink = run.sink.get();
   const bool timings = options_.include_timings;
   ThreadPool pool(options_.threads);
   pool.parallel_blocks(
-      static_cast<std::int64_t>(order.size()), 1,
+      static_cast<std::int64_t>(pending.size()), 1,
       [&](std::int64_t begin, std::int64_t end, std::int64_t /*block*/) {
         for (std::int64_t i = begin; i < end; ++i) {
-          const std::size_t slot = order[static_cast<std::size_t>(i)];
+          const auto slot = static_cast<std::size_t>(i);
           fresh[slot] = run_cell(pending[slot], timings);
           if (sink != nullptr) {
             sink->append(fresh[slot]);

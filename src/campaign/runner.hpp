@@ -12,22 +12,22 @@
 // and the campaign keeps going.
 //
 // Sharding and resume compose through the cell index and key: a cell runs
-// in the shard the sharding policy assigns it (`index % shards` by default,
-// or the CostModel's LPT assignment under ShardBy::kCost), and a cell whose
-// key already appears in the output file is reused, not recomputed — except
-// a "timeout" record facing a larger budget, which is re-attempted. After
-// a run the output file is rewritten in canonical (cell-index) order, so
-// the concatenation of all shards' files — or the same campaign resumed
-// any number of times — is byte-identical to a single-shard run, whichever
-// sharding policy produced it. start_campaign / finish_campaign hold that
-// lifecycle for both campaign executors, this runner and the socket
-// coordinator (net/coordinator.hpp); they differ only in how pending cells
-// are run.
+// in shard `index % shards`, and a cell whose key already appears in the
+// output file is reused, not recomputed — except a "timeout" record facing
+// a larger budget, which is re-attempted. After a run the output file is
+// rewritten in canonical (cell-index) order, so the concatenation of all
+// shards' files — or the same campaign resumed any number of times — is
+// byte-identical to a single-shard run. start_campaign / finish_campaign
+// hold that lifecycle for both campaign executors, this runner and the
+// socket coordinator (net/coordinator.hpp). start_campaign also decides the
+// work order: its pending cells come most expensive first (by the
+// campaign's CostModel), and both executors consume them front to back;
+// they differ only in how a cell is run.
 //
 // Inside one process, pending cells are consumed work-stealing style: the
-// worker pool claims cells one at a time from a cost-descending order, so
-// the most expensive cell starts first and a slow cell can pin at most the
-// one worker that claimed it. With a per-cell wall-clock deadline
+// worker pool claims cells one at a time in that order, so the most
+// expensive cell starts first and a slow cell can pin at most the one
+// worker that claimed it. With a per-cell wall-clock deadline
 // (`cell_timeout_ms`), even a hung cell ends as a "timeout" record instead
 // of blocking the campaign.
 
@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "campaign/cost_model.hpp"
 #include "campaign/metrics.hpp"
 #include "campaign/spec.hpp"
 
@@ -49,11 +48,9 @@ struct RunnerOptions {
   bool resume = true;   // reuse finished cells found in out_path
   std::string out_path; // JSONL output; empty = return records only
 
-  // Sharding policy. kCost balances shards by estimated cell cost (LPT over
-  // the CostModel); the default stays index % shards for compatibility.
-  ShardBy shard_by = ShardBy::kIndex;
-  // Timings JSONL from a previous `include_timings` run, feeding measured
-  // wall_ms into the CostModel. Empty = static estimates only.
+  // Timings JSONL from a previous `include_timings` run: its measured
+  // wall_ms orders the pending cells in place of the static estimates.
+  // Empty = static estimates only.
   std::string cost_path;
   // Wall-clock deadline applied to every cell that does not carry its own
   // Cell::timeout_ms (<= 0: none). A tripped deadline becomes a "timeout"
@@ -80,18 +77,19 @@ void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
 
 // A campaign between its start and its canonical finish.
 struct CampaignRun {
-  std::vector<Cell> pending;          // owned cells with no reusable record
-  CostModel costs;                    // measured (cost_path) or static
+  std::vector<Cell> pending;          // unfinished owned cells, work order
   std::unique_ptr<MetricsSink> sink;  // open on out_path; null without one
   std::vector<CellRecord> kept;       // reused records of owned cells
   std::vector<CellRecord> foreign;    // records of cells this run does not own
 };
 
-// Expands the grid with the options' overrides, loads the cost model, takes
-// the cells of shard `shard_index`, resumes from out_path (reusing a
-// finished cell's record, re-anchored to this expansion), and opens the
-// sink. The caller runs `pending` and appends each fresh record to `sink`.
-// The shard fields must pass the Runner constructor's checks.
+// Expands the grid with the options' overrides, takes the cells of shard
+// `shard_index` (index % shards), resumes from out_path (reusing a finished
+// cell's record, re-anchored to this expansion), orders the rest by
+// descending cost (measured wall_ms from cost_path, else the static
+// estimate; ties by index), and opens the sink. The caller runs `pending`
+// front to back and appends each fresh record to `sink`. The shard fields
+// must pass the Runner constructor's checks.
 [[nodiscard]] CampaignRun start_campaign(const Grid& grid,
                                          const RunnerOptions& options);
 

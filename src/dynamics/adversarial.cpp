@@ -32,29 +32,32 @@ RoundGraphRef SpoonerSchedule::view(int t) const {
   return RoundGraphRef(bridge_round(t) ? &with_bridge_ : &without_bridge_);
 }
 
-UnionRingSchedule::UnionRingSchedule(Vertex n, int parts) : n_(n) {
+namespace {
+
+// The ring's edges in `parts` groups, each a graph with every self-loop:
+// ring edge i connects i and i+1 (mod n), and part p serves edges i ≡ p.
+std::vector<Digraph> union_ring_parts(Vertex n, int parts) {
   if (n < 2) throw std::invalid_argument("UnionRingSchedule: need n >= 2");
   if (parts < 1) throw std::invalid_argument("UnionRingSchedule: parts >= 1");
-  phases_.reserve(static_cast<std::size_t>(parts));
+  std::vector<Digraph> phases;
+  phases.reserve(static_cast<std::size_t>(parts));
   for (int p = 0; p < parts; ++p) {
-    Digraph g(n_);
-    for (Vertex v = 0; v < n_; ++v) g.add_edge(v, v);
-    // Ring edge i connects i and i+1 (mod n); part p serves edges i ≡ p.
-    for (Vertex i = p; i < n_; i += parts) {
-      const Vertex j = (i + 1) % n_;
-      if (i == j) continue;  // n == 1 degenerate, excluded above anyway
+    Digraph g(n);
+    for (Vertex v = 0; v < n; ++v) g.add_edge(v, v);
+    for (Vertex i = p; i < n; i += parts) {
+      const Vertex j = (i + 1) % n;
       g.add_edge(i, j);
       g.add_edge(j, i);
     }
-    phases_.push_back(std::move(g));
+    phases.push_back(std::move(g));
   }
+  return phases;
 }
 
-RoundGraphRef UnionRingSchedule::view(int t) const {
-  require_round(t);
-  return RoundGraphRef(
-      &phases_[static_cast<std::size_t>(t - 1) % phases_.size()]);
-}
+}  // namespace
+
+UnionRingSchedule::UnionRingSchedule(Vertex n, int parts)
+    : PeriodicSchedule(union_ring_parts(n, parts)) {}
 
 GrowingGapRingSchedule::GrowingGapRingSchedule(Vertex n) : n_(n) {
   if (n < 2) throw std::invalid_argument("GrowingGapRingSchedule: need n >= 2");

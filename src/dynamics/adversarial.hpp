@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "dynamics/dynamic_graph.hpp"
+#include "dynamics/schedules.hpp"
 
 namespace anonet {
 
@@ -69,19 +70,13 @@ class SpoonerSchedule final : public DynamicGraph {
 // while the paper's finite-dynamic-diameter machinery must not.
 //
 // Every round graph is symmetric. Requires n >= 2 and parts >= 1; rounds
-// cycle deterministically, no randomness involved.
-class UnionRingSchedule final : public DynamicGraph {
+// cycle deterministically, no randomness involved. A PeriodicSchedule over
+// the parts: round t lends the stored graph of part (t - 1) mod parts.
+class UnionRingSchedule final : public PeriodicSchedule {
  public:
   UnionRingSchedule(Vertex n, int parts);
 
-  [[nodiscard]] Vertex vertex_count() const override { return n_; }
-  // Lends the precomputed graph of part (t - 1) mod parts.
-  [[nodiscard]] RoundGraphRef view(int t) const override;
-  [[nodiscard]] int parts() const { return static_cast<int>(phases_.size()); }
-
- private:
-  Vertex n_;
-  std::vector<Digraph> phases_;
+  [[nodiscard]] int parts() const { return period(); }
 };
 
 // Weak-connectivity adversary with unboundedly growing silent gaps: the

@@ -30,7 +30,9 @@ class StaticSchedule final : public DynamicGraph {
 };
 
 // Cycles through a fixed list of graphs: G(t) = phases[(t-1) % phases.size()].
-class PeriodicSchedule final : public DynamicGraph {
+// The one stored periodic schedule; adversaries with a fixed phase list
+// (adversarial.hpp's UnionRingSchedule) derive from it.
+class PeriodicSchedule : public DynamicGraph {
  public:
   explicit PeriodicSchedule(std::vector<Digraph> phases);
 
@@ -38,6 +40,7 @@ class PeriodicSchedule final : public DynamicGraph {
   // Lends the stored phase graph; phase storage is immutable after
   // construction.
   [[nodiscard]] RoundGraphRef view(int t) const override;
+  [[nodiscard]] int period() const { return static_cast<int>(phases_.size()); }
 
  private:
   std::vector<Digraph> phases_;

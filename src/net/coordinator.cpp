@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "campaign/cost_model.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "net/protocol.hpp"
@@ -79,13 +79,11 @@ std::vector<CellRecord> Coordinator::run() {
     pos_by_index.emplace(static_cast<std::uint32_t>(pending[i].index), i);
   }
 
-  // Demand queue in the same cost-descending order the in-process pool
-  // steals from; reassigned cells go to the *front* (they blocked a worker
-  // already — they should not wait out the whole queue again).
-  std::deque<std::size_t> queue;
-  for (std::size_t pos : campaign::cost_descending_order(pending, run.costs)) {
-    queue.push_back(pos);
-  }
+  // Demand queue in start_campaign's work order, the one the in-process
+  // pool steals in; reassigned cells go to the *front* (they blocked a
+  // worker already — they should not wait out the whole queue again).
+  std::deque<std::size_t> queue(pending.size());
+  std::iota(queue.begin(), queue.end(), std::size_t{0});
   std::vector<std::optional<CellRecord>> fresh(pending.size());
   std::size_t outstanding = 0;  // cells assigned but not yet recorded
 

@@ -6,11 +6,10 @@
 // shares the runner's lifecycle (campaign::start_campaign and
 // finish_campaign: expansion, resume, sink, canonical rewrite) and owns
 // only the dispatch — instead of a thread pool it feeds cells to worker
-// *processes* over TCP (net/protocol.hpp), demand-driven in the same
-// cost-descending LPT order the in-process pool steals from. A worker with
-// window W holds at most W cells in flight; finishing one (VERDICT) pulls
-// the next, so fast workers naturally take more of the queue — the online
-// form of the CostModel's LPT assignment.
+// *processes* over TCP (net/protocol.hpp), demand-driven in the work order
+// start_campaign returns, the one the in-process pool steals in. A worker
+// with window W holds at most W cells in flight; finishing one (VERDICT)
+// pulls the next, so fast workers naturally take more of the queue.
 //
 // Fault model: a worker disconnect (EOF, reset, corrupt frame) returns its
 // in-flight cells to the *front* of the queue — each such cell is
@@ -38,7 +37,7 @@ struct CoordinatorOptions {
   bool include_timings = false;    // emit wall_ms (breaks byte-parity)
   std::int64_t bandwidth_bits = 0; // campaign-level overrides, shipped in
   double cell_timeout_ms = 0.0;    //   WELCOME so worker keys agree
-  std::string cost_path;           // timings JSONL feeding the CostModel
+  std::string cost_path;           // timings JSONL ordering the cells
 };
 
 struct CoordinatorStats {

@@ -19,7 +19,7 @@
 //   worker  -> HELLO{magic, version, window}
 //   coord   -> WELCOME{version, grid, include_timings, bandwidth_bits,
 //                      cell_timeout_ms}         (or drops on mismatch)
-//   coord   -> ASSIGN{cell_index, key}          (demand-driven, LPT order)
+//   coord   -> ASSIGN{cell_index, key}          (demand-driven, work order)
 //   worker  -> VERDICT{cell_index, key, line}
 //   ...                                         (ASSIGN/VERDICT repeats)
 //   coord   -> SHUTDOWN                         (queue drained)

@@ -900,21 +900,12 @@ TEST(CampaignParallel, ThreadedRunMatchesSerial) {
   serial.threads = 1;
   RunnerOptions threaded;
   threaded.threads = 4;
-  // The work-stealing cost order must not leak into results either.
-  RunnerOptions threaded_cost;
-  threaded_cost.threads = 4;
-  threaded_cost.shard_by = ShardBy::kCost;
   const std::vector<CellRecord> a = Runner(serial).run(grid);
   const std::vector<CellRecord> b = Runner(threaded).run(grid);
-  const std::vector<CellRecord> c = Runner(threaded_cost).run(grid);
   ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), c.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(MetricsSink::to_json(a[i], false),
               MetricsSink::to_json(b[i], false))
-        << a[i].key;
-    EXPECT_EQ(MetricsSink::to_json(a[i], false),
-              MetricsSink::to_json(c[i], false))
         << a[i].key;
   }
 }
@@ -962,12 +953,6 @@ TEST(Campaign, SinkIsDurablePerVerdictRecord) {
   EXPECT_EQ(records.back().key, "cell-4");
   sink.close();
   std::remove(path.c_str());
-}
-
-TEST(CampaignCost, ShardBySlugsRoundTrip) {
-  EXPECT_EQ(parse_shard_by(slug(ShardBy::kIndex)), ShardBy::kIndex);
-  EXPECT_EQ(parse_shard_by(slug(ShardBy::kCost)), ShardBy::kCost);
-  EXPECT_THROW((void)parse_shard_by("lpt"), std::invalid_argument);
 }
 
 TEST(CampaignCost, StaticEstimatesOrderMechanismsSensibly) {
@@ -1023,118 +1008,45 @@ TEST(CampaignCost, MeasuredCostsOverrideStaticEstimates) {
 }
 
 TEST(CampaignCost, OrderIsACostDescendingPermutation) {
-  const std::vector<Cell> cells = Grid::preset("smoke").expand();
-  const CostModel model;
-  const std::vector<std::size_t> order = cost_descending_order(cells, model);
-  ASSERT_EQ(order.size(), cells.size());
-  std::set<std::size_t> seen(order.begin(), order.end());
+  // start_campaign hands both executors their work order: a permutation of
+  // the grid, by descending static estimate with ties in index order.
+  const Grid grid = Grid::preset("smoke");
+  const std::vector<Cell> cells = grid.expand();
+  const std::vector<Cell> pending = start_campaign(grid, {}).pending;
+  ASSERT_EQ(pending.size(), cells.size());
+  std::set<int> seen;
+  for (const Cell& cell : pending) seen.insert(cell.index);
   EXPECT_EQ(seen.size(), cells.size());  // a permutation
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const double prev = model.cost(cells[order[i - 1]]);
-    const double cur = model.cost(cells[order[i]]);
+  for (std::size_t i = 1; i < pending.size(); ++i) {
+    const double prev = CostModel::static_estimate(pending[i - 1]);
+    const double cur = CostModel::static_estimate(pending[i]);
     EXPECT_GE(prev, cur);
     if (prev == cur) {
-      EXPECT_LT(order[i - 1], order[i]);  // ties: index order
+      EXPECT_LT(pending[i - 1].index, pending[i].index);  // ties: index order
     }
   }
-}
 
-TEST(CampaignCost, LptBalancesASkewedGridWithinBound) {
-  // A deliberately skewed load: costs 1..40 (max item well under the mean
-  // shard load). LPT must land within the issue's max/mean <= 1.4 budget —
-  // `index % 4` on the same costs is far outside it when the heavy cells
-  // cluster. Measured costs are injected via the timings map so the test
-  // controls the skew exactly.
-  std::vector<Cell> cells(40);
-  CostModel model;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    cells[i].index = static_cast<int>(i);
-    cells[i].suite = "skew";
-    cells[i].seed = i + 1;
-    cells[i].inputs = {1, 2, 3};
-    model.set_measured(cells[i].key(), static_cast<double>(i + 1));
+  // A measured wall time from --cost-file outranks every estimate: the
+  // cheapest-looking cell moves to the front, the rest keep their order.
+  const std::string path = temp_path("order_timings.jsonl");
+  CellRecord record;
+  record.cell = pending.back().index;
+  record.key = pending.back().key();
+  record.verdict = "ok";
+  record.wall_ms = 1e9;
+  {
+    MetricsSink sink(path, /*include_timings=*/true, /*append=*/false);
+    sink.append(record);
   }
-  const int shards = 4;
-  const std::vector<int> assignment =
-      assign_shards_by_cost(cells, model, shards);
-  ASSERT_EQ(assignment.size(), cells.size());
-  std::vector<double> load(shards, 0.0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    ASSERT_GE(assignment[i], 0);
-    ASSERT_LT(assignment[i], shards);
-    load[static_cast<std::size_t>(assignment[i])] += model.cost(cells[i]);
+  RunnerOptions measured;
+  measured.cost_path = path;
+  const std::vector<Cell> reordered = start_campaign(grid, measured).pending;
+  ASSERT_EQ(reordered.size(), pending.size());
+  EXPECT_EQ(reordered.front().index, pending.back().index);
+  for (std::size_t i = 1; i < reordered.size(); ++i) {
+    EXPECT_EQ(reordered[i].index, pending[i - 1].index);
   }
-  double total = 0.0;
-  double max_load = 0.0;
-  for (double l : load) {
-    total += l;
-    max_load = std::max(max_load, l);
-  }
-  const double mean = total / shards;
-  EXPECT_LE(max_load / mean, 1.4) << "max " << max_load << " mean " << mean;
-
-  // Determinism: a second identical call agrees shard by shard.
-  EXPECT_EQ(assign_shards_by_cost(cells, model, shards), assignment);
-  EXPECT_THROW((void)assign_shards_by_cost(cells, model, 0),
-               std::invalid_argument);
-}
-
-TEST(CampaignCost, SmokeGridStaticSplitIsBalanced) {
-  // The real static estimator on a real grid: the 4-way LPT split of the
-  // smoke preset must stay within the same imbalance budget.
-  const std::vector<Cell> cells = Grid::preset("smoke").expand();
-  const CostModel model;
-  const std::vector<int> assignment = assign_shards_by_cost(cells, model, 4);
-  std::vector<double> load(4, 0.0);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    load[static_cast<std::size_t>(assignment[i])] += model.cost(cells[i]);
-  }
-  double total = 0.0;
-  double max_load = 0.0;
-  for (double l : load) {
-    total += l;
-    max_load = std::max(max_load, l);
-  }
-  EXPECT_LE(max_load / (total / 4.0), 1.4);
-}
-
-TEST(CampaignDeterminism, CostShardingProducesIdenticalCanonicalBytes) {
-  // The shard-invariance guarantee extended to the cost policy: one shard
-  // under kCost, four shards under kCost, and the index-sharded baseline
-  // all converge to the same canonical bytes.
-  const std::string base = temp_path("cost_base.jsonl");
-  const std::string cost_single = temp_path("cost_single.jsonl");
-  const std::string cost_sharded = temp_path("cost_sharded.jsonl");
-  const Grid grid = Grid::preset("smoke");
-
-  RunnerOptions index_one;
-  index_one.out_path = base;
-  index_one.resume = false;
-  Runner(index_one).run(grid);
-
-  RunnerOptions cost_one;
-  cost_one.out_path = cost_single;
-  cost_one.resume = false;
-  cost_one.shard_by = ShardBy::kCost;
-  Runner(cost_one).run(grid);
-
-  std::remove(cost_sharded.c_str());
-  for (int shard = 0; shard < 4; ++shard) {
-    RunnerOptions options;
-    options.shards = 4;
-    options.shard_index = shard;
-    options.shard_by = ShardBy::kCost;
-    options.out_path = cost_sharded;
-    Runner(options).run(grid);
-  }
-
-  const std::string expected = read_bytes(base);
-  EXPECT_FALSE(expected.empty());
-  EXPECT_EQ(read_bytes(cost_single), expected);
-  EXPECT_EQ(read_bytes(cost_sharded), expected);
-  std::remove(base.c_str());
-  std::remove(cost_single.c_str());
-  std::remove(cost_sharded.c_str());
+  std::remove(path.c_str());
 }
 
 TEST(CampaignDeterminism, ResumeAgainstReshapedGridKeepsAllRecordsStably) {

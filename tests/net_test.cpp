@@ -521,6 +521,64 @@ TEST(NetDeterminism, ReplacementJoinerIsFedAfterAReapWithoutAVerdict) {
   std::remove(ref_path.c_str());
 }
 
+TEST(NetDeterminism, CoordinatorAssignsInStartCampaignsWorkOrder) {
+  // The coordinator queues start_campaign's pending cells front to back,
+  // the order the in-process pool claims them in. A scripted peer whose
+  // window covers the smoke grid receives the whole queue at kickoff and
+  // records the order of its ASSIGNs.
+  const campaign::Grid grid = campaign::Grid::preset("smoke");
+  const std::vector<campaign::Cell> cells = grid.expand();
+  std::vector<std::uint32_t> want;
+  for (const campaign::Cell& cell :
+       campaign::start_campaign(grid, {}).pending) {
+    want.push_back(static_cast<std::uint32_t>(cell.index));
+  }
+
+  CoordinatorOptions options;
+  options.grid = "smoke";
+  options.workers = 1;
+  Coordinator coordinator(options);
+  const std::uint16_t port = coordinator.listen();
+
+  std::vector<AssignPayload> got;
+  std::thread peer([&got, &want, &cells, port] {
+    TcpSocket socket = connect_tcp("127.0.0.1", port);
+    FrameDecoder decoder;
+    HelloPayload hello;
+    hello.window = static_cast<std::uint32_t>(want.size());
+    write_frame(socket, encode_hello(hello));
+    std::optional<Frame> frame = read_frame(socket, decoder);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_EQ(frame->type, FrameType::kWelcome);
+    while (got.size() < want.size()) {
+      frame = read_frame(socket, decoder);
+      ASSERT_TRUE(frame.has_value());
+      got.push_back(decode_assign(*frame));
+    }
+    // Answer every cell so the campaign finishes.
+    for (const AssignPayload& assign : got) {
+      VerdictPayload verdict;
+      verdict.cell_index = assign.cell_index;
+      verdict.key = assign.key;
+      verdict.line = campaign::MetricsSink::to_json(
+          campaign::Runner::run_cell(cells.at(assign.cell_index)), false);
+      write_frame(socket, encode_verdict(verdict));
+    }
+    frame = read_frame(socket, decoder);
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, FrameType::kShutdown);
+  });
+  const std::vector<campaign::CellRecord> records = coordinator.run();
+  peer.join();
+
+  std::vector<std::uint32_t> order;
+  for (const AssignPayload& assign : got) order.push_back(assign.cell_index);
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(records.size(), cells.size());
+  EXPECT_EQ(coordinator.stats().cells_assigned,
+            static_cast<std::int64_t>(cells.size()));
+}
+
 TEST(NetDeterminism, CoordinatorResumesFinishedCellsWithoutWorkersRedoing) {
   const std::string out_path = temp_path("resume_out.jsonl");
   std::remove(out_path.c_str());

@@ -38,13 +38,11 @@ void usage(const char* argv0) {
       "  --out PATH          JSONL output file (resumable; omit to only\n"
       "                      print the aggregate)\n"
       "  --shards N          total shard count (default 1)\n"
-      "  --shard-index I     this process's shard in [0, N) (default 0)\n"
-      "  --shard-by POLICY   index (default: cell index mod N) or cost\n"
-      "                      (balance shards by estimated cell cost; the\n"
-      "                      merged canonical output is identical either\n"
-      "                      way)\n"
+      "  --shard-index I     this process's shard in [0, N): the cells\n"
+      "                      whose index mod N is I (default 0)\n"
       "  --cost-file PATH    timings JSONL from a previous --timings run;\n"
-      "                      measured wall_ms overrides the static cost\n"
+      "                      cells start most expensive first, by its\n"
+      "                      measured wall_ms in place of the static cost\n"
       "                      estimates\n"
       "  --cell-timeout-ms M wall-clock deadline per cell; a tripped\n"
       "                      deadline records verdict \"timeout\" instead\n"
@@ -98,13 +96,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--shard-index") {
       if (!parse_number(value(), options.shard_index)) {
         std::fprintf(stderr, "anonet_campaign: bad --shard-index value\n");
-        return 2;
-      }
-    } else if (arg == "--shard-by") {
-      try {
-        options.shard_by = parse_shard_by(value());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "anonet_campaign: %s\n", e.what());
         return 2;
       }
     } else if (arg == "--cost-file") {

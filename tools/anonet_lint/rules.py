@@ -86,8 +86,8 @@ A1_BANNED = {
 }
 
 # S1: schedule classes (anything deriving from DynamicGraph, directly or
-# through the lending base BuiltSchedule) must keep round t's graph a pure
-# function of (constructor arguments, t). Any of these engine types held as
+# through the lending bases BuiltSchedule and PeriodicSchedule) must keep
+# round t's graph a pure function of (constructor arguments, t). Any of these engine types held as
 # a *member* advances state across calls, so the emitted topology would
 # depend on how many rounds were queried before — and in what order.
 S1_STATEFUL_RNGS = (
@@ -96,7 +96,7 @@ S1_STATEFUL_RNGS = (
     "ranlux48", "ranlux48_base", "linear_congruential_engine",
     "mersenne_twister_engine", "subtract_with_carry_engine",
 )
-S1_SCHEDULE_BASES = ("DynamicGraph", "BuiltSchedule")
+S1_SCHEDULE_BASES = ("DynamicGraph", "BuiltSchedule", "PeriodicSchedule")
 S1_SCHEDULE_CLASS_RE = re.compile(
     r"\b(?:class|struct)\s+(\w+)[^{;]*?:\s*[^{;]*\b(?:"
     + "|".join(S1_SCHEDULE_BASES) + r")\b[^{;]*\{")

@@ -11,7 +11,7 @@
 //   anonet_node --connect 127.0.0.1:$(cat port.txt)
 //
 // The coordinator expands the grid, resumes from --out, and feeds cells to
-// workers demand-driven in cost-descending (LPT) order; workers re-expand
+// workers demand-driven, most expensive first; workers re-expand
 // the same grid locally and run each assigned cell through the same
 // campaign::Runner::run_cell the in-process runner uses. The canonical
 // output file is byte-identical to `anonet_campaign --grid NAME --out ...`
@@ -49,7 +49,7 @@ void usage(const char* argv0) {
       "  --workers N         wait for N workers before assigning (default 1)\n"
       "  --out PATH          JSONL output file (resumable)\n"
       "  --port-file PATH    write the bound port here once listening\n"
-      "  --cost-file PATH    timings JSONL feeding the LPT cost model\n"
+      "  --cost-file PATH    timings JSONL whose wall_ms orders the cells\n"
       "  --cell-timeout-ms M per-cell wall deadline (shipped to workers)\n"
       "  --bandwidth-bits B  channel policy override (shipped to workers)\n"
       "  --timings           record wall_ms (breaks byte-reproducibility)\n"

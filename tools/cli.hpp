@@ -1,8 +1,8 @@
 #pragma once
 
 // What the two campaign tools (anonet_campaign, anonet_node) share: the
-// strict number parser for their options and the report of a finished
-// run's verdict.
+// strict number parser for their options, which examples/explore reads its
+// numbers with too, and the report of a finished run's verdict.
 
 #include <cerrno>
 #include <cmath>
