@@ -1,9 +1,10 @@
 #include "campaign/metrics.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <unordered_set>
 
 #include "support/jsonl.hpp"
@@ -46,152 +47,175 @@ void MetricsSink::close() {
   }
 }
 
-std::string MetricsSink::to_json(const CellRecord& record,
-                                 bool include_timings) {
-  JsonObject o;
-  o.field("cell", record.cell)
-      .field("key", record.key)
-      .field("suite", record.suite)
-      .field("agent", record.agent)
-      .field("model", record.model)
-      .field("knowledge", record.knowledge)
-      .field("function", record.function)
-      .field("schedule", record.schedule)
-      .field("variant", record.variant)
-      .field("n", record.n)
-      .field("seed", static_cast<std::int64_t>(record.seed));
-  // Perturbation coordinates only appear off their defaults, keeping
-  // unperturbed records byte-identical to the pre-perturbation format.
-  if (!record.starts.empty() && record.starts != "sync") {
-    o.field("starts", record.starts);
-  }
-  if (!record.faults.empty() && record.faults != "none") {
-    o.field("faults", record.faults);
-  }
-  o.field("verdict", record.verdict)
-      .field("reason", record.reason);
-  if (record.deadline_ms > 0.0) {
-    o.field("deadline_ms", record.deadline_ms);
-  }
-  if (record.predicted) {
-    o.field("predicted", record.predicted);
-  }
-  o.field("success", record.success)
-      .field("exact", record.exact)
-      .field("stabilization_round", record.stabilization_round)
-      .field("error", record.error)
-      .field("rounds", record.rounds)
-      .field("messages", record.messages);
-  // Channel-off records omit the bandwidth fields entirely, keeping their
-  // bytes identical to the pre-bandwidth format.
-  if (record.bandwidth_bits != 0) {
-    o.field("bandwidth_bits", record.bandwidth_bits).field("bits", record.bits);
-  }
-  o.field("mechanism", record.mechanism);
-  if (include_timings && record.wall_ms >= 0.0) {
-    o.field("wall_ms", record.wall_ms);
-  }
-  return o.str();
-}
-
 namespace {
 
-// Minimal parser for the flat one-line objects to_json produces: string
-// values are unescaped, everything else is kept as a raw token. Returns
-// false on any malformation (including truncation mid-line).
-class FlatLineParser {
- public:
-  explicit FlatLineParser(const std::string& line) : s_(line) {}
+// The record line, spelled once: every field in docs/campaign.md's order.
+// An optional field carries the condition under which to_json writes it.
+// `fields` is a LineWriter (to_json) or a LineReader (parse_line), so a
+// field added here is both written and read back.
+template <typename Record, typename Fields>
+void record_fields(Record& r, bool include_timings, Fields& fields) {
+  fields.required("cell", r.cell);
+  fields.required("key", r.key);
+  fields.required("suite", r.suite);
+  fields.required("agent", r.agent);
+  fields.required("model", r.model);
+  fields.required("knowledge", r.knowledge);
+  fields.required("function", r.function);
+  fields.required("schedule", r.schedule);
+  fields.required("variant", r.variant);
+  fields.required("n", r.n);
+  fields.required("seed", r.seed);
+  // Perturbation coordinates only appear off their defaults, keeping
+  // unperturbed records byte-identical to the pre-perturbation format.
+  fields.optional("starts", r.starts, !r.starts.empty() && r.starts != "sync");
+  fields.optional("faults", r.faults, !r.faults.empty() && r.faults != "none");
+  fields.required("verdict", r.verdict);
+  fields.required("reason", r.reason);
+  fields.optional("deadline_ms", r.deadline_ms, r.deadline_ms > 0.0);
+  fields.optional("predicted", r.predicted, r.predicted);
+  fields.required("success", r.success);
+  fields.required("exact", r.exact);
+  fields.required("stabilization_round", r.stabilization_round);
+  fields.required("error", r.error);
+  fields.required("rounds", r.rounds);
+  fields.required("messages", r.messages);
+  // Channel-off records omit the bandwidth fields entirely, keeping their
+  // bytes identical to the pre-bandwidth format.
+  fields.optional("bandwidth_bits", r.bandwidth_bits, r.bandwidth_bits != 0);
+  fields.optional("bits", r.bits, r.bandwidth_bits != 0);
+  fields.required("mechanism", r.mechanism);
+  fields.optional("wall_ms", r.wall_ms, include_timings && r.wall_ms >= 0.0);
+}
 
-  bool parse(std::vector<std::pair<std::string, std::string>>& strings,
-             std::vector<std::pair<std::string, std::string>>& tokens) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return finished();
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (peek() == '"') {
-        std::string value;
-        if (!parse_string(value)) return false;
-        strings.emplace_back(std::move(key), std::move(value));
-      } else {
-        std::string value;
-        while (i_ < s_.size() && s_[i_] != ',' && s_[i_] != '}') {
-          value += s_[i_++];
-        }
-        if (value.empty()) return false;
-        tokens.emplace_back(std::move(key), std::move(value));
-      }
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        continue;
-      }
-      if (consume('}')) return finished();
-      return false;
+// to_json's walker. Every value goes through JsonObject, so
+// support/jsonl.hpp stays the one escaping and number path. The seed is
+// written as its int64 bits.
+struct LineWriter {
+  JsonObject object;
+
+  template <typename T>
+  void required(const char* name, const T& value) {
+    if constexpr (std::is_same_v<T, std::uint64_t>) {
+      object.field(name, static_cast<std::int64_t>(value));
+    } else {
+      object.field(name, value);
     }
   }
+  template <typename T>
+  void optional(const char* name, const T& value, bool written) {
+    if (written) required(name, value);
+  }
+};
+
+// parse_line's walker: a cursor that must meet `{`, then the fields as
+// `"name":value` joined by `,` in record_fields' order, then `}`, with no
+// whitespace. It reads an optional field only when the next key names it,
+// and stops at the first byte it does not expect.
+class LineReader {
+ public:
+  explicit LineReader(std::string_view line)
+      : rest_(line), ok_(take(rest_, "{")) {}
+
+  template <typename T>
+  void required(const char* name, T& value) {
+    ok_ = ok_ && take_key(name) && read(value);
+  }
+  template <typename T>
+  void optional(const char* name, T& value, bool /*written*/) {
+    if (ok_ && take_key(name)) ok_ = read(value);
+  }
+
+  // Every field was read and only the closing brace is left.
+  [[nodiscard]] bool finished() const { return ok_ && rest_ == "}"; }
 
  private:
-  [[nodiscard]] char peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++i_;
+  static bool take(std::string_view& text, std::string_view prefix) {
+    if (!text.starts_with(prefix)) return false;
+    text.remove_prefix(prefix.size());
     return true;
   }
-  void skip_ws() {
-    while (i_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[i_]))) {
-      ++i_;
+
+  // Consumes `,"name":` (no comma before the first field) only when it is
+  // next in full.
+  bool take_key(std::string_view name) {
+    std::string_view rest = rest_;
+    if ((first_ || take(rest, ",")) && take(rest, "\"") && take(rest, name) &&
+        take(rest, "\":")) {
+      rest_ = rest;
+      first_ = false;
+      return true;
     }
-  }
-  bool finished() {
-    skip_ws();
-    return i_ == s_.size();
+    return false;
   }
 
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    while (i_ < s_.size()) {
-      const char c = s_[i_++];
+  template <typename T>
+  bool read_number(T& out) {
+    const char* const end = rest_.data() + rest_.size();
+    const auto [stop, error] = std::from_chars(rest_.data(), end, out);
+    if (error != std::errc()) return false;
+    rest_.remove_prefix(static_cast<std::size_t>(stop - rest_.data()));
+    return true;
+  }
+
+  bool read(int& out) { return read_number(out); }
+  bool read(std::int64_t& out) { return read_number(out); }
+  bool read(std::uint64_t& out) {
+    std::int64_t bits = 0;
+    if (!read_number(bits)) return false;
+    out = static_cast<std::uint64_t>(bits);
+    return true;
+  }
+  bool read(bool& out) {
+    out = take(rest_, "true");
+    return out || take(rest_, "false");
+  }
+  // A number, or json_number's spelling of a non-finite value.
+  bool read(double& out) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    if (take(rest_, "\"nan\"")) {
+      out = std::numeric_limits<double>::quiet_NaN();
+    } else if (take(rest_, "\"inf\"")) {
+      out = kInf;
+    } else if (take(rest_, "\"-inf\"")) {
+      out = -kInf;
+    } else {
+      return read_number(out);
+    }
+    return true;
+  }
+  // Unescapes what json_escape writes: \" \\ \n \r \t, and \u00xx for the
+  // other control bytes.
+  bool read(std::string& out) {
+    if (!take(rest_, "\"")) return false;
+    out.clear();
+    while (!rest_.empty()) {
+      const char c = rest_.front();
+      rest_.remove_prefix(1);
       if (c == '"') return true;
       if (c != '\\') {
         out += c;
         continue;
       }
-      if (i_ >= s_.size()) return false;
-      const char esc = s_[i_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
+      if (rest_.empty()) return false;
+      const char escaped = rest_.front();
+      rest_.remove_prefix(1);
+      switch (escaped) {
+        case '"':
+        case '\\': out += escaped; break;
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
         case 'u': {
-          if (i_ + 4 > s_.size()) return false;
           unsigned value = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = s_[i_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') {
-              value |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
+          if (rest_.size() < 4) return false;
+          const char* const end = rest_.data() + 4;
+          const auto [stop, error] =
+              std::from_chars(rest_.data(), end, value, 16);
+          if (error != std::errc() || stop != end || value >= 0x20) {
+            return false;
           }
-          // The writer only \u-escapes control bytes; anything wider is
-          // foreign input we reject rather than mis-decode.
-          if (value > 0xff) return false;
+          rest_.remove_prefix(4);
           out += static_cast<char>(value);
           break;
         }
@@ -201,116 +225,29 @@ class FlatLineParser {
     return false;  // unterminated string (truncated line)
   }
 
-  const std::string& s_;
-  std::size_t i_ = 0;
+  std::string_view rest_;
+  bool ok_;
+  bool first_ = true;
 };
-
-const std::string* find(
-    const std::vector<std::pair<std::string, std::string>>& fields,
-    const char* key) {
-  for (const auto& [k, v] : fields) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-bool to_int64(const std::string& token, std::int64_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') return false;
-  out = value;
-  return true;
-}
-
-bool to_double(const std::string& token, double& out) {
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') return false;
-  out = value;
-  return true;
-}
 
 }  // namespace
 
+std::string MetricsSink::to_json(const CellRecord& record,
+                                 bool include_timings) {
+  LineWriter writer;
+  record_fields(record, include_timings, writer);
+  return writer.object.str();
+}
+
 std::optional<CellRecord> MetricsSink::parse_line(const std::string& line) {
-  std::vector<std::pair<std::string, std::string>> strings;
-  std::vector<std::pair<std::string, std::string>> tokens;
-  FlatLineParser parser(line);
-  if (!parser.parse(strings, tokens)) return std::nullopt;
-
-  // Field-wise decoding keeps a field's default when it is missing or its
-  // token does not parse; the re-render check below rejects such lines.
   CellRecord record;
-  const auto str = [&strings](const char* key, std::string& out) {
-    if (const std::string* v = find(strings, key)) out = *v;
-  };
-  str("key", record.key);
-  str("suite", record.suite);
-  str("agent", record.agent);
-  str("model", record.model);
-  str("knowledge", record.knowledge);
-  str("function", record.function);
-  str("schedule", record.schedule);
-  str("starts", record.starts);
-  str("faults", record.faults);
-  str("verdict", record.verdict);
-  str("reason", record.reason);
-  str("mechanism", record.mechanism);
-
-  const auto integer = [&tokens](const char* key, auto& out) {
-    const std::string* t = find(tokens, key);
-    std::int64_t v = 0;
-    if (t != nullptr && to_int64(*t, v)) {
-      out = static_cast<std::remove_reference_t<decltype(out)>>(v);
-    }
-  };
-  integer("cell", record.cell);
-  integer("variant", record.variant);
-  integer("n", record.n);
-  integer("seed", record.seed);
-  integer("stabilization_round", record.stabilization_round);
-  integer("rounds", record.rounds);
-  integer("messages", record.messages);
-  integer("bandwidth_bits", record.bandwidth_bits);
-  integer("bits", record.bits);
-  const auto boolean = [&tokens](const char* key, bool& out) {
-    if (const std::string* t = find(tokens, key)) out = (*t == "true");
-  };
-  boolean("success", record.success);
-  boolean("exact", record.exact);
-  boolean("predicted", record.predicted);
-  const auto real = [&tokens](const char* key, double& out) {
-    const std::string* t = find(tokens, key);
-    double v = 0.0;
-    if (t != nullptr && to_double(*t, v)) out = v;
-  };
-  real("deadline_ms", record.deadline_ms);
-  real("wall_ms", record.wall_ms);
-  // error is numeric, or the string spelling of a non-finite value.
-  real("error", record.error);
-  if (const std::string* s = find(strings, "error")) {
-    if (*s == "inf") {
-      record.error = std::numeric_limits<double>::infinity();
-    } else if (*s == "-inf") {
-      record.error = -std::numeric_limits<double>::infinity();
-    }
-    // "nan" keeps the default quiet_NaN.
-  }
-
-  // Fail closed: a line is trusted only when the record renders back to it
-  // byte for byte, so no corrupt or missing field can import a value the
-  // line does not hold. The one field ignored is `payload`, which the
-  // format no longer writes (it followed `messages`).
-  std::string expected = line;
-  if (const std::string* payload = find(tokens, "payload")) {
-    const std::string field = ",\"payload\":" + *payload;
-    const std::size_t at = expected.find(field);
-    if (at == std::string::npos) return std::nullopt;
-    expected.erase(at, field.size());
-  }
-  if (to_json(record, true) != expected) return std::nullopt;
+  LineReader reader(line);
+  record_fields(record, true, reader);
+  // Fail closed: a line is trusted only when its record renders back to it
+  // byte for byte, so a value spelled other than to_json spells it (a
+  // leading zero, a perturbation coordinate at its default, a non-canonical
+  // escape) is never imported.
+  if (!reader.finished() || to_json(record, true) != line) return std::nullopt;
   return record;
 }
 
@@ -329,11 +266,7 @@ std::vector<CellRecord> MetricsSink::read_file(const std::string& path) {
 void MetricsSink::write_canonical(const std::string& path,
                                   std::vector<CellRecord> records,
                                   bool include_timings) {
-  std::stable_sort(records.begin(), records.end(),
-                   [](const CellRecord& a, const CellRecord& b) {
-                     if (a.cell != b.cell) return a.cell < b.cell;
-                     return a.key < b.key;
-                   });
+  std::stable_sort(records.begin(), records.end(), canonical_order);
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
     throw std::runtime_error("MetricsSink: cannot rewrite '" + path + "'");

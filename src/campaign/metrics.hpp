@@ -83,6 +83,14 @@ struct CellRecord {
   double wall_ms = -1.0;      // < 0 = not recorded
 };
 
+// The canonical record order: cell index, then key. Records kept across a
+// grid reshape hold stale indices that can equal a current one; the key
+// breaks that tie, so a stable sort by this order is free of resume history.
+[[nodiscard]] inline bool canonical_order(const CellRecord& a,
+                                          const CellRecord& b) {
+  return a.cell != b.cell ? a.cell < b.cell : a.key < b.key;
+}
+
 // Thread-safe JSONL writer. append() serializes under a mutex, so concurrent
 // shard workers interleave whole lines only. The flush policy is single:
 // every record is flushed before append() returns. Once append() returns,
@@ -111,10 +119,12 @@ class MetricsSink {
   [[nodiscard]] static std::string to_json(const CellRecord& record,
                                            bool include_timings);
 
-  // Parses a line this writer produced. Returns nullopt for any line that
-  // to_json(record, true) does not render back byte for byte (malformed,
-  // truncated, or holding a value that does not parse), so resume
-  // recomputes those cells. A retired `payload` field is ignored.
+  // Parses a line this writer produced. The reader walks the same field
+  // list as to_json: it needs exactly the documented key order, and reads
+  // an optional field only where to_json would put it. Returns nullopt for
+  // any line that to_json(record, true) does not render back byte for byte
+  // (malformed, truncated, reordered, or holding a value that does not
+  // parse), so resume recomputes those cells.
   [[nodiscard]] static std::optional<CellRecord> parse_line(
       const std::string& line);
 
@@ -123,8 +133,8 @@ class MetricsSink {
   [[nodiscard]] static std::vector<CellRecord> read_file(
       const std::string& path);
 
-  // Rewrites `path` with the records sorted by (cell index, key) — the
-  // canonical form compared across shard and thread counts.
+  // Rewrites `path` with the records in canonical_order — the canonical
+  // form compared across shard and thread counts.
   // Duplicate keys keep the first occurrence. Throws std::runtime_error on
   // I/O failure.
   static void write_canonical(const std::string& path,

@@ -324,25 +324,28 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
   // Records belonging to *other* shards are preserved verbatim, which lets
   // several shards target the same output file in turn — after the last
   // shard the file equals a single-shard run byte for byte.
-  std::unordered_set<std::string> finished;
+  // The first usable line of each key claims it; a claimed key of this
+  // shard is a finished cell.
+  std::unordered_set<std::string> claimed;
   bool had_output = false;
   if (!options.out_path.empty() && options.resume) {
     std::unordered_map<std::string, const Cell*> wanted;
     for (const Cell& cell : mine) wanted.emplace(cell.key(), &cell);
-    std::unordered_set<std::string> seen;
     for (CellRecord& record : MetricsSink::read_file(options.out_path)) {
       had_output = true;
-      if (!seen.insert(record.key).second) continue;
       const auto it = wanted.find(record.key);
+      // Dropping a non-reusable record re-queues the cell unless a later
+      // line finished it (a larger budget's run killed before its
+      // canonical rewrite), so the record must not claim the key.
+      if (it != wanted.end() && !reusable_on_resume(record, *it->second)) {
+        continue;
+      }
+      if (!claimed.insert(record.key).second) continue;
       if (it == wanted.end()) {
         run.foreign.push_back(std::move(record));
         continue;
       }
-      // Dropping (not keeping) a non-reusable record re-queues the cell;
-      // the stale line is then superseded by the canonical rewrite.
-      if (!reusable_on_resume(record, *it->second)) continue;
       record.cell = it->second->index;  // re-anchor to current expansion order
-      finished.insert(record.key);
       run.kept.push_back(std::move(record));
     }
   }
@@ -352,7 +355,7 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
   const CostModel costs = CostModel::from_timings_file(options.cost_path);
   for (std::size_t pos : cost_descending_order(mine, costs)) {
     Cell& cell = mine[pos];
-    if (finished.count(cell.key()) == 0) run.pending.push_back(std::move(cell));
+    if (claimed.count(cell.key()) == 0) run.pending.push_back(std::move(cell));
   }
 
   if (!options.out_path.empty()) {
@@ -366,18 +369,10 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
 std::vector<CellRecord> finish_campaign(CampaignRun run,
                                         std::vector<CellRecord> fresh,
                                         const RunnerOptions& options) {
-  // Canonical order: cell index first, key as tie-break. Foreign records
-  // preserved across a grid reshape keep their *stale* indices, which can
-  // collide with current ones — without the key tie-break (and a stable
-  // sort) the merged file's order would depend on resume history.
   std::vector<CellRecord> all = std::move(run.kept);
   all.insert(all.end(), std::make_move_iterator(fresh.begin()),
              std::make_move_iterator(fresh.end()));
-  std::stable_sort(all.begin(), all.end(),
-                   [](const CellRecord& a, const CellRecord& b) {
-                     if (a.cell != b.cell) return a.cell < b.cell;
-                     return a.key < b.key;
-                   });
+  std::stable_sort(all.begin(), all.end(), canonical_order);
   if (run.sink != nullptr) {
     run.sink->close();
     std::vector<CellRecord> file_records = all;

@@ -87,10 +87,4 @@ JsonObject& JsonObject::field(const std::string& key, bool value) {
   return *this;
 }
 
-JsonObject& JsonObject::raw_field(const std::string& key,
-                                  const std::string& json) {
-  begin_field(key).body_ += json;
-  return *this;
-}
-
 }  // namespace anonet

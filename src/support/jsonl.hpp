@@ -1,15 +1,15 @@
 #pragma once
 
-// Minimal JSON/JSONL formatting shared by every structured-metrics sink
-// (campaign::MetricsSink, wire::BandwidthMeter::to_jsonl). One escaping and
-// number formatting path keeps the emitted records byte-identical across
-// producers, which the campaign subsystem relies on for its shard-invariance
-// guarantee: a record's bytes must be a pure function of its field values.
+// Minimal JSON/JSONL formatting for the campaign records
+// (campaign::MetricsSink). One escaping and number formatting path keeps a
+// record's bytes a pure function of its field values, which the campaign
+// subsystem relies on for its shard-invariance guarantee.
 //
 // Scope is deliberately tiny — flat objects of string/int/double/bool
-// fields, one object per line — because that is all the repo emits. Parsing
-// (campaign resume) lives in campaign/metrics.cpp and only needs to recover
-// string and integer fields from lines this writer produced.
+// fields, one object per line — because that is all the repo emits. The
+// reader lives in campaign/metrics.cpp: it walks the same field list as
+// the writer, unescapes exactly what json_escape writes, and trusts a line
+// only when it renders back to the same bytes.
 
 #include <cstdint>
 #include <string>
@@ -38,8 +38,6 @@ class JsonObject {
   JsonObject& field(const std::string& key, int value);
   JsonObject& field(const std::string& key, double value);
   JsonObject& field(const std::string& key, bool value);
-  // Pre-rendered JSON (nested object/array) spliced in verbatim.
-  JsonObject& raw_field(const std::string& key, const std::string& json);
 
   [[nodiscard]] std::string str() const { return body_ + "}"; }
 

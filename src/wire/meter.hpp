@@ -136,10 +136,6 @@ class BandwidthMeter {
     return max_message_bits_;
   }
 
-  // One JSON object per round — {"round":t,"bits_sent":...} — through
-  // support/jsonl.hpp, the same formatting path as campaign metrics.
-  [[nodiscard]] std::string to_jsonl() const;
-
  private:
   std::vector<RoundBandwidth> rounds_;
   std::int64_t total_sent_ = 0;

@@ -158,17 +158,6 @@ TEST(Bandwidth, BoundedPolicyValidatesItsBudget) {
                std::invalid_argument);
 }
 
-TEST(Bandwidth, MeterJsonlEmitsOneRecordPerRound) {
-  wire::BandwidthMeter meter;
-  meter.record_round({100, 100, 24});
-  meter.record_round({160, 160, 32});
-  const std::string jsonl = meter.to_jsonl();
-  EXPECT_NE(jsonl.find("\"round\":1"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"round\":2"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"bits_sent\":160"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"max_message_bits\":32"), std::string::npos);
-}
-
 // --- thread-count invariance (runs under TSan via scripts/check.sh) ----------
 
 TEST(BandwidthDeterminism, MeteredSeriesIdenticalAcrossThreadCounts) {

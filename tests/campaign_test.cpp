@@ -100,7 +100,9 @@ CellRecord failed_record() {
   record.n = 6;
   record.seed = 19;
   record.verdict = "failed";
-  record.reason = "quote \" backslash \\ newline \n control \x02 done";
+  // Every escape json_escape writes, so the reader unescapes each one.
+  record.reason =
+      "quote \" backslash \\ newline \n return \r tab \t control \x02 done";
   record.success = true;
   record.exact = true;
   record.stabilization_round = 13;
@@ -545,6 +547,22 @@ TEST(Campaign, ParseLineRejectsTruncatedLines) {
             << join_fields(dropped);
       }
       EXPECT_TRUE(faithful(join_fields(dropped))) << join_fields(dropped);
+      // Order is part of the format: a field swapped with its neighbour,
+      // written twice, or under a misspelled key is rejected.
+      std::vector<std::vector<std::string>> mutants;
+      if (f + 1 < fields.size()) {
+        mutants.push_back(fields);
+        std::swap(mutants.back()[f], mutants.back()[f + 1]);
+      }
+      mutants.push_back(fields);
+      mutants.back().insert(
+          mutants.back().begin() + static_cast<std::ptrdiff_t>(f), fields[f]);
+      mutants.push_back(fields);
+      mutants.back()[f].insert(1, "x");  // "xname":value
+      for (const std::vector<std::string>& mutant : mutants) {
+        EXPECT_FALSE(MetricsSink::parse_line(join_fields(mutant)).has_value())
+            << join_fields(mutant);
+      }
       if (fields[f][value] == '"') continue;  // string values stay intact
       for (std::size_t at = value; at < fields[f].size(); ++at) {
         for (const char bad : {'x', '+', '-', '.'}) {
@@ -839,19 +857,18 @@ TEST(CampaignDeterminism, ResumeReusesFinishedCells) {
   }
   EXPECT_TRUE(sentinel_seen);
 
-  // A file written while records still carried the `payload` field (right
-  // after `messages`): resume must reuse every line (the sentinel survives,
-  // nothing is recomputed) and the canonical rewrite drops the field.
+  // A file written while records still carried the retired `payload` field
+  // (right after `messages`) is not in the format: every such line is
+  // recomputed (the sentinel is gone) and the file converges back to the
+  // canonical bytes.
   std::istringstream complete_lines(complete);
   std::string line;
   std::string with_payload;
-  std::string expected;
   for (int i = 0; std::getline(complete_lines, line); ++i) {
     auto record = MetricsSink::parse_line(line);
     ASSERT_TRUE(record.has_value());
     if (i == 1) record->mechanism = "sentinel: payload-era record";
     line = MetricsSink::to_json(*record, false);
-    expected += line + "\n";
     const std::size_t messages = line.find("\"messages\":");
     ASSERT_NE(messages, std::string::npos);
     line.insert(line.find(',', messages),
@@ -863,10 +880,7 @@ TEST(CampaignDeterminism, ResumeReusesFinishedCells) {
     out << with_payload;
   }
   Runner(options).run(grid);
-  const std::string rewritten = read_bytes(path);
-  EXPECT_NE(rewritten.find("sentinel: payload-era record"), std::string::npos);
-  EXPECT_EQ(rewritten.find("\"payload\""), std::string::npos);
-  EXPECT_EQ(rewritten, expected);
+  EXPECT_EQ(read_bytes(path), complete);
 
   // A corrupt value is never imported: the line is recomputed and the file
   // converges back to the canonical bytes.
@@ -1534,6 +1548,42 @@ TEST(CampaignTimeout, ResumeReattemptsTimeoutsUnderALargerBudget) {
   EXPECT_NE(larger[0].mechanism, "sentinel: reused, not re-run");
   EXPECT_EQ(larger[0].verdict, "timeout");
   EXPECT_DOUBLE_EQ(larger[0].deadline_ms, 400.0);
+  std::remove(path.c_str());
+}
+
+TEST(CampaignTimeout, ResumeKeepsAFinishedLineAfterAStaleTimeout) {
+  // Regression: a larger budget re-attempts a timed-out cell, and the run is
+  // killed before its canonical rewrite. The file then holds the stale
+  // "timeout" line and, after it, the finished line of the same cell.
+  // Resume used to let the dropped timeout claim the key and skip the
+  // finished line as a duplicate, so the cell ran again.
+  const std::string path = temp_path("timeout_then_finished.jsonl");
+  Spec spec = derived_spec();
+  spec.agents = {AgentKind::kSetGossip};
+  spec.models = {CommModel::kSimpleBroadcast};
+  spec.functions = {FunctionKind::kMax};
+  const Grid grid = single_spec_grid(spec);
+  const std::vector<Cell> cells = grid.expand();
+  ASSERT_EQ(cells.size(), 1u);
+  CellRecord timed_out = Runner::run_cell(cells[0]);
+  timed_out.verdict = "timeout";
+  timed_out.reason = "cell deadline of 1 ms exceeded";
+  timed_out.deadline_ms = 1.0;
+  CellRecord finished = Runner::run_cell(cells[0]);
+  ASSERT_EQ(finished.verdict, "ok");
+  finished.mechanism = "sentinel: finished after the timeout";
+  {
+    MetricsSink sink(path, false, /*append=*/false);
+    sink.append(timed_out);
+    sink.append(finished);
+  }
+
+  RunnerOptions options;  // no deadline: the timeout line is not reusable
+  options.out_path = path;
+  const std::vector<CellRecord> resumed = Runner(options).run(grid);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0].mechanism, finished.mechanism);
+  EXPECT_EQ(read_bytes(path), MetricsSink::to_json(finished, false) + "\n");
   std::remove(path.c_str());
 }
 

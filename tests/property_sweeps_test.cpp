@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <type_traits>
 
 #include "core/computability.hpp"
 #include "dynamics/connectivity.hpp"
@@ -21,15 +22,21 @@ namespace {
 
 // --- Sweep 1: static frequency computation across models and graphs ---------
 
+// gtest prints a parameter that has no PrintTo as its raw bytes, and
+// gtest_discover_tests puts that dump into each CTest name. The padding
+// after `model` is therefore a zeroed member: left implicit, it was
+// uninitialized, and the names differed from build to build.
 struct StaticCase {
   CommModel model;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<StaticCase>);
 
 class StaticFrequencySweep : public ::testing::TestWithParam<StaticCase> {};
 
 TEST_P(StaticFrequencySweep, AverageIsComputedExactly) {
-  const auto [model, seed] = GetParam();
+  const auto [model, padding, seed] = GetParam();
   std::mt19937_64 rng(seed);
   const Vertex n = static_cast<Vertex>(5 + seed % 5);
   Digraph g = model == CommModel::kSymmetricBroadcast
@@ -51,7 +58,7 @@ TEST_P(StaticFrequencySweep, AverageIsComputedExactly) {
 }
 
 TEST_P(StaticFrequencySweep, KnownSizeRecoversTheSum) {
-  const auto [model, seed] = GetParam();
+  const auto [model, padding, seed] = GetParam();
   std::mt19937_64 rng(seed * 31 + 7);
   const Vertex n = static_cast<Vertex>(4 + seed % 4);
   Digraph g = model == CommModel::kSymmetricBroadcast
@@ -78,7 +85,7 @@ std::vector<StaticCase> static_cases() {
        {CommModel::kOutdegreeAware, CommModel::kSymmetricBroadcast,
         CommModel::kOutputPortAware}) {
     for (std::uint64_t seed = 0; seed < 6; ++seed) {
-      cases.push_back({model, seed});
+      cases.push_back({model, 0, seed});
     }
   }
   return cases;
