@@ -2,28 +2,9 @@
 
 #include <algorithm>
 
-#include "campaign/metrics.hpp"
-
 namespace anonet::campaign {
 
-CostModel CostModel::from_timings_file(const std::string& path) {
-  CostModel model;
-  if (path.empty()) return model;
-  for (const CellRecord& record : MetricsSink::read_file(path)) {
-    if (record.wall_ms >= 0.0) model.measured_[record.key] = record.wall_ms;
-  }
-  return model;
-}
-
-double CostModel::cost(const Cell& cell) const {
-  if (!measured_.empty()) {
-    const auto it = measured_.find(cell.key());
-    if (it != measured_.end()) return it->second;
-  }
-  return static_estimate(cell);
-}
-
-double CostModel::static_estimate(const Cell& cell) {
+double static_estimate(const Cell& cell) {
   // Skipped rows are rendered, not simulated: negligible but nonzero.
   if (!cell.admissible) return 1e-3;
 
@@ -80,11 +61,10 @@ double CostModel::static_estimate(const Cell& cell) {
          channel * 1e-4;
 }
 
-std::vector<std::size_t> cost_descending_order(const std::vector<Cell>& cells,
-                                               const CostModel& model) {
+std::vector<std::size_t> cost_descending_order(const std::vector<Cell>& cells) {
   std::vector<double> costs;
   costs.reserve(cells.size());
-  for (const Cell& cell : cells) costs.push_back(model.cost(cell));
+  for (const Cell& cell : cells) costs.push_back(static_estimate(cell));
   std::vector<std::size_t> order(cells.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   // stable_sort on strictly-greater cost keeps equal-cost cells in index

@@ -173,8 +173,8 @@ struct TableComparison {
 // Printable side-by-side rendering for CLI and bench output.
 [[nodiscard]] std::string render_table(const TableComparison& table);
 
-// The pass rule for a finished run's records, shared by anonet_campaign,
-// the anonet_node coordinator and bench/campaign: no cell "failed", no
+// The pass rule for a finished run's records, shared by anonet_campaign (in
+// process and as a coordinator) and bench/campaign: no cell "failed", no
 // predicted breakdown succeeded, and, when `complete` (the records cover
 // the whole grid), every table1/table2 suite present matches the paper.
 // A shard's tables are compared but do not gate.

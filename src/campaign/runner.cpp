@@ -206,6 +206,13 @@ bool reusable_on_resume(const CellRecord& record, const Cell& cell) {
 
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
                           std::int64_t bandwidth_bits) {
+  if (bandwidth_bits < -1) {
+    throw std::invalid_argument(
+        "apply_cell_overrides: campaign bandwidth " +
+        std::to_string(bandwidth_bits) +
+        " (expected 0 = unbounded, -1 = metered, or a positive per-message "
+        "bit budget)");
+  }
   if (cell_timeout_ms > 0.0) {
     for (Cell& cell : cells) {
       if (cell.timeout_ms <= 0.0) cell.timeout_ms = cell_timeout_ms;
@@ -218,13 +225,17 @@ void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
   }
 }
 
+void check_shard(const RunnerOptions& options) {
+  if (options.shards < 1) {
+    throw std::invalid_argument("campaign: shards must be >= 1");
+  }
+  if (options.shard_index < 0 || options.shard_index >= options.shards) {
+    throw std::invalid_argument("campaign: shard index out of [0, shards)");
+  }
+}
+
 Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
-  if (options_.shards < 1) {
-    throw std::invalid_argument("Runner: shards must be >= 1");
-  }
-  if (options_.shard_index < 0 || options_.shard_index >= options_.shards) {
-    throw std::invalid_argument("Runner: shard index out of [0, shards)");
-  }
+  check_shard(options_);
   if (options_.threads < 1) options_.threads = 1;
 }
 
@@ -350,10 +361,8 @@ CampaignRun start_campaign(const Grid& grid, const RunnerOptions& options) {
     }
   }
 
-  // Work order: measured wall times when a timings file is given, static
-  // estimates otherwise, most expensive first.
-  const CostModel costs = CostModel::from_timings_file(options.cost_path);
-  for (std::size_t pos : cost_descending_order(mine, costs)) {
+  // Work order: most expensive first by static estimate.
+  for (std::size_t pos : cost_descending_order(mine)) {
     Cell& cell = mine[pos];
     if (claimed.count(cell.key()) == 0) run.pending.push_back(std::move(cell));
   }

@@ -19,10 +19,11 @@
 // shards' files — or the same campaign resumed any number of times — is
 // byte-identical to a single-shard run. start_campaign / finish_campaign
 // hold that lifecycle for both campaign executors, this runner and the
-// socket coordinator (net/coordinator.hpp). start_campaign also decides the
-// work order: its pending cells come most expensive first (by the
-// campaign's CostModel), and both executors consume them front to back;
-// they differ only in how a cell is run.
+// socket coordinator (net/coordinator.hpp), which takes these same options.
+// start_campaign also decides the work order: its pending cells come most
+// expensive first (by campaign/cost_model.hpp's static estimate), and both
+// executors consume them front to back; they differ only in how a cell is
+// run.
 //
 // Inside one process, pending cells are consumed work-stealing style: the
 // worker pool claims cells one at a time in that order, so the most
@@ -48,10 +49,6 @@ struct RunnerOptions {
   bool resume = true;   // reuse finished cells found in out_path
   std::string out_path; // JSONL output; empty = return records only
 
-  // Timings JSONL from a previous `include_timings` run: its measured
-  // wall_ms orders the pending cells in place of the static estimates.
-  // Empty = static estimates only.
-  std::string cost_path;
   // Wall-clock deadline applied to every cell that does not carry its own
   // Cell::timeout_ms (<= 0: none). A tripped deadline becomes a "timeout"
   // record, a failure class distinct from "failed".
@@ -71,7 +68,9 @@ struct RunnerOptions {
 // policy get `bandwidth_bits` (the latter changes the affected cells' keys —
 // see RunnerOptions::bandwidth_bits). Shared by the in-process Runner and
 // the socket transport (net::Coordinator / net::WorkerNode), so both ends
-// of the wire derive identical keys from identical options.
+// of the wire derive identical keys from identical options. Throws
+// std::invalid_argument on a bandwidth_bits below -1, as Grid::expand does
+// for a Spec's.
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
                           std::int64_t bandwidth_bits);
 
@@ -83,13 +82,16 @@ struct CampaignRun {
   std::vector<CellRecord> foreign;    // records of cells this run does not own
 };
 
+// Throws std::invalid_argument unless shards >= 1 and shard_index is in
+// [0, shards): the check both campaign executors make on construction.
+void check_shard(const RunnerOptions& options);
+
 // Expands the grid with the options' overrides, takes the cells of shard
 // `shard_index` (index % shards), resumes from out_path (reusing a finished
 // cell's record, re-anchored to this expansion), orders the rest by
-// descending cost (measured wall_ms from cost_path, else the static
-// estimate; ties by index), and opens the sink. The caller runs `pending`
-// front to back and appends each fresh record to `sink`. The shard fields
-// must pass the Runner constructor's checks.
+// descending static estimate (ties by index), and opens the sink. The
+// caller runs `pending` front to back and appends each fresh record to
+// `sink`. The shard fields must pass check_shard.
 [[nodiscard]] CampaignRun start_campaign(const Grid& grid,
                                          const RunnerOptions& options);
 

@@ -7,17 +7,11 @@
 #include "core/pushsum.hpp"
 #include "graph/generators.hpp"
 #include "runtime/capabilities.hpp"
+#include "support/counter_rng.hpp"
 
 namespace anonet::campaign {
 
 namespace {
-
-// Splitmix-style mixing, matching the convention of dynamics/schedules.cpp.
-std::uint64_t mix(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 // The capability set the cell's algorithm declares. kAuto delegates to the
 // computability harness, which dispatches a legal algorithm per cell, so it
@@ -330,7 +324,7 @@ std::vector<std::int64_t> derived_inputs(int n, std::uint64_t seed) {
     const std::uint64_t z =
         seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1) +
         0x2545f4914f6cdd1dull * static_cast<std::uint64_t>(n);
-    out.push_back(static_cast<std::int64_t>(mix(z) % 10));
+    out.push_back(static_cast<std::int64_t>(splitmix64(z) % 10));
   }
   return out;
 }

@@ -6,17 +6,16 @@
 #include <stdexcept>
 
 #include "graph/generators.hpp"
+#include "support/counter_rng.hpp"
 
 namespace anonet {
 
 namespace {
 
-// Splitmix-style mixing so per-round seeds are decorrelated.
+// Per-round seeds, decorrelated by the SplitMix64 finalizer.
 std::uint64_t mix_seed(std::uint64_t seed, int t) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(t + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return splitmix64(seed +
+                    0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(t + 1));
 }
 
 }  // namespace

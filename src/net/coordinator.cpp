@@ -43,6 +43,7 @@ Coordinator::Coordinator(CoordinatorOptions options)
   if (options_.grid.empty()) {
     throw std::invalid_argument("Coordinator: grid name must be non-empty");
   }
+  campaign::check_shard(options_);
 }
 
 std::uint16_t Coordinator::listen() {
@@ -56,18 +57,17 @@ std::vector<CellRecord> Coordinator::run() {
   listen();
   stats_ = CoordinatorStats{};
 
-  // The coordinator owns every cell of the grid. Workers re-expand the same
-  // grid with the same overrides from the WELCOME parameters, so (index,
-  // key) pairs agree on both ends of every socket.
-  campaign::RunnerOptions lifecycle;
-  lifecycle.out_path = options_.out_path;
-  lifecycle.resume = options_.resume;
-  lifecycle.include_timings = options_.include_timings;
-  lifecycle.cost_path = options_.cost_path;
-  lifecycle.cell_timeout_ms = options_.cell_timeout_ms;
-  lifecycle.bandwidth_bits = options_.bandwidth_bits;
+  // The coordinator owns every cell of its shard. Workers re-expand the
+  // same grid with the same overrides from the WELCOME parameters, so
+  // (index, key) pairs agree on both ends of every socket.
   campaign::CampaignRun run = campaign::start_campaign(
-      campaign::Grid::preset(options_.grid), lifecycle);
+      campaign::Grid::preset(options_.grid), options_);
+  if (run.pending.empty()) {
+    // Nothing to dispatch: a worker would only be greeted and shut down,
+    // so none is waited for.
+    listener_.close();
+    return campaign::finish_campaign(std::move(run), {}, options_);
+  }
   const std::vector<Cell>& pending = run.pending;
   MetricsSink* const sink = run.sink.get();
 
@@ -304,7 +304,7 @@ std::vector<CellRecord> Coordinator::run() {
     fresh_records.push_back(std::move(*record));
   }
   return campaign::finish_campaign(std::move(run), std::move(fresh_records),
-                                   lifecycle);
+                                   options_);
 }
 
 }  // namespace anonet::net

@@ -3,13 +3,14 @@
 // Campaign coordinator for distributed runs (docs/transport.md).
 //
 // The coordinator is the distributed twin of campaign::Runner::run(): it
-// shares the runner's lifecycle (campaign::start_campaign and
-// finish_campaign: expansion, resume, sink, canonical rewrite) and owns
-// only the dispatch — instead of a thread pool it feeds cells to worker
-// *processes* over TCP (net/protocol.hpp), demand-driven in the work order
-// start_campaign returns, the one the in-process pool steals in. A worker
-// with window W holds at most W cells in flight; finishing one (VERDICT)
-// pulls the next, so fast workers naturally take more of the queue.
+// takes the runner's options and shares its lifecycle
+// (campaign::start_campaign and finish_campaign: expansion, sharding,
+// resume, sink, canonical rewrite) and owns only the dispatch — instead of
+// a thread pool it feeds cells to worker *processes* over TCP
+// (net/protocol.hpp), demand-driven in the work order start_campaign
+// returns, the one the in-process pool steals in. A worker with window W
+// holds at most W cells in flight; finishing one (VERDICT) pulls the next,
+// so fast workers naturally take more of the queue.
 //
 // Fault model: a worker disconnect (EOF, reset, corrupt frame) returns its
 // in-flight cells to the *front* of the queue — each such cell is
@@ -23,21 +24,20 @@
 #include <vector>
 
 #include "campaign/metrics.hpp"
+#include "campaign/runner.hpp"
 #include "net/socket.hpp"
 
 namespace anonet::net {
 
-struct CoordinatorOptions {
+// The runner's options (shard, resume, output, overrides; `threads` is
+// unused, workers bring their own) plus the dispatch. include_timings,
+// bandwidth_bits and cell_timeout_ms are shipped in WELCOME so worker keys
+// agree.
+struct CoordinatorOptions : campaign::RunnerOptions {
   std::string grid;                // Grid::preset name (shipped in WELCOME)
   int workers = 1;                 // HELLOs to wait for before assigning
   std::string host = "127.0.0.1";  // listen address
   std::uint16_t port = 0;          // 0 = ephemeral (read back via listen())
-  std::string out_path;            // JSONL output; empty = records only
-  bool resume = true;              // reuse finished cells found in out_path
-  bool include_timings = false;    // emit wall_ms (breaks byte-parity)
-  std::int64_t bandwidth_bits = 0; // campaign-level overrides, shipped in
-  double cell_timeout_ms = 0.0;    //   WELCOME so worker keys agree
-  std::string cost_path;           // timings JSONL ordering the cells
 };
 
 struct CoordinatorStats {
@@ -52,7 +52,8 @@ struct CoordinatorStats {
 
 class Coordinator {
  public:
-  // Throws std::invalid_argument on workers < 1 or an empty grid name.
+  // Throws std::invalid_argument on workers < 1, an empty grid name or a
+  // shard spec that fails campaign::check_shard.
   explicit Coordinator(CoordinatorOptions options);
 
   // Binds and listens; returns the bound port (resolves port 0). Separate
@@ -62,9 +63,11 @@ class Coordinator {
 
   // Runs the campaign to completion and returns this run's records (reused
   // and fresh) in canonical order, exactly as Runner::run() would. Calls
-  // listen() if it has not happened yet. Throws SocketError/FrameError on
-  // unrecoverable transport failure and std::runtime_error when every
-  // worker is gone with cells still outstanding.
+  // listen() if it has not happened yet. With no cell pending (every one
+  // resumed) it closes the listener and returns without waiting for a
+  // worker. Throws SocketError/FrameError on unrecoverable transport
+  // failure and std::runtime_error when every worker is gone with cells
+  // still outstanding.
   std::vector<campaign::CellRecord> run();
 
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }

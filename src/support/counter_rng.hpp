@@ -22,6 +22,16 @@
 
 namespace anonet {
 
+// The SplitMix64 finalizer: a bijective avalanche of one 64-bit word.
+// CounterRng's draws, the random schedules' per-round seeds and derived
+// campaign inputs all pass through it, so changing it changes the bytes of
+// every dynamic grid.
+constexpr std::uint64_t splitmix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 class CounterRng {
  public:
   using result_type = std::uint64_t;
@@ -30,14 +40,14 @@ class CounterRng {
     // Decorrelate the three key components before summing them into the
     // stream origin; plain addition would alias (seed, round+1, vertex) with
     // (seed, round, vertex+1).
-    state_ = mix(seed ^ 0x9e3779b97f4a7c15ull) +
-             mix(round ^ 0xbf58476d1ce4e5b9ull) +
-             mix(vertex ^ 0x94d049bb133111ebull);
+    state_ = splitmix64(seed ^ 0x9e3779b97f4a7c15ull) +
+             splitmix64(round ^ 0xbf58476d1ce4e5b9ull) +
+             splitmix64(vertex ^ 0x94d049bb133111ebull);
   }
 
   result_type operator()() {
     state_ += 0x9e3779b97f4a7c15ull;
-    return mix(state_);
+    return splitmix64(state_);
   }
 
   // Uniform draw in [0, bound) via Lemire's multiply-shift reduction
@@ -56,12 +66,6 @@ class CounterRng {
   }
 
  private:
-  static constexpr std::uint64_t mix(std::uint64_t z) {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
   std::uint64_t state_ = 0;
 };
 

@@ -985,40 +985,9 @@ TEST(CampaignCost, StaticEstimatesOrderMechanismsSensibly) {
   history.model = CommModel::kSymmetricBroadcast;
   history.knowledge = Knowledge::kNone;
   history.schedule = ScheduleKind::kRandomSymmetric;
-  EXPECT_LT(CostModel::static_estimate(skipped),
-            CostModel::static_estimate(gossip));
-  EXPECT_LT(CostModel::static_estimate(gossip),
-            CostModel::static_estimate(minbase));
-  EXPECT_LT(CostModel::static_estimate(minbase),
-            CostModel::static_estimate(history));
-}
-
-TEST(CampaignCost, MeasuredCostsOverrideStaticEstimates) {
-  const std::string path = temp_path("timings.jsonl");
-  Cell cell;
-  cell.suite = "probe";
-  cell.inputs = {1, 2, 3, 4};
-  CellRecord record;
-  record.cell = 0;
-  record.key = cell.key();
-  record.verdict = "ok";
-  record.wall_ms = 123.5;
-  {
-    MetricsSink sink(path, /*include_timings=*/true, /*append=*/false);
-    sink.append(record);
-  }
-  const CostModel model = CostModel::from_timings_file(path);
-  EXPECT_EQ(model.measured_count(), 1u);
-  EXPECT_DOUBLE_EQ(model.cost(cell), 123.5);
-  Cell other = cell;
-  other.seed = 99;  // different key: falls back to the static estimate
-  EXPECT_DOUBLE_EQ(model.cost(other), CostModel::static_estimate(other));
-  // Missing file: empty model, static estimates throughout.
-  const CostModel cold =
-      CostModel::from_timings_file(temp_path("no_such_timings.jsonl"));
-  EXPECT_EQ(cold.measured_count(), 0u);
-  EXPECT_DOUBLE_EQ(cold.cost(cell), CostModel::static_estimate(cell));
-  std::remove(path.c_str());
+  EXPECT_LT(static_estimate(skipped), static_estimate(gossip));
+  EXPECT_LT(static_estimate(gossip), static_estimate(minbase));
+  EXPECT_LT(static_estimate(minbase), static_estimate(history));
 }
 
 TEST(CampaignCost, OrderIsACostDescendingPermutation) {
@@ -1032,35 +1001,13 @@ TEST(CampaignCost, OrderIsACostDescendingPermutation) {
   for (const Cell& cell : pending) seen.insert(cell.index);
   EXPECT_EQ(seen.size(), cells.size());  // a permutation
   for (std::size_t i = 1; i < pending.size(); ++i) {
-    const double prev = CostModel::static_estimate(pending[i - 1]);
-    const double cur = CostModel::static_estimate(pending[i]);
+    const double prev = static_estimate(pending[i - 1]);
+    const double cur = static_estimate(pending[i]);
     EXPECT_GE(prev, cur);
     if (prev == cur) {
       EXPECT_LT(pending[i - 1].index, pending[i].index);  // ties: index order
     }
   }
-
-  // A measured wall time from --cost-file outranks every estimate: the
-  // cheapest-looking cell moves to the front, the rest keep their order.
-  const std::string path = temp_path("order_timings.jsonl");
-  CellRecord record;
-  record.cell = pending.back().index;
-  record.key = pending.back().key();
-  record.verdict = "ok";
-  record.wall_ms = 1e9;
-  {
-    MetricsSink sink(path, /*include_timings=*/true, /*append=*/false);
-    sink.append(record);
-  }
-  RunnerOptions measured;
-  measured.cost_path = path;
-  const std::vector<Cell> reordered = start_campaign(grid, measured).pending;
-  ASSERT_EQ(reordered.size(), pending.size());
-  EXPECT_EQ(reordered.front().index, pending.back().index);
-  for (std::size_t i = 1; i < reordered.size(); ++i) {
-    EXPECT_EQ(reordered[i].index, pending[i - 1].index);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(CampaignDeterminism, ResumeAgainstReshapedGridKeepsAllRecordsStably) {
@@ -1200,6 +1147,29 @@ TEST(Campaign, ExpandValidatesTheBandwidthAxis) {
   bad_axis.models = {CommModel::kSimpleBroadcast};
   bad_axis.bandwidths = {-2};
   EXPECT_THROW(single_spec_grid(bad_axis).expand(), std::invalid_argument);
+}
+
+TEST(Campaign, StartCampaignValidatesTheBandwidthOverride) {
+  // The campaign-level override obeys the axis's rule, and is checked
+  // before the sink opens: a rejected run writes nothing.
+  const Grid grid = Grid::preset("smoke");
+  const std::string path = temp_path("bad_bandwidth.jsonl");
+  std::remove(path.c_str());
+  RunnerOptions options;
+  options.out_path = path;
+  for (const int bits : {-2, -5}) {
+    options.bandwidth_bits = bits;
+    EXPECT_THROW((void)start_campaign(grid, options), std::invalid_argument)
+        << bits;
+    EXPECT_FALSE(std::ifstream(path).good()) << bits;
+  }
+  options.out_path.clear();
+  for (const int bits : {-1, 0, 128}) {
+    options.bandwidth_bits = bits;
+    EXPECT_EQ(start_campaign(grid, options).pending.size(),
+              grid.expand().size())
+        << bits;
+  }
 }
 
 TEST(Campaign, BoundedCellRecordsBandwidthExceededVerdict) {

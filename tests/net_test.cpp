@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -600,8 +602,11 @@ TEST(NetDeterminism, CoordinatorResumesFinishedCellsWithoutWorkersRedoing) {
     node.join();
   }
   const std::string first_bytes = read_bytes(out_path);
-  // Second pass resumes: every cell is already finished, so the worker is
-  // greeted, fenced, and shut down without running anything.
+  // Second pass resumes from the first three records: the worker runs only
+  // the other five cells, and the canonical rewrite restores every byte.
+  std::size_t cut = 0;
+  for (int line = 0; line < 3; ++line) cut = first_bytes.find('\n', cut) + 1;
+  std::ofstream(out_path, std::ios::binary) << first_bytes.substr(0, cut);
   CoordinatorOptions options;
   options.grid = "smoke";
   options.workers = 1;
@@ -613,13 +618,76 @@ TEST(NetDeterminism, CoordinatorResumesFinishedCellsWithoutWorkersRedoing) {
     worker_options.port = port;
     WorkerNode worker(worker_options);
     EXPECT_TRUE(worker.run());
-    EXPECT_EQ(worker.stats().cells_run, 0);
+    EXPECT_EQ(worker.stats().cells_run, 5);
   });
   (void)coordinator.run();
   node.join();
-  EXPECT_EQ(coordinator.stats().cells_assigned, 0);
+  EXPECT_EQ(coordinator.stats().cells_assigned, 5);
   EXPECT_EQ(read_bytes(out_path), first_bytes);
   std::remove(out_path.c_str());
+}
+
+TEST(NetDeterminism, CoordinatorWithNothingPendingReturnsWithoutAWorker) {
+  // Every cell of a complete file resumes, so nothing is dispatched and
+  // run() returns at once instead of waiting for a worker to join.
+  const std::string out_path = temp_path("complete_out.jsonl");
+  std::remove(out_path.c_str());
+  const std::vector<campaign::CellRecord> want = reference_records(out_path);
+  const std::string bytes = read_bytes(out_path);
+
+  CoordinatorOptions options;
+  options.grid = "smoke";
+  options.out_path = out_path;
+  Coordinator coordinator(options);
+  const std::uint16_t port = coordinator.listen();
+  std::future<std::vector<campaign::CellRecord>> run = std::async(
+      std::launch::async, [&coordinator] { return coordinator.run(); });
+  const bool returned =
+      run.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  if (!returned) {
+    // A coordinator that waits for a worker: give it one so the test ends.
+    WorkerOptions worker_options;
+    worker_options.port = port;
+    (void)WorkerNode(worker_options).run();
+  }
+  const std::vector<campaign::CellRecord> got = run.get();
+  EXPECT_TRUE(returned) << "run() waited for a worker with nothing pending";
+  expect_same_records(got, want);
+  EXPECT_EQ(coordinator.stats().cells_assigned, 0);
+  EXPECT_EQ(read_bytes(out_path), bytes);
+  std::remove(out_path.c_str());
+}
+
+TEST(NetDeterminism, CoordinatorOfOneShardAssignsOnlyItsCells) {
+  // The coordinator takes the runner's shard options: shard 1 of 2 owns
+  // the odd cell indices, dispatches nothing else, and returns the records
+  // the in-process runner returns for that shard.
+  campaign::RunnerOptions shard;
+  shard.shards = 2;
+  shard.shard_index = 1;
+  const std::vector<campaign::CellRecord> want =
+      campaign::Runner(shard).run(campaign::Grid::preset("smoke"));
+  ASSERT_EQ(want.size(), 4u);
+
+  CoordinatorOptions options;
+  options.grid = "smoke";
+  options.shards = 2;
+  options.shard_index = 1;
+  Coordinator coordinator(options);
+  const std::uint16_t port = coordinator.listen();
+  std::thread node([port] {
+    WorkerOptions worker_options;
+    worker_options.port = port;
+    WorkerNode worker(worker_options);
+    EXPECT_TRUE(worker.run());
+  });
+  const std::vector<campaign::CellRecord> got = coordinator.run();
+  node.join();
+  for (const campaign::CellRecord& record : got) {
+    EXPECT_EQ(record.cell % 2, 1) << record.key;
+  }
+  expect_same_records(got, want);
+  EXPECT_EQ(coordinator.stats().cells_assigned, 4);
 }
 
 TEST(NetDeterminism, VersionSkewedWorkerIsRejectedAtTheHandshake) {

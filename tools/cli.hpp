@@ -1,18 +1,13 @@
 #pragma once
 
-// What the two campaign tools (anonet_campaign, anonet_node) share: the
-// strict number parser for their options, which examples/explore reads its
-// numbers with too, and the report of a finished run's verdict.
+// The strict number parser the command-line programs (tools/anonet_campaign,
+// examples/explore) read their options with.
 
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <string>
 #include <type_traits>
-
-#include "campaign/metrics.hpp"
 
 namespace anonet::tools {
 
@@ -44,29 +39,6 @@ template <typename T>
     out = static_cast<T>(value);
   }
   return true;
-}
-
-// Reports campaign::judge_run's verdict: the keys of predicted breakdowns
-// that succeeded (stderr), each table suite's comparison unless `quiet`,
-// and the paper line when the tables gate the run.
-inline void print_verdict(const campaign::RunVerdict& verdict,
-                          const char* tool, bool quiet) {
-  for (const std::string& key : verdict.predicted_successes) {
-    std::fprintf(stderr, "%s: predicted breakdown succeeded: %s\n", tool,
-                 key.c_str());
-  }
-  if (!quiet) {
-    for (const campaign::TableComparison& table : verdict.tables) {
-      std::printf("\n%s", campaign::render_table(table).c_str());
-    }
-  }
-  if (verdict.tables_gate) {
-    std::printf("\n%s\n", verdict.tables_match
-                              ? "All non-open cells match the paper; open "
-                                "'?' cells recorded as skipped."
-                              : "MISMATCH against the paper's tables — see "
-                                "above.");
-  }
 }
 
 }  // namespace anonet::tools
