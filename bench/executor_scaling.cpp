@@ -7,8 +7,9 @@
 //   (b) block-grain sweep at n = 1e4 (set_block_grain override vs the
 //       adaptive policy), sizing the claim-amortization sweet spot.
 // And (c), serial vs pooled at n = 1e5 over 20 rounds of a fresh random
-// graph each round, for the two frequency engines whose vector messages
-// the arena delivers by slot: metered frequency Push-Sum on
+// graph each round, for the two frequency engines, whose messages (each an
+// inline list of ten entries, one contiguous block in the outbox) the
+// arena delivers by slot: metered frequency Push-Sum on
 // RandomStronglyConnectedSchedule and frequency Metropolis on
 // RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
 // Every row records its validate, send and deliver seconds, the engine's

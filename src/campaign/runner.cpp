@@ -206,13 +206,7 @@ bool reusable_on_resume(const CellRecord& record, const Cell& cell) {
 
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
                           std::int64_t bandwidth_bits) {
-  if (bandwidth_bits < -1) {
-    throw std::invalid_argument(
-        "apply_cell_overrides: campaign bandwidth " +
-        std::to_string(bandwidth_bits) +
-        " (expected 0 = unbounded, -1 = metered, or a positive per-message "
-        "bit budget)");
-  }
+  check_bandwidth_override(bandwidth_bits);
   if (cell_timeout_ms > 0.0) {
     for (Cell& cell : cells) {
       if (cell.timeout_ms <= 0.0) cell.timeout_ms = cell_timeout_ms;
@@ -222,6 +216,15 @@ void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
     for (Cell& cell : cells) {
       if (cell.bandwidth_bits == 0) cell.bandwidth_bits = bandwidth_bits;
     }
+  }
+}
+
+void check_bandwidth_override(std::int64_t bandwidth_bits) {
+  if (bandwidth_bits < -1) {
+    throw std::invalid_argument(
+        "campaign bandwidth " + std::to_string(bandwidth_bits) +
+        " (expected 0 = unbounded, -1 = metered, or a positive per-message "
+        "bit budget)");
   }
 }
 

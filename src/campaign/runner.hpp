@@ -69,10 +69,13 @@ struct RunnerOptions {
 // see RunnerOptions::bandwidth_bits). Shared by the in-process Runner and
 // the socket transport (net::Coordinator / net::WorkerNode), so both ends
 // of the wire derive identical keys from identical options. Throws
-// std::invalid_argument on a bandwidth_bits below -1, as Grid::expand does
-// for a Spec's.
+// check_bandwidth_override's error first.
 void apply_cell_overrides(std::vector<Cell>& cells, double cell_timeout_ms,
                           std::int64_t bandwidth_bits);
+
+// Throws std::invalid_argument on a campaign bandwidth below -1, as
+// Grid::expand does for a Spec's.
+void check_bandwidth_override(std::int64_t bandwidth_bits);
 
 // A campaign between its start and its canonical finish.
 struct CampaignRun {

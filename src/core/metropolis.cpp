@@ -36,8 +36,7 @@ void MetropolisAgent::receive(Inbox<Message> messages) {
 
 FrequencyMetropolisAgent::FrequencyMetropolisAgent(std::int64_t input)
     : input_(input) {
-  keys_.push_back(input_);
-  xs_.push_back(1.0);
+  state_.push_back({input_, 1.0});
 }
 
 FrequencyMetropolisAgent::Message FrequencyMetropolisAgent::send(
@@ -47,79 +46,65 @@ FrequencyMetropolisAgent::Message FrequencyMetropolisAgent::send(
         "FrequencyMetropolisAgent: requires outdegree awareness");
   }
   degree_ = outdegree;
-  return Message{keys_, xs_, outdegree};
+  return Message{outdegree, state_};
 }
 
 void FrequencyMetropolisAgent::receive(Inbox<Message> messages) {
   // Materialize every value any sender knows: a missing entry is an exact 0
   // (indicator average), so processing it keeps the pairwise update
   // symmetric — the neighbor treats our missing entry as 0 too, and the two
-  // corrections cancel, preserving the global sum per value. Per-value
-  // floating-point order is message order in both the map-based original and
-  // this SoA merge, so outputs are bit-identical.
-  merged_.clear();
-  bool uniform = true;
-  for (const Message& m : messages) {
-    if (m.keys != keys_) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    merged_ = keys_;
-  } else {
-    merged_ = keys_;
-    for (const Message& m : messages) {
-      merged_.insert(merged_.end(), m.keys.begin(), m.keys.end());
-    }
-    std::sort(merged_.begin(), merged_.end());
-    merged_.erase(std::unique(merged_.begin(), merged_.end()), merged_.end());
-  }
-
-  // Pre-round values aligned to the union; values this agent does not hold
-  // yet enter as exact zeros.
-  if (merged_.size() == keys_.size()) {
-    before_ = xs_;
-  } else {
-    before_.assign(merged_.size(), 0.0);
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      while (merged_[j] < keys_[i]) ++j;
-      before_[j] = xs_[i];
-    }
-  }
-
-  delta_.assign(merged_.size(), 0.0);
+  // corrections cancel, preserving the global sum per value.
+  //
+  // The stack-local union starts as the held values, each with its
+  // pre-round value and a zero delta. Every message then walks the whole
+  // union in lockstep with its own keys, adding w * (x_sender - before) to
+  // each delta, with x_sender = 0 where it lacks the value; a key the union
+  // lacks enters first with before = 0. A key entering at message k would
+  // have gathered only exact zeros from messages 1..k-1, so every delta is
+  // the same sum, in message order, as in the map-based original, and the
+  // outputs are bit-identical.
+  struct Pending {
+    std::int64_t key;
+    double before;
+    double delta;
+  };
+  SmallVector<Pending, kInlineFrequencyValues> merged;
+  for (const Entry& held : state_) merged.push_back({held.key, held.x, 0.0});
   for (const Message& m : messages) {
     const double w = metropolis_weight(degree_, m.degree);
-    if (m.keys.size() == merged_.size()) {
-      // Key sets equal (sorted-unique subset of the union, same size): the
-      // dense multiply-add lane.
-      for (std::size_t j = 0; j < merged_.size(); ++j) {
-        delta_[j] += w * (m.xs[j] - before_[j]);
+    if (std::equal(m.entries.begin(), m.entries.end(), merged.begin(),
+                   merged.end(), [](const Entry& sent, const Pending& slot) {
+                     return sent.key == slot.key;
+                   })) {
+      // The sender holds exactly the union's values: the dense lane.
+      for (std::size_t j = 0; j < merged.size(); ++j) {
+        merged[j].delta += w * (m.entries[j].x - merged[j].before);
       }
-    } else {
-      // A sender without a value contributes w * (0 - before): walk the
-      // whole union, consuming the message's keys in lockstep.
-      std::size_t i = 0;
-      for (std::size_t j = 0; j < merged_.size(); ++j) {
-        double x_sender = 0.0;
-        if (i < m.keys.size() && m.keys[i] == merged_[j]) {
-          x_sender = m.xs[i];
-          ++i;
-        }
-        delta_[j] += w * (x_sender - before_[j]);
+      continue;
+    }
+    const Entry* sent = m.entries.begin();
+    for (Pending* slot = merged.begin();
+         slot != merged.end() || sent != m.entries.end(); ++slot) {
+      if (sent != m.entries.end() &&
+          (slot == merged.end() || sent->key < slot->key)) {
+        slot = merged.insert(slot, {sent->key, 0.0, 0.0});
       }
+      double x_sender = 0.0;
+      if (sent != m.entries.end() && sent->key == slot->key) {
+        x_sender = sent->x;
+        ++sent;
+      }
+      slot->delta += w * (x_sender - slot->before);
     }
   }
-  for (std::size_t j = 0; j < merged_.size(); ++j) before_[j] += delta_[j];
-  keys_.swap(merged_);
-  xs_.swap(before_);
+  state_.clear();
+  state_.reserve(merged.size());
+  for (const Pending& p : merged) state_.push_back({p.key, p.before + p.delta});
 }
 
 std::map<std::int64_t, double> FrequencyMetropolisAgent::estimates() const {
   std::map<std::int64_t, double> result;
-  for (std::size_t i = 0; i < keys_.size(); ++i) result[keys_[i]] = xs_[i];
+  for (const Entry& entry : state_) result[entry.key] = entry.x;
   return result;
 }
 

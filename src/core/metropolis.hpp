@@ -24,12 +24,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "support/small_vector.hpp"
 #include "wire/codecs.hpp"
 
 namespace anonet {
@@ -92,15 +92,26 @@ ANONET_STATIC_AUDIT_DECLARATIONS(MetropolisAgent);
 
 class FrequencyMetropolisAgent {
  public:
-  struct Message {
-    // Structure-of-arrays snapshot: parallel vectors sorted by key (keys
-    // strictly increasing) plus the announced round degree. Once every agent
-    // knows every value the receive update degenerates to one dense
-    // multiply-add loop per message.
-    std::vector<std::int64_t> keys;
-    std::vector<double> xs;
-    int degree = 1;
+  // One value's Metropolis instance: ω and its estimate x[ω].
+  struct Entry {
+    std::int64_t key;
+    double x;
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
+  // Per-value state, sorted by key (keys strictly increasing). Up to
+  // kInlineFrequencyValues entries live inline in the agent.
+  using Entries = SmallVector<Entry, kInlineFrequencyValues>;
+
+  struct Message {
+    // The sender's announced round degree and a copy of its state.
+    // Inline, it is one contiguous block in the executor's outbox, and the
+    // send phase allocates nothing.
+    int degree = 1;
+    Entries entries;
+  };
+  // Delivered by outbox slot: a copy in the arena would move the whole
+  // inline block, a few hundred bytes, per delivery.
+  static_assert(kDeliveredBySlot<Message>);
 
   // All state is per-agent: safe under the executor's thread-parallel phases.
   static constexpr bool kParallelSafe = true;
@@ -118,7 +129,6 @@ class FrequencyMetropolisAgent {
   void receive(Inbox<Message> messages);
 
   [[nodiscard]] std::int64_t input() const { return input_; }
-  // Materialized from the internal parallel vectors.
   [[nodiscard]] std::map<std::int64_t, double> estimates() const;
 
   // Corollary-5.3-style exact rounding under a known bound N >= n; the same
@@ -128,15 +138,8 @@ class FrequencyMetropolisAgent {
 
  private:
   std::int64_t input_;
-  // Per-value state as sorted parallel vectors (same layout as Message).
-  std::vector<std::int64_t> keys_;
-  std::vector<double> xs_;
-  // Receive-phase scratch, reused across rounds: merged key union, the
-  // pre-round values aligned to it, and the per-value weighted deltas.
-  std::vector<std::int64_t> merged_;
-  std::vector<double> before_;
-  std::vector<double> delta_;
   mutable int degree_ = 1;
+  Entries state_;
 };
 
 // Frequency Metropolis: count + (delta key, x) per entry + degree.
@@ -146,12 +149,12 @@ struct wire::MessageTraits<FrequencyMetropolisAgent::Message> {
 
   template <typename Sink>
   static void encode(const M& m, Sink& sink) {
-    sink.write_uvarint(m.keys.size());
+    sink.write_uvarint(m.entries.size());
     std::int64_t prev = 0;
-    for (std::size_t i = 0; i < m.keys.size(); ++i) {
-      write_key(sink, m.keys[i], i == 0, prev);
-      sink.write_double(m.xs[i]);
-      prev = m.keys[i];
+    for (std::size_t i = 0; i < m.entries.size(); ++i) {
+      write_key(sink, m.entries[i].key, i == 0, prev);
+      sink.write_double(m.entries[i].x);
+      prev = m.entries[i].key;
     }
     sink.write_svarint(m.degree);
   }
@@ -159,13 +162,11 @@ struct wire::MessageTraits<FrequencyMetropolisAgent::Message> {
   static M decode(BitReader& src) {
     const std::uint64_t count = src.read_count(8 + kDoubleBits);
     M m;
-    m.keys.reserve(count);
-    m.xs.reserve(count);
+    m.entries.reserve(count);
     std::int64_t prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       prev = read_key(src, i == 0, prev);
-      m.keys.push_back(prev);
-      m.xs.push_back(src.read_double());
+      m.entries.push_back({prev, src.read_double()});
     }
     m.degree = src.read_varint<int>();
     return m;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "core/census.hpp"
 
@@ -40,9 +41,7 @@ FrequencyPushSumAgent::FrequencyPushSumAgent(std::int64_t input,
     : input_(input),
       z_default_(is_leader.has_value() && !*is_leader ? 0.0 : 1.0) {
   // Algorithm 1, line 3: y[v_i] <- 1, z[v_i] <- z-default.
-  keys_.push_back(input_);
-  ys_.push_back(1.0);
-  zs_.push_back(z_default_);
+  state_.push_back({input_, 1.0, z_default_});
 }
 
 FrequencyPushSumAgent::Message FrequencyPushSumAgent::send(
@@ -51,7 +50,7 @@ FrequencyPushSumAgent::Message FrequencyPushSumAgent::send(
     throw std::logic_error(
         "FrequencyPushSumAgent: requires outdegree awareness");
   }
-  return Message{keys_, ys_, zs_, outdegree};
+  return Message{outdegree, state_};
 }
 
 void FrequencyPushSumAgent::receive(Inbox<Message> messages) {
@@ -68,65 +67,51 @@ void FrequencyPushSumAgent::receive(Inbox<Message> messages) {
   // topologies (see pushsum_test.cpp, ConservativeJoiningIsExact); the
   // deviation is documented in DESIGN.md.
   //
-  // Per-accumulator floating-point order is message order (each message
-  // contributes at most one add per value), identical whether the outer loop
-  // runs value-major over a map or message-major over vectors — so this SoA
-  // merge is bit-for-bit the same as the original map-based update.
-  merged_.clear();
-  bool uniform = !messages.empty();
-  for (const Message& m : messages) {
-    if (m.keys != messages.front().keys) {
-      uniform = false;
-      break;
-    }
-  }
-  if (uniform) {
-    merged_ = messages.front().keys;
-  } else {
-    for (const Message& m : messages) {
-      merged_.insert(merged_.end(), m.keys.begin(), m.keys.end());
-    }
-    std::sort(merged_.begin(), merged_.end());
-    merged_.erase(std::unique(merged_.begin(), merged_.end()), merged_.end());
-  }
-
-  acc_y_.assign(merged_.size(), 0.0);
-  acc_z_.assign(merged_.size(), 0.0);
+  // Each message is merged into the stack-local union of the keys seen so
+  // far: a key the union lacks enters with zero weights, then the message
+  // adds its shares. Every accumulator therefore starts at 0 and adds its
+  // shares in message order, one add per message holding ω, which is
+  // bit-for-bit the original map-based update.
+  Entries merged;
   for (const Message& m : messages) {
     const double d = static_cast<double>(m.outdegree);
-    if (m.keys.size() == merged_.size()) {
-      // Equal sizes of sorted-unique subset and union mean equal key sets:
-      // the dense lane the SoA layout exists for (vectorizable, no search).
-      for (std::size_t i = 0; i < m.keys.size(); ++i) {
-        acc_y_[i] += m.ys[i] / d;
-        acc_z_[i] += m.zs[i] / d;
+    if (std::equal(m.entries.begin(), m.entries.end(), merged.begin(),
+                   merged.end(), [](const Entry& sent, const Entry& slot) {
+                     return sent.key == slot.key;
+                   })) {
+      // The sender holds exactly the union's values: the dense lane.
+      for (std::size_t j = 0; j < merged.size(); ++j) {
+        merged[j].y += m.entries[j].y / d;
+        merged[j].z += m.entries[j].z / d;
       }
-    } else {
-      std::size_t j = 0;
-      for (std::size_t i = 0; i < m.keys.size(); ++i) {
-        while (merged_[j] < m.keys[i]) ++j;
-        acc_y_[j] += m.ys[i] / d;
-        acc_z_[j] += m.zs[i] / d;
+      continue;
+    }
+    Entry* slot = merged.begin();
+    for (const Entry& sent : m.entries) {
+      while (slot != merged.end() && slot->key < sent.key) ++slot;
+      if (slot == merged.end() || slot->key != sent.key) {
+        slot = merged.insert(slot, {sent.key, 0.0, 0.0});
       }
+      slot->y += sent.y / d;
+      slot->z += sent.z / d;
+      ++slot;
     }
   }
   // Banked z-defaults for values this agent materializes just now.
-  std::size_t i = 0;
-  for (std::size_t j = 0; j < merged_.size(); ++j) {
-    while (i < keys_.size() && keys_[i] < merged_[j]) ++i;
-    if (i >= keys_.size() || keys_[i] != merged_[j]) acc_z_[j] += z_default_;
+  const Entry* held = state_.begin();
+  for (Entry& entry : merged) {
+    while (held != state_.end() && held->key < entry.key) ++held;
+    if (held == state_.end() || held->key != entry.key) entry.z += z_default_;
   }
-  keys_.swap(merged_);
-  ys_.swap(acc_y_);
-  zs_.swap(acc_z_);
+  state_ = std::move(merged);
 }
 
 std::map<std::int64_t, double> FrequencyPushSumAgent::estimates() const {
   std::map<std::int64_t, double> result;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    result[keys_[i]] = zs_[i] > 0.0
-                           ? ys_[i] / zs_[i]
-                           : std::numeric_limits<double>::infinity();
+  for (const Entry& entry : state_) {
+    result[entry.key] = entry.z > 0.0
+                            ? entry.y / entry.z
+                            : std::numeric_limits<double>::infinity();
   }
   return result;
 }

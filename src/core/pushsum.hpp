@@ -27,12 +27,12 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <vector>
 
 #include "functions/functions.hpp"
 #include "runtime/capabilities.hpp"
 #include "runtime/inbox.hpp"
 #include "runtime/static_audit.hpp"
+#include "support/small_vector.hpp"
 #include "wire/codecs.hpp"
 
 namespace anonet {
@@ -97,17 +97,27 @@ ANONET_STATIC_AUDIT_DECLARATIONS(PushSumAgent);
 
 class FrequencyPushSumAgent {
  public:
-  struct Message {
-    // Structure-of-arrays snapshot of the sender's per-value state: parallel
-    // vectors sorted by key (keys strictly increasing), plus the sender's
-    // outdegree (receivers divide). The SoA layout keeps the receive-side
-    // accumulation a dense double loop once dissemination completes and every
-    // agent carries the same key set.
-    std::vector<std::int64_t> keys;
-    std::vector<double> ys;
-    std::vector<double> zs;
-    int outdegree = 1;
+  // One value's Push-Sum instance: ω and its weights y[ω], z[ω].
+  struct Entry {
+    std::int64_t key;
+    double y;
+    double z;
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
+  // Per-value state, sorted by key (keys strictly increasing). Up to
+  // kInlineFrequencyValues entries live inline in the agent.
+  using Entries = SmallVector<Entry, kInlineFrequencyValues>;
+
+  struct Message {
+    // The sender's outdegree (receivers divide) and a copy of its state.
+    // Inline, it is one contiguous block in the executor's outbox, and the
+    // send phase allocates nothing.
+    int outdegree = 1;
+    Entries entries;
+  };
+  // Delivered by outbox slot: a copy in the arena would move the whole
+  // inline block, a few hundred bytes, per delivery.
+  static_assert(kDeliveredBySlot<Message>);
 
   // All state is per-agent: safe under the executor's thread-parallel phases.
   static constexpr bool kParallelSafe = true;
@@ -149,16 +159,7 @@ class FrequencyPushSumAgent {
  private:
   std::int64_t input_;
   double z_default_;  // 1.0, or 0.0 for non-leaders in the leader variant
-  // Per-value state as sorted parallel vectors (same layout as Message).
-  std::vector<std::int64_t> keys_;
-  std::vector<double> ys_;
-  std::vector<double> zs_;
-  // Receive-phase scratch, kept across rounds so steady state allocates
-  // nothing: the merged key union and its (y, z) accumulators, swapped into
-  // the state vectors at the end of every receive.
-  std::vector<std::int64_t> merged_;
-  std::vector<double> acc_y_;
-  std::vector<double> acc_z_;
+  Entries state_;
 };
 
 // Frequency Push-Sum: count + (delta key, y, z) per entry + outdegree.
@@ -168,13 +169,13 @@ struct wire::MessageTraits<FrequencyPushSumAgent::Message> {
 
   template <typename Sink>
   static void encode(const M& m, Sink& sink) {
-    sink.write_uvarint(m.keys.size());
+    sink.write_uvarint(m.entries.size());
     std::int64_t prev = 0;
-    for (std::size_t i = 0; i < m.keys.size(); ++i) {
-      write_key(sink, m.keys[i], i == 0, prev);
-      sink.write_double(m.ys[i]);
-      sink.write_double(m.zs[i]);
-      prev = m.keys[i];
+    for (std::size_t i = 0; i < m.entries.size(); ++i) {
+      write_key(sink, m.entries[i].key, i == 0, prev);
+      sink.write_double(m.entries[i].y);
+      sink.write_double(m.entries[i].z);
+      prev = m.entries[i].key;
     }
     sink.write_svarint(m.outdegree);
   }
@@ -182,15 +183,13 @@ struct wire::MessageTraits<FrequencyPushSumAgent::Message> {
   static M decode(BitReader& src) {
     const std::uint64_t count = src.read_count(8 + 2 * kDoubleBits);
     M m;
-    m.keys.reserve(count);
-    m.ys.reserve(count);
-    m.zs.reserve(count);
+    m.entries.reserve(count);
     std::int64_t prev = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       prev = read_key(src, i == 0, prev);
-      m.keys.push_back(prev);
-      m.ys.push_back(src.read_double());
-      m.zs.push_back(src.read_double());
+      const double y = src.read_double();
+      const double z = src.read_double();
+      m.entries.push_back({prev, y, z});
     }
     m.outdegree = src.read_varint<int>();
     return m;

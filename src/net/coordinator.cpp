@@ -40,10 +40,9 @@ Coordinator::Coordinator(CoordinatorOptions options)
   if (options_.workers < 1) {
     throw std::invalid_argument("Coordinator: workers must be >= 1");
   }
-  if (options_.grid.empty()) {
-    throw std::invalid_argument("Coordinator: grid name must be non-empty");
-  }
   campaign::check_shard(options_);
+  campaign::check_bandwidth_override(options_.bandwidth_bits);
+  grid_ = campaign::Grid::preset(options_.grid);
 }
 
 std::uint16_t Coordinator::listen() {
@@ -60,8 +59,7 @@ std::vector<CellRecord> Coordinator::run() {
   // The coordinator owns every cell of its shard. Workers re-expand the
   // same grid with the same overrides from the WELCOME parameters, so
   // (index, key) pairs agree on both ends of every socket.
-  campaign::CampaignRun run = campaign::start_campaign(
-      campaign::Grid::preset(options_.grid), options_);
+  campaign::CampaignRun run = campaign::start_campaign(grid_, options_);
   if (run.pending.empty()) {
     // Nothing to dispatch: a worker would only be greeted and shut down,
     // so none is waited for.

@@ -25,6 +25,7 @@
 
 #include "campaign/metrics.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/spec.hpp"
 #include "net/socket.hpp"
 
 namespace anonet::net {
@@ -52,8 +53,11 @@ struct CoordinatorStats {
 
 class Coordinator {
  public:
-  // Throws std::invalid_argument on workers < 1, an empty grid name or a
-  // shard spec that fails campaign::check_shard.
+  // Resolves the grid preset and checks the options, so a bad campaign
+  // fails before any socket exists. Throws std::invalid_argument on
+  // workers < 1, a grid name that is not a preset, a shard spec that fails
+  // campaign::check_shard or a bandwidth override that fails
+  // campaign::check_bandwidth_override.
   explicit Coordinator(CoordinatorOptions options);
 
   // Binds and listens; returns the bound port (resolves port 0). Separate
@@ -74,6 +78,7 @@ class Coordinator {
 
  private:
   CoordinatorOptions options_;
+  campaign::Grid grid_;  // Grid::preset(options_.grid)
   TcpListener listener_;
   CoordinatorStats stats_;
 };

@@ -658,6 +658,35 @@ TEST(NetDeterminism, CoordinatorWithNothingPendingReturnsWithoutAWorker) {
   std::remove(out_path.c_str());
 }
 
+TEST(NetCoordinator, BadGridOrBandwidthThrowsBeforeAnySocket) {
+  // The constructor resolves the preset and checks the bandwidth override,
+  // so neither error waits for listen(): the CLI must not print its
+  // "listening on" line or write --port-file for a campaign it cannot run.
+  const auto error_of = [](const CoordinatorOptions& options) -> std::string {
+    try {
+      Coordinator coordinator(options);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  CoordinatorOptions options;
+  for (const char* grid : {"nosuch", ""}) {
+    options.grid = grid;
+    EXPECT_NE(error_of(options).find("unknown grid '" + std::string(grid)),
+              std::string::npos)
+        << grid;
+  }
+  options.grid = "smoke";
+  options.bandwidth_bits = -2;
+  EXPECT_NE(error_of(options).find("campaign bandwidth -2 (expected"),
+            std::string::npos);
+  for (const std::int64_t bits : {-1, 0, 128}) {
+    options.bandwidth_bits = bits;
+    EXPECT_EQ(error_of(options), "") << bits;
+  }
+}
+
 TEST(NetDeterminism, CoordinatorOfOneShardAssignsOnlyItsCells) {
   // The coordinator takes the runner's shard options: shard 1 of 2 owns
   // the odd cell indices, dispatches nothing else, and returns the records

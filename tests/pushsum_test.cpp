@@ -262,9 +262,9 @@ TEST(FrequencyPushSum, PerValueMassIsConservedOncePresentEverywhere) {
       // Inspect raw state via estimates plus mass identities: recompute
       // from a fresh send (outdegree 1 keeps values unscaled).
       const auto message = exec.agent(v).send(1, 0);
-      for (std::size_t i = 0; i < message.keys.size(); ++i) {
-        y_total[message.keys[i]] += message.ys[i];
-        z_total[message.keys[i]] += message.zs[i];
+      for (const auto& entry : message.entries) {
+        y_total[entry.key] += entry.y;
+        z_total[entry.key] += entry.z;
       }
     }
     EXPECT_NEAR(y_total[2], 2.0, 1e-9) << round;

@@ -418,9 +418,7 @@ TEST(Wire, CorruptStreamsNeverEscapeDecodeError) {
   corrupt_stream_property(gossip);
 
   FrequencyPushSumAgent::Message pushsum;
-  pushsum.keys = {1, 5, 9};
-  pushsum.ys = {0.5, 0.25, 0.125};
-  pushsum.zs = {1.0, 2.0, 3.0};
+  pushsum.entries = {{1, 0.5, 1.0}, {5, 0.25, 2.0}, {9, 0.125, 3.0}};
   pushsum.outdegree = 4;
   corrupt_stream_property(pushsum);
 
@@ -430,8 +428,7 @@ TEST(Wire, CorruptStreamsNeverEscapeDecodeError) {
   corrupt_stream_property(exact);
 
   FrequencyMetropolisAgent::Message metro;
-  metro.keys = {-3, 12};
-  metro.xs = {0.75, -1.5};
+  metro.entries = {{-3, 0.75}, {12, -1.5}};
   metro.degree = 2;
   corrupt_stream_property(metro);
 
@@ -466,7 +463,7 @@ TEST(Wire, FrequencyPushSumMessageRoundTrip) {
   std::mt19937_64 rng(13);
   for (int trial = 0; trial < 50; ++trial) {
     // Stage entries through a map to get the sorted-unique key order the
-    // message's parallel vectors require.
+    // message's entries require.
     std::map<std::int64_t, std::pair<double, double>> staged;
     const int count = static_cast<int>(rng() % 6);
     for (int i = 0; i < count; ++i) {
@@ -476,16 +473,57 @@ TEST(Wire, FrequencyPushSumMessageRoundTrip) {
     }
     FrequencyPushSumAgent::Message m;
     for (const auto& [key, yz] : staged) {
-      m.keys.push_back(key);
-      m.ys.push_back(yz.first);
-      m.zs.push_back(yz.second);
+      m.entries.push_back({key, yz.first, yz.second});
     }
     m.outdegree = static_cast<int>(rng() % 7) + 1;
     const auto out = round_trip_checked(m);
     EXPECT_EQ(out.outdegree, m.outdegree);
-    EXPECT_EQ(out.keys, m.keys);
-    EXPECT_EQ(out.ys, m.ys);
-    EXPECT_EQ(out.zs, m.zs);
+    EXPECT_EQ(out.entries, m.entries);
+  }
+}
+
+TEST(Wire, FrequencyMessagesRoundTripAcrossTheInlineCapacity) {
+  // 1 and 16 entries decode inline; 17 and 40 spill to the heap. Every
+  // key, weight and estimate must come back bit for bit either way.
+  static_assert(kInlineFrequencyValues == 16);
+  std::mt19937_64 rng(16);
+  for (const std::size_t count : {1, 16, 17, 40}) {
+    FrequencyPushSumAgent::Message pushsum;
+    FrequencyMetropolisAgent::Message metro;
+    std::int64_t key = -static_cast<std::int64_t>(rng() % 1000);
+    for (std::size_t i = 0; i < count; ++i) {
+      key += 1 + static_cast<std::int64_t>(rng() % 300);
+      pushsum.entries.push_back({key, std::bit_cast<double>(rng() >> 2),
+                                 std::bit_cast<double>(rng() >> 2)});
+      metro.entries.push_back({key, std::bit_cast<double>(rng() >> 2)});
+    }
+    pushsum.outdegree = static_cast<int>(count);
+    metro.degree = static_cast<int>(count) + 1;
+    const bool spills = count > kInlineFrequencyValues;
+
+    const auto pushsum_out = round_trip_checked(pushsum);
+    EXPECT_EQ(pushsum_out.entries.spilled(), spills) << count;
+    EXPECT_EQ(pushsum_out.outdegree, pushsum.outdegree);
+    ASSERT_EQ(pushsum_out.entries.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto& sent = pushsum.entries[i];
+      const auto& got = pushsum_out.entries[i];
+      EXPECT_EQ(got.key, sent.key) << count << " " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.y),
+                std::bit_cast<std::uint64_t>(sent.y));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.z),
+                std::bit_cast<std::uint64_t>(sent.z));
+    }
+
+    const auto metro_out = round_trip_checked(metro);
+    EXPECT_EQ(metro_out.entries.spilled(), spills) << count;
+    EXPECT_EQ(metro_out.degree, metro.degree);
+    ASSERT_EQ(metro_out.entries.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(metro_out.entries[i].key, metro.entries[i].key);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(metro_out.entries[i].x),
+                std::bit_cast<std::uint64_t>(metro.entries[i].x));
+    }
   }
 }
 
@@ -523,15 +561,11 @@ TEST(Wire, MetropolisMessagesRoundTrip) {
           static_cast<double>(rng() % 512) / 32.0;
     }
     FrequencyMetropolisAgent::Message f;
-    for (const auto& [key, x] : staged) {
-      f.keys.push_back(key);
-      f.xs.push_back(x);
-    }
+    for (const auto& [key, x] : staged) f.entries.push_back({key, x});
     f.degree = static_cast<int>(rng() % 9) + 1;
     const auto fout = round_trip_checked(f);
     EXPECT_EQ(fout.degree, f.degree);
-    EXPECT_EQ(fout.keys, f.keys);
-    EXPECT_EQ(fout.xs, f.xs);
+    EXPECT_EQ(fout.entries, f.entries);
   }
 }
 
