@@ -16,7 +16,12 @@
 // ns per delivered message, and the seconds the pooled engine spent
 // fetching and checking the next round's graph during delivery
 // (`lookahead_s`: 0 for serial rows, about 1e-5 s for the static ring,
-// whose one graph is built and checked once).
+// whose one graph is built and checked once). For the frequency rows the
+// lookahead builds round t + 1's graph in place, in the schedule slot it
+// is about to lend, then its receiver CSR and out-degree counts, the
+// self-loop check and, for Metropolis, the symmetry check; no out-edge id
+// list, which the outdegree-aware send never reads. Validate ends with the
+// round's checks; the first round's buffer growth counts as send.
 //
 // Regenerate with scripts/bench.sh (Release build); interpretation notes in
 // docs/round_engine.md.

@@ -55,12 +55,16 @@ class DynamicGraph {
   }
 };
 
-// A schedule that generates each round graph: build(t) is a pure function
-// of (construction arguments, t), and view(t) lends the result from two
-// slots. A miss builds into the slot not returned last, so a graph lent for
-// round t stays valid across one further view(), hit or miss; a round is
-// recorded only after its build returns, so a build that throws leaves
-// both slots as they were.
+// A schedule that generates each round graph: build(t, into) makes `into`
+// round t's graph, a pure function of (construction arguments, t), and
+// view(t) lends the result from two slots. A miss builds into the slot not
+// returned last, in place (`into` is that slot's graph from an earlier
+// round, whose storage the build reuses through Digraph::reset), so a graph
+// lent for round t stays valid across one further view(), hit or miss.
+// The slot is marked empty before its build and records round t only after
+// the build returns: a build that throws leaves the slot lent last intact,
+// records no round, and leaves the other slot empty, so whichever round it
+// held is rebuilt when asked again.
 class BuiltSchedule : public DynamicGraph {
  public:
   [[nodiscard]] RoundGraphRef view(int t) const final {
@@ -72,14 +76,15 @@ class BuiltSchedule : public DynamicGraph {
       }
     }
     Slot& slot = slots_[1 - last_];
-    slot.graph = build(t);
+    slot.round = -1;
+    build(t, slot.graph);
     slot.round = t;
     last_ = 1 - last_;
     return RoundGraphRef(&slot.graph);
   }
 
  protected:
-  [[nodiscard]] virtual Digraph build(int t) const = 0;
+  virtual void build(int t, Digraph& into) const = 0;
 
  private:
   struct Slot {

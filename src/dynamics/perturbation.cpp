@@ -89,17 +89,16 @@ bool ChurnSchedule::present(Vertex v, int t) const {
                     static_cast<std::uint64_t>(v))() >= leave_threshold_;
 }
 
-Digraph ChurnSchedule::build(int t) const {
+void ChurnSchedule::build(int t, Digraph& into) const {
   const Digraph& inner = inner_->view(t).get();
-  Digraph g(inner.vertex_count());
+  into.reset(inner.vertex_count());
   for (const Edge& e : inner.edges()) {
     if (e.source == e.target ||
         (present(e.source, t) && present(e.target, t))) {
-      g.add_edge(e.source, e.target, e.color);
+      into.add_edge(e.source, e.target, e.color);
     }
   }
-  g.ensure_self_loops();
-  return g;
+  into.ensure_self_loops();
 }
 
 Digraph preferential_attachment_graph(Vertex n, int m, std::uint64_t seed) {

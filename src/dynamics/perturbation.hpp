@@ -130,7 +130,7 @@ class ChurnSchedule final : public BuiltSchedule {
   [[nodiscard]] bool present(Vertex v, int t) const;
 
  private:
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   DynamicGraphPtr inner_;
   int epoch_length_;

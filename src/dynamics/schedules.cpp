@@ -59,8 +59,8 @@ RandomStronglyConnectedSchedule::RandomStronglyConnectedSchedule(
   }
 }
 
-Digraph RandomStronglyConnectedSchedule::build(int t) const {
-  return random_strongly_connected(n_, extra_edges_, mix_seed(seed_, t));
+void RandomStronglyConnectedSchedule::build(int t, Digraph& into) const {
+  random_strongly_connected(n_, extra_edges_, mix_seed(seed_, t), into);
 }
 
 RandomSymmetricSchedule::RandomSymmetricSchedule(Vertex n, int extra_pairs,
@@ -69,22 +69,21 @@ RandomSymmetricSchedule::RandomSymmetricSchedule(Vertex n, int extra_pairs,
   if (n <= 0) throw std::invalid_argument("RandomSymmetricSchedule: n > 0");
 }
 
-Digraph RandomSymmetricSchedule::build(int t) const {
-  return random_symmetric_connected(n_, extra_pairs_, mix_seed(seed_, t));
+void RandomSymmetricSchedule::build(int t, Digraph& into) const {
+  random_symmetric_connected(n_, extra_pairs_, mix_seed(seed_, t), into);
 }
 
 TokenRingSchedule::TokenRingSchedule(Vertex n) : n_(n) {
   if (n <= 0) throw std::invalid_argument("TokenRingSchedule: n > 0");
 }
 
-Digraph TokenRingSchedule::build(int t) const {
-  Digraph g(n_);
-  for (Vertex v = 0; v < n_; ++v) g.add_edge(v, v);
+void TokenRingSchedule::build(int t, Digraph& into) const {
+  into.reset(n_);
+  for (Vertex v = 0; v < n_; ++v) into.add_edge(v, v);
   if (n_ > 1) {
     const Vertex src = static_cast<Vertex>((t - 1) % n_);
-    g.add_edge(src, (src + 1) % n_);
+    into.add_edge(src, (src + 1) % n_);
   }
-  return g;
 }
 
 RandomMatchingSchedule::RandomMatchingSchedule(Vertex n, std::uint64_t seed)
@@ -92,20 +91,19 @@ RandomMatchingSchedule::RandomMatchingSchedule(Vertex n, std::uint64_t seed)
   if (n <= 0) throw std::invalid_argument("RandomMatchingSchedule: n > 0");
 }
 
-Digraph RandomMatchingSchedule::build(int t) const {
+void RandomMatchingSchedule::build(int t, Digraph& into) const {
   std::mt19937_64 rng(mix_seed(seed_, t));
   std::vector<Vertex> order(static_cast<std::size_t>(n_));
   std::iota(order.begin(), order.end(), 0);
   std::shuffle(order.begin(), order.end(), rng);
-  Digraph g(n_);
-  for (Vertex v = 0; v < n_; ++v) g.add_edge(v, v);
+  into.reset(n_);
+  for (Vertex v = 0; v < n_; ++v) into.add_edge(v, v);
   // Pair consecutive vertices of the shuffled order; odd leftover stays
   // isolated this round (degree zero, footnote 2 of the paper).
   for (std::size_t i = 0; i + 1 < order.size(); i += 2) {
-    g.add_edge(order[i], order[i + 1]);
-    g.add_edge(order[i + 1], order[i]);
+    into.add_edge(order[i], order[i + 1]);
+    into.add_edge(order[i + 1], order[i]);
   }
-  return g;
 }
 
 GrowingGapSchedule::GrowingGapSchedule(Digraph base, int burst_length,
@@ -151,19 +149,18 @@ AsyncStartSchedule::AsyncStartSchedule(DynamicGraphPtr inner,
   }
 }
 
-Digraph AsyncStartSchedule::build(int t) const {
+void AsyncStartSchedule::build(int t, Digraph& into) const {
   const Digraph& inner = inner_->view(t).get();
-  Digraph g(inner.vertex_count());
+  into.reset(inner.vertex_count());
   for (const Edge& e : inner.edges()) {
     const int needed =
         std::max(start_rounds_[static_cast<std::size_t>(e.source)],
                  start_rounds_[static_cast<std::size_t>(e.target)]);
     if (e.source == e.target || t >= needed) {
-      g.add_edge(e.source, e.target, e.color);
+      into.add_edge(e.source, e.target, e.color);
     }
   }
-  g.ensure_self_loops();
-  return g;
+  into.ensure_self_loops();
 }
 
 }  // namespace anonet

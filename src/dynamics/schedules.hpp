@@ -2,7 +2,8 @@
 
 // Dynamic-graph schedules used by the experiments. Schedules that store
 // their round graphs lend them from view(t); schedules that generate one
-// per round implement a pure build(t) and lend through BuiltSchedule. Either
+// per round implement a pure build(t, into) and lend through BuiltSchedule,
+// which builds each round in place into the slot it is about to lend. Either
 // way a lent graph stays valid across one further view(), and no schedule
 // object is shared between concurrently stepping executors
 // (dynamics/dynamic_graph.hpp).
@@ -57,7 +58,7 @@ class RandomStronglyConnectedSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   Vertex n_;
   int extra_edges_;
@@ -74,7 +75,7 @@ class RandomSymmetricSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   Vertex n_;
   int extra_pairs_;
@@ -93,7 +94,7 @@ class TokenRingSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   Vertex n_;
 };
@@ -111,7 +112,7 @@ class RandomMatchingSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   Vertex n_;
   std::uint64_t seed_;
@@ -158,7 +159,7 @@ class AsyncStartSchedule final : public BuiltSchedule {
 
  private:
   // Filters the inner schedule's lent round graph.
-  [[nodiscard]] Digraph build(int t) const override;
+  void build(int t, Digraph& into) const override;
 
   DynamicGraphPtr inner_;
   std::vector<int> start_rounds_;

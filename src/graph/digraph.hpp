@@ -75,11 +75,22 @@ class Digraph {
   // Returns the id of the new edge. Invalidates adjacency spans.
   EdgeId add_edge(Vertex source, Vertex target, EdgeColor color = kNoColor);
 
+  // Empties the graph to `vertex_count` vertices and no edges, as a fresh
+  // Digraph(vertex_count) would be, but keeps the capacity of the edge list
+  // and of every cache, so a graph rebuilt in place each round stops
+  // allocating once its storage has grown. Invalidates adjacency spans.
+  void reset(Vertex vertex_count);
+  // Capacity for `edge_count` edges in all, so a builder that knows its
+  // edge count sizes the edge list once, without growth slack.
+  void reserve(std::size_t edge_count) { edges_.reserve(edge_count); }
+
   [[nodiscard]] const Edge& edge(EdgeId id) const { return edges_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] const std::vector<Edge>& edges() const { return edges_; }
 
-  // Edge ids whose target / source is `v` (multiplicities included,
-  // self-loops included). Built lazily and cached; cheap to call repeatedly.
+  // Edge ids whose target / source is `v`, in edge-id order (multiplicities
+  // included, self-loops included). Built lazily and cached; cheap to call
+  // repeatedly. The out-edge id list is a cache of its own, built on the
+  // first out_edges() call (see the threading note below).
   [[nodiscard]] std::span<const EdgeId> in_edges(Vertex v) const;
   [[nodiscard]] std::span<const EdgeId> out_edges(Vertex v) const;
 
@@ -98,7 +109,8 @@ class Digraph {
 
   // Degrees count parallel edges and self-loops, matching the paper's
   // convention that every communication graph has a self-loop (an agent
-  // always hears itself).
+  // always hears itself). Both read the adjacency's counts, never the
+  // out-edge id list.
   [[nodiscard]] int indegree(Vertex v) const;
   [[nodiscard]] int outdegree(Vertex v) const;
 
@@ -106,12 +118,19 @@ class Digraph {
   // Number of parallel source->target edges (the d_{i,j} of Section 4.2).
   [[nodiscard]] int edge_multiplicity(Vertex source, Vertex target) const;
 
+  // True when every vertex has a self-loop; scans the receiver CSR.
   [[nodiscard]] bool has_all_self_loops() const;
   // Adds a self-loop at every vertex lacking one; returns number added.
   int ensure_self_loops();
 
   // True when the edge *multiset* is symmetric: for all (i, j),
-  // multiplicity(i, j) == multiplicity(j, i). Colors are ignored.
+  // multiplicity(i, j) == multiplicity(j, i). Colors are ignored. One
+  // sequential pass first checks that every non-loop edge is immediately
+  // followed by its reverse, the order the pairwise symmetric generators
+  // and schedules emit: that pairs each (i, j) edge with a (j, i) edge, so
+  // it proves symmetry. Only when it fails (complete_graph, say, emits row
+  // by row) does the per-vertex comparison decide, which reads (and so
+  // builds) the out-edge id list.
   [[nodiscard]] bool is_symmetric() const;
 
   // True when every vertex's out-edges are colored with exactly the ports
@@ -128,6 +147,7 @@ class Digraph {
 
  private:
   void build_adjacency() const;
+  void build_out_list() const;
   const Digraph& adjacency() const {
     if (!adjacency_valid_) build_adjacency();
     return *this;
@@ -137,8 +157,14 @@ class Digraph {
   Vertex vertex_count_ = 0;
   std::vector<Edge> edges_;
 
-  // Lazy adjacency cache (CSR-style), rebuilt after mutation.
+  // Lazy caches, rebuilt after mutation, in two layers:
+  //  - the adjacency: the receiver CSR (in_start_, in_list_,
+  //    in_source_list_) and the out-degree prefix out_start_, filled by one
+  //    counting pass over the edges;
+  //  - the out-edge id list out_list_, laid out by out_start_, built on the
+  //    first out_edges() call (forcing the adjacency first).
   mutable bool adjacency_valid_ = false;
+  mutable bool out_list_valid_ = false;
   mutable std::vector<EdgeId> in_list_, out_list_;
   mutable std::vector<Vertex> in_source_list_;  // edge(in_list_[k]).source
   mutable std::vector<std::int32_t> in_start_, out_start_;
@@ -147,10 +173,20 @@ class Digraph {
   // validates each round graph once instead of re-walking the edge set every
   // round. Copies carry the verdicts along (they describe the edge multiset,
   // which is copied too); any mutation resets them. Atomic, so concurrent
-  // const verdict queries on a shared graph are race-free; the lazy
-  // adjacency cache is the remaining unsynchronized const path — force it
-  // (any adjacency query) before sharing a graph across threads, as
-  // Executor::step does before its parallel phases.
+  // const verdict queries on a shared graph are race-free.
+  //
+  // The two lazy caches are the unsynchronized const paths; force each one
+  // a thread may need before sharing the graph across threads:
+  //  - the adjacency: forced by any of in_edges, in_offsets, in_edge_list,
+  //    in_source_list, indegree, outdegree and has_all_self_loops;
+  //  - the out-edge id list (and the adjacency under it): forced by any of
+  //    out_edges, has_edge, edge_multiplicity and has_valid_output_ports.
+  //    is_symmetric's first pass reads only the edge list; its fallback
+  //    reads both caches, so it forces them only when the first pass fails.
+  // Executor::step reads the adjacency in every model and the out-list only
+  // under output port awareness; its check_round_graph forces the first
+  // through in_offsets() and, under port awareness, the second through
+  // validate_output_ports, before any parallel phase.
   mutable CachedVerdict self_loops_cache_;
   mutable CachedVerdict symmetric_cache_;
   mutable CachedVerdict output_ports_cache_;

@@ -112,42 +112,60 @@ Digraph de_bruijn(int symbols, int word_length) {
 
 Digraph random_strongly_connected(Vertex n, int extra_edges,
                                   std::uint64_t seed) {
+  Digraph g;
+  random_strongly_connected(n, extra_edges, seed, g);
+  return g;
+}
+
+void random_strongly_connected(Vertex n, int extra_edges, std::uint64_t seed,
+                               Digraph& into) {
   require_positive(n, "random_strongly_connected");
   std::mt19937_64 rng(seed);
   std::vector<Vertex> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::shuffle(order.begin(), order.end(), rng);
-  Digraph g(n);
-  for (Vertex v = 0; v < n; ++v) g.add_edge(v, v);
+  into.reset(n);
+  const auto vertices = static_cast<std::size_t>(n);
+  into.reserve((n > 1 ? 2 * vertices : vertices) +
+               static_cast<std::size_t>(std::max(extra_edges, 0)));
+  for (Vertex v = 0; v < n; ++v) into.add_edge(v, v);
   if (n > 1) {
     for (Vertex i = 0; i < n; ++i) {
-      g.add_edge(order[static_cast<std::size_t>(i)],
-                 order[static_cast<std::size_t>((i + 1) % n)]);
+      into.add_edge(order[static_cast<std::size_t>(i)],
+                    order[static_cast<std::size_t>((i + 1) % n)]);
     }
   }
   std::uniform_int_distribution<Vertex> pick(0, n - 1);
   for (int i = 0; i < extra_edges; ++i) {
     Vertex a = pick(rng);
     Vertex b = pick(rng);
-    if (a != b) g.add_edge(a, b);
+    if (a != b) into.add_edge(a, b);
   }
-  return g;
 }
 
 Digraph random_symmetric_connected(Vertex n, int extra_pairs,
                                    std::uint64_t seed) {
+  Digraph g;
+  random_symmetric_connected(n, extra_pairs, seed, g);
+  return g;
+}
+
+void random_symmetric_connected(Vertex n, int extra_pairs, std::uint64_t seed,
+                                Digraph& into) {
   require_positive(n, "random_symmetric_connected");
   std::mt19937_64 rng(seed);
-  Digraph g(n);
-  for (Vertex v = 0; v < n; ++v) g.add_edge(v, v);
+  into.reset(n);
+  into.reserve(3 * static_cast<std::size_t>(n) - 2 +
+               2 * static_cast<std::size_t>(std::max(extra_pairs, 0)));
+  for (Vertex v = 0; v < n; ++v) into.add_edge(v, v);
   // Random attachment tree: vertex v links to a uniform earlier vertex.
   std::vector<Vertex> parent(static_cast<std::size_t>(n), -1);
   for (Vertex v = 1; v < n; ++v) {
     std::uniform_int_distribution<Vertex> pick(0, v - 1);
     Vertex u = pick(rng);
     parent[static_cast<std::size_t>(v)] = u;
-    g.add_edge(u, v);
-    g.add_edge(v, u);
+    into.add_edge(u, v);
+    into.add_edge(v, u);
   }
   // a -> b already exists when a and b are tree neighbours or an extra pair
   // drawn earlier; answering from those two records instead of the graph
@@ -161,10 +179,9 @@ Digraph random_symmetric_connected(Vertex n, int extra_pairs,
                            parent[static_cast<std::size_t>(b)] == a;
     if (a == b || tree_pair) continue;
     if (!extras.emplace(std::min(a, b), std::max(a, b)).second) continue;
-    g.add_edge(a, b);
-    g.add_edge(b, a);
+    into.add_edge(a, b);
+    into.add_edge(b, a);
   }
-  return g;
 }
 
 namespace {

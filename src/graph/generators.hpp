@@ -40,9 +40,20 @@ namespace anonet {
 
 // Random connected symmetric graph: a uniform random spanning tree with both
 // edge orientations, plus `extra_pairs` random bidirectional pairs, plus
-// self-loops.
+// self-loops. Each pair is emitted as two adjacent edges, (a, b) then
+// (b, a), the order Digraph::is_symmetric checks in one pass.
 [[nodiscard]] Digraph random_symmetric_connected(Vertex n, int extra_pairs,
                                                  std::uint64_t seed);
+
+// The same two graphs built in place: `into` is reset to n vertices,
+// reserves room for the graph's largest possible edge count, and receives
+// the same edges, with the same ids, from the same random draws, reusing
+// its storage (the per-round builds of the random schedules). The value
+// forms above are wrappers over these.
+void random_strongly_connected(Vertex n, int extra_edges, std::uint64_t seed,
+                               Digraph& into);
+void random_symmetric_connected(Vertex n, int extra_pairs, std::uint64_t seed,
+                                Digraph& into);
 
 // A graph together with a fibration onto a base: projection[v] is the base
 // vertex below v. The witness for all lifting-lemma experiments.

@@ -28,6 +28,8 @@
 // and the executor keeps nothing tied to the previous round's graph. A
 // pooled executor builds round t + 1's graph, CSR and verdicts on its
 // calling thread while round t delivers, so step t + 1 finds them cached.
+// Under slot delivery the deliver loop prefetches the outbox messages a few
+// receivers ahead.
 
 #include <algorithm>
 #include <chrono>
@@ -89,7 +91,10 @@ inline constexpr bool kParallelSafeAgent = requires {
 // runs and are excluded from determinism comparisons.
 struct PhaseTimings {
   double validate_seconds = 0.0;  // round graph, model checks, its CSR
-  double send_seconds = 0.0;      // sending-function evaluation
+  // Sending-function evaluation, and the growth of the executor's buffers
+  // (outbox, arena, per-slot bits, activity map, block partials) that
+  // precedes it, all of it in round 1 once capacities fit the schedule.
+  double send_seconds = 0.0;
   double deliver_seconds = 0.0;   // arena fill, shuffle, receive transitions
   // Next round's graph, CSR and verdicts, built during deliver (pooled
   // executors only, and not in the last round of run()). Already inside
@@ -362,6 +367,7 @@ class Executor {
     }
     const Digraph& g = network_->view(t).get();
     check_round_graph(g);
+    const auto t_send = Clock::now();
 
     const auto n = static_cast<std::size_t>(g.vertex_count());
     const auto edge_total = static_cast<std::size_t>(g.edge_count());
@@ -401,7 +407,7 @@ class Executor {
     if (partials_.size() < static_cast<std::size_t>(max_blocks)) {
       partials_.resize(static_cast<std::size_t>(max_blocks));
     }
-    const auto t_send = Clock::now();
+    const auto t_send_blocks = Clock::now();
 
     // Send phase: evaluate each sender's sending function exactly once per
     // model contract. Senders only write their own outbox slots, so vertex
@@ -421,11 +427,10 @@ class Executor {
                        active ? 1 : 0;
                    if (!active) continue;
                  }
-                 const auto out = g.out_edges(v);
-                 const int d = static_cast<int>(out.size());
+                 const int d = g.outdegree(v);
                  const Alg& agent = agents_[static_cast<std::size_t>(i)];
                  if (port_aware) {
-                   for (EdgeId id : out) {
+                   for (EdgeId id : g.out_edges(v)) {
                      const auto slot = static_cast<std::size_t>(id);
                      outbox_[slot] =
                          agent.send(d, static_cast<int>(g.edge(id).color));
@@ -471,7 +476,8 @@ class Executor {
     // round t + 1 while the workers deliver round t, and runs step t + 1's
     // check_round_graph on it, so step t + 1 finds the CSR and verdicts
     // cached on the graph. A lent graph stays valid across one further
-    // view(), so round t's graph is untouched. Step t + 1 still calls
+    // view(), so round t's graph is untouched (a generated schedule builds
+    // round t + 1 in place in its other slot). Step t + 1 still calls
     // view(t + 1) and runs every check; an exception is kept for it to
     // rethrow.
     double lookahead_seconds = 0.0;
@@ -489,10 +495,32 @@ class Executor {
     // slice, shuffles with its own counter-keyed stream, and transitions.
     // Receivers only touch their own slice and their own agent, so vertex
     // blocks are independent and the outcome is thread-count-invariant.
+    // Slot delivery first prefetches a later receiver's messages (see
+    // kPrefetchReceivers).
     parallel(n64, deliver_grain,
              [&](std::int64_t begin, std::int64_t end, std::int64_t b) {
                Partial local;
                for (std::int64_t i = begin; i < end; ++i) {
+                 if constexpr (kDeliveredBySlot<Message>) {
+                   // Every cache line of each outbox message on a later
+                   // receiver's in-edges: from the message's first byte in
+                   // line steps, and its last byte.
+                   const auto ahead =
+                       static_cast<std::size_t>(i + kPrefetchReceivers);
+                   if (i + kPrefetchReceivers < end) {
+                     for (auto k = static_cast<std::size_t>(offsets[ahead]);
+                          k < static_cast<std::size_t>(offsets[ahead + 1]);
+                          ++k) {
+                       const char* message = reinterpret_cast<const char*>(
+                           &outbox_[static_cast<std::size_t>(slots[k])]);
+                       for (std::size_t line = 0; line < sizeof(Message);
+                            line += kCacheLine) {
+                         __builtin_prefetch(message + line);
+                       }
+                       __builtin_prefetch(message + sizeof(Message) - 1);
+                     }
+                   }
+                 }
                  const auto v = static_cast<Vertex>(i);
                  if (perturbed &&
                      !sender_active_[static_cast<std::size_t>(i)]) {
@@ -573,7 +601,8 @@ class Executor {
     stats_.timings.send_seconds += seconds(t_send, t_deliver);
     stats_.timings.deliver_seconds += seconds(t_deliver, t_end);
     stats_.timings.lookahead_seconds += lookahead_seconds;
-    update_phase_cost(send_ns_per_item_, seconds(t_send, t_deliver), n);
+    update_phase_cost(send_ns_per_item_, seconds(t_send_blocks, t_deliver),
+                      n);
     update_phase_cost(deliver_ns_per_item_, seconds(t_deliver, t_end), n);
   }
 
@@ -635,9 +664,12 @@ class Executor {
 
   // What a round graph must satisfy under this model and agent; throws
   // otherwise. Step t runs it on round t's graph and the lookahead on round
-  // t + 1's. The verdicts and the receiver CSR it builds are cached on the
-  // graph object, so a graph already checked, by an earlier round or by
-  // the lookahead, costs a few cached reads.
+  // t + 1's. The verdicts and the caches it builds are kept on the graph
+  // object, so a graph already checked, by an earlier round or by the
+  // lookahead, costs a few cached reads. It builds every cache the parallel
+  // phases read: the adjacency (receiver CSR and out-degree counts) always,
+  // through in_offsets(), and under port awareness the out-edge id list,
+  // through validate_output_ports; the phases themselves build none.
   void check_round_graph(const Digraph& g) const {
     if (g.vertex_count() != network_->vertex_count()) {
       throw std::logic_error("Executor: schedule changed vertex count");
@@ -668,6 +700,18 @@ class Executor {
     local.sent_bits += bits * copies;
     if (bits > local.max_bits) local.max_bits = bits;
   }
+
+  // Deliver prefetch, slot form only: before receiver i gathers, the deliver
+  // loop requests every cache line of the outbox messages on the in-edges of
+  // receiver i + kPrefetchReceivers (in the same block), so the random reads
+  // of those messages, a few hundred bytes each for the frequency engines,
+  // overlap the receives in between instead of stalling them. A hint only:
+  // nothing is written and no order or byte depends on it. Distances 4, 8
+  // and 16 measured the same (docs/round_engine.md, "The arena"). The
+  // prefetches sit in the deliver loop itself: GCC deletes a call to a
+  // helper made only of prefetches, which it takes for a pure function.
+  static constexpr std::int64_t kPrefetchReceivers = 4;
+  static constexpr std::size_t kCacheLine = 64;
 
   // `side` is set only with a pool (the deliver phase's lookahead).
   template <typename Fn>

@@ -174,6 +174,151 @@ TEST(Digraph, IsSymmetricMatchesThePairwiseReference) {
   EXPECT_FALSE(reference_is_symmetric(g));
 }
 
+// is_symmetric's per-vertex comparison of sorted out-targets and in-sources,
+// which now decides only when the one-pass pair check fails, and the
+// self-loop check as it was before it scanned the receiver CSR: the
+// references for both fast checks.
+bool reference_sorted_is_symmetric(const Digraph& g) {
+  std::vector<Vertex> targets;
+  std::vector<Vertex> sources;
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    const auto out = g.out_edges(v);
+    const auto in = g.in_edges(v);
+    if (out.size() != in.size()) return false;
+    targets.clear();
+    sources.clear();
+    for (EdgeId id : out) targets.push_back(g.edge(id).target);
+    for (EdgeId id : in) sources.push_back(g.edge(id).source);
+    std::sort(targets.begin(), targets.end());
+    std::sort(sources.begin(), sources.end());
+    if (targets != sources) return false;
+  }
+  return true;
+}
+
+bool reference_has_all_self_loops(const Digraph& g) {
+  for (Vertex v = 0; v < g.vertex_count(); ++v) {
+    if (!g.has_edge(v, v)) return false;
+  }
+  return true;
+}
+
+// Whether every non-loop edge is immediately followed by its reverse: the
+// order in which is_symmetric decides in its first pass, without the
+// per-vertex fallback.
+bool reverse_pairs_adjacent(const std::vector<Edge>& edges) {
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    if (edges[k].source == edges[k].target) continue;
+    if (k + 1 == edges.size() || edges[k + 1].source != edges[k].target ||
+        edges[k + 1].target != edges[k].source) {
+      return false;
+    }
+    ++k;
+  }
+  return true;
+}
+
+struct EdgeList {
+  Vertex n = 0;
+  std::vector<Edge> edges;
+};
+
+// A symmetric multigraph in generator order: each vertex's self-loop with
+// probability 3/4, and reverse pairs (a, b), (b, a) kept adjacent, some
+// drawn twice (parallel edges), with self-loops between pairs.
+EdgeList random_adjacent_pairs(std::mt19937_64& rng) {
+  EdgeList list;
+  list.n = static_cast<Vertex>(rng() % 8);
+  if (list.n == 0) return list;
+  const auto n = static_cast<std::uint64_t>(list.n);
+  const auto vertex = [&] { return static_cast<Vertex>(rng() % n); };
+  for (Vertex v = 0; v < list.n; ++v) {
+    if (rng() % 4 != 0) list.edges.push_back({v, v, kNoColor});
+  }
+  const auto pairs = rng() % (2 * n + 1);
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    const Vertex a = vertex();
+    const Vertex b = vertex();
+    for (std::uint64_t copy = rng() % 4 == 0 ? 2 : 1; copy > 0; --copy) {
+      list.edges.push_back({a, b, static_cast<EdgeColor>(rng() % 3)});
+      if (a != b) list.edges.push_back({b, a, static_cast<EdgeColor>(rng() % 3)});
+    }
+    if (rng() % 3 == 0) {
+      const Vertex v = vertex();
+      list.edges.push_back({v, v, kNoColor});
+    }
+  }
+  return list;
+}
+
+TEST(Digraph, FastChecksMatchTheirReferences) {
+  std::mt19937_64 rng(41);
+  constexpr int kGraphs = 5000;
+  int shuffled_by_fallback = 0;
+  int broken_asymmetric = 0;
+  // Each check runs first, on a fresh graph, so the fast paths see no
+  // cache the references build.
+  const auto check = [](const EdgeList& list) {
+    Digraph g(list.n);
+    for (const Edge& e : list.edges) g.add_edge(e.source, e.target, e.color);
+    const bool symmetric = g.is_symmetric();
+    const bool looped = g.has_all_self_loops();
+    EXPECT_EQ(symmetric, reference_sorted_is_symmetric(g));
+    EXPECT_EQ(symmetric, reference_is_symmetric(g));
+    EXPECT_EQ(looped, reference_has_all_self_loops(g));
+    return symmetric;
+  };
+  for (int i = 0; i < kGraphs; ++i) {
+    SCOPED_TRACE(i);
+    const EdgeList adjacent = random_adjacent_pairs(rng);
+    // Reverse pairs adjacent: the first pass decides, and says yes.
+    ASSERT_TRUE(reverse_pairs_adjacent(adjacent.edges));
+    EXPECT_TRUE(check(adjacent));
+    // The same pairs shuffled: still symmetric, and left to the fallback
+    // whenever the shuffle separated a pair.
+    EdgeList shuffled = adjacent;
+    std::shuffle(shuffled.edges.begin(), shuffled.edges.end(), rng);
+    EXPECT_TRUE(check(shuffled));
+    shuffled_by_fallback += reverse_pairs_adjacent(shuffled.edges) ? 0 : 1;
+    // One pair broken: an edge of a pair flipped, dropped or retargeted.
+    std::vector<std::size_t> pair_edges;
+    for (std::size_t k = 0; k < adjacent.edges.size(); ++k) {
+      const Edge& e = adjacent.edges[k];
+      if (e.source != e.target) pair_edges.push_back(k);
+    }
+    if (pair_edges.empty()) continue;
+    EdgeList broken = adjacent;
+    const std::size_t k = pair_edges[rng() % pair_edges.size()];
+    Edge& e = broken.edges[k];
+    switch (rng() % 3) {
+      case 0:
+        std::swap(e.source, e.target);
+        break;
+      case 1:
+        broken.edges.erase(broken.edges.begin() +
+                           static_cast<std::ptrdiff_t>(k));
+        break;
+      default:
+        e.target = static_cast<Vertex>(
+            rng() % static_cast<std::uint64_t>(broken.n));
+        break;
+    }
+    broken_asymmetric += check(broken) ? 0 : 1;
+  }
+  EXPECT_GT(shuffled_by_fallback, kGraphs / 2);
+  EXPECT_GT(broken_asymmetric, kGraphs / 2);
+
+  // Self-loops only, and the smallest graphs.
+  EdgeList loops{5, {}};
+  for (Vertex v = 0; v < 5; ++v) loops.edges.push_back({v, v, kNoColor});
+  EXPECT_TRUE(check(loops));
+  loops.edges.pop_back();
+  EXPECT_TRUE(check(loops));  // symmetric, but vertex 4 has no self-loop
+  EXPECT_TRUE(check(EdgeList{0, {}}));
+  EXPECT_TRUE(check(EdgeList{1, {}}));
+  EXPECT_TRUE(check(EdgeList{1, {{0, 0, kNoColor}, {0, 0, kNoColor}}}));
+}
+
 // The receiver CSR must index exactly in_edges(v), in order, and carry each
 // position's edge source.
 void expect_receiver_csr_matches_in_edges(const Digraph& g) {

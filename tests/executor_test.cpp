@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/exact_pushsum.hpp"
 #include "core/gossip.hpp"
@@ -834,11 +836,11 @@ class FailingRoundSchedule final : public BuiltSchedule {
   }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override {
+  void build(int t, Digraph& into) const override {
     if (t == failing_round_) {
       throw std::runtime_error("round " + std::to_string(t) + " unavailable");
     }
-    return inner_.at(t);
+    into = inner_.view(t).get();
   }
 
   RandomStronglyConnectedSchedule inner_;
@@ -924,6 +926,64 @@ TEST(Executor, RunDoesNotLookPastItsLastRound) {
   exec.step();
   EXPECT_EQ(net->requested,
             (std::vector<int>{1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 7}));
+}
+
+TEST(Executor, GraphQueriesAreRaceFreeAfterThePortCheck) {
+  // Under output port awareness check_round_graph forces both lazy caches
+  // of the round graph, the adjacency through in_offsets() and the
+  // out-edge id list through validate_output_ports, before any parallel
+  // phase. After that forcing, concurrent queries only read the caches and
+  // store atomic verdicts. A symmetric graph in shuffled order sends
+  // is_symmetric to its per-vertex fallback, which reads both caches. A
+  // pooled step does the forcing, on the graph its static schedule lends.
+  const Digraph symmetric = random_symmetric_connected(400, 300, 5);
+  std::vector<Edge> edges = symmetric.edges();
+  std::mt19937_64 rng(5);
+  std::shuffle(edges.begin(), edges.end(), rng);
+  const auto make = [&] {
+    Digraph g(symmetric.vertex_count());
+    for (const Edge& e : edges) g.add_edge(e.source, e.target);
+    g.assign_output_ports();
+    return g;
+  };
+  const auto net = std::make_shared<StaticSchedule>(make());
+  Executor<OrderHashAgent> exec(
+      net,
+      std::vector<OrderHashAgent>(
+          static_cast<std::size_t>(symmetric.vertex_count())),
+      CommModel::kOutputPortAware, 0x5eedull, 4);
+  exec.step();
+  const Digraph& g = net->view(1).get();
+
+  struct Reading {
+    bool symmetric = false;
+    bool looped = false;
+    std::int64_t out_ids = 0;
+    std::int64_t degrees = 0;
+    std::int64_t in_ids = 0;
+    bool operator==(const Reading&) const = default;
+  };
+  const auto read = [](const Digraph& graph) {
+    Reading r;
+    r.symmetric = graph.is_symmetric();
+    r.looped = graph.has_all_self_loops();
+    for (Vertex v = 0; v < graph.vertex_count(); ++v) {
+      for (EdgeId id : graph.out_edges(v)) r.out_ids += id;
+      r.degrees += graph.outdegree(v);
+      for (EdgeId id : graph.in_edges(v)) r.in_ids += id;
+    }
+    return r;
+  };
+  std::vector<Reading> readings(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < readings.size(); ++i) {
+    threads.emplace_back([&, i] { readings[i] = read(g); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const Reading expected = read(make());
+  EXPECT_TRUE(expected.symmetric);
+  EXPECT_TRUE(expected.looped);
+  for (const Reading& reading : readings) EXPECT_EQ(reading, expected);
 }
 
 TEST(Convergence, Helpers) {

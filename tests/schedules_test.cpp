@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -322,10 +323,31 @@ TEST(Schedules, RandomScheduleViewsAreCachedPerRound) {
             RandomMatchingSchedule(6, 9).at(2).edges());
 }
 
+// The caches of a lent graph must be those of a graph built fresh from its
+// edges: a generated schedule rebuilds each round in place, into a slot
+// whose caches described the round before last.
+void expect_caches_match_a_fresh_graph(const Digraph& lent) {
+  Digraph fresh(lent.vertex_count());
+  for (const Edge& e : lent.edges()) fresh.add_edge(e.source, e.target, e.color);
+  EXPECT_EQ(lent.edges(), fresh.edges());
+  EXPECT_TRUE(std::ranges::equal(lent.in_offsets(), fresh.in_offsets()));
+  EXPECT_TRUE(std::ranges::equal(lent.in_edge_list(), fresh.in_edge_list()));
+  EXPECT_TRUE(
+      std::ranges::equal(lent.in_source_list(), fresh.in_source_list()));
+  for (Vertex v = 0; v < lent.vertex_count(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(lent.out_edges(v), fresh.out_edges(v)))
+        << v;
+    EXPECT_EQ(lent.outdegree(v), fresh.outdegree(v)) << v;
+  }
+  EXPECT_EQ(lent.has_all_self_loops(), fresh.has_all_self_loops());
+  EXPECT_EQ(lent.is_symmetric(), fresh.is_symmetric());
+}
+
 TEST(Schedules, EveryScheduleLendsAPureRoundGraph) {
   // Every schedule kind, generated or stored: round t's graph depends on t
-  // alone, not on which rounds were asked for before, and a graph lent for
-  // round t keeps its edges across one further view().
+  // alone, not on which rounds were asked for before, a graph lent for
+  // round t keeps its edges across one further view(), and a graph built
+  // in place into a reused slot carries the caches of a fresh one.
   static constexpr Vertex kN = 12;
   static constexpr int kRounds = 16;
   const std::vector<std::pair<const char*, std::function<DynamicGraphPtr()>>>
@@ -393,11 +415,45 @@ TEST(Schedules, EveryScheduleLendsAPureRoundGraph) {
         EXPECT_EQ(lent.get().edges(), edges[t]) << t << " then " << other;
       }
     }
+    // Every cache of every round, each read in full, so a slot reused two
+    // rounds later starts from caches that were all built.
+    const DynamicGraphPtr reuser = make();
+    for (int t = 1; t <= kRounds; ++t) {
+      SCOPED_TRACE(t);
+      const Digraph& lent = reuser->view(t).get();
+      EXPECT_EQ(lent.edges(), edges[t]);
+      expect_caches_match_a_fresh_graph(lent);
+    }
+  }
+}
+
+TEST(Schedules, GeneratedRoundsReuseTheirSlotsEdgeStorage) {
+  // Rounds t and t + 2 share a slot, and a warm slot's round is built into
+  // the edge storage the slot already holds.
+  static constexpr Vertex kN = 12;
+  static constexpr int kRounds = 16;
+  const std::vector<std::pair<const char*, DynamicGraphPtr>> schedules = {
+      {"random strongly connected",
+       std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 17)},
+      {"random symmetric",
+       std::make_shared<RandomSymmetricSchedule>(kN, 3, 9)},
+  };
+  for (const auto& [name, schedule] : schedules) {
+    SCOPED_TRACE(name);
+    std::vector<const Edge*> storage(kRounds + 1);
+    for (int t = 1; t <= kRounds; ++t) {
+      storage[t] = schedule->view(t).get().edges().data();
+    }
+    for (int t = 3; t + 2 <= kRounds; ++t) {
+      EXPECT_EQ(storage[t], storage[t + 2]) << t;
+      EXPECT_NE(storage[t], storage[t + 1]) << t;
+    }
   }
 }
 
 // The two-slot lending of BuiltSchedule on a test schedule whose round t is
-// Digraph(t + 3), counting its builds; building `failing_round` throws.
+// Digraph(t + 3), counting its builds; building `failing_round` throws
+// after it has emptied the slot it builds into.
 class CountingSchedule final : public BuiltSchedule {
  public:
   [[nodiscard]] Vertex vertex_count() const override { return 0; }
@@ -406,10 +462,13 @@ class CountingSchedule final : public BuiltSchedule {
   int failing_round = 0;
 
  private:
-  [[nodiscard]] Digraph build(int t) const override {
-    if (t == failing_round) throw std::runtime_error("round 3 unavailable");
+  void build(int t, Digraph& into) const override {
+    if (t == failing_round) {
+      into.reset(0);
+      throw std::runtime_error("round 3 unavailable");
+    }
     ++builds;
-    return Digraph(t + 3);
+    into.reset(t + 3);
   }
 };
 
@@ -444,6 +503,20 @@ TEST(Schedules, RoundCacheRecordsARoundOnlyAfterItsBuildReturns) {
   const Digraph* round3 = &schedule.view(3).get();
   EXPECT_EQ(schedule.builds, 3);
   EXPECT_EQ(round3->vertex_count(), 6);
+
+  // A failed build runs in place, in the slot of the round lent before
+  // last, which it marks empty first: that round is rebuilt when asked
+  // again, never lent from the half-built slot, and the slot lent last
+  // still hits.
+  CountingSchedule emptied;
+  static_cast<void>(emptied.view(1));
+  static_cast<void>(emptied.view(2));
+  emptied.failing_round = 3;
+  EXPECT_THROW(static_cast<void>(emptied.view(3)), std::runtime_error);
+  EXPECT_EQ(emptied.view(1).get().vertex_count(), 4);
+  EXPECT_EQ(emptied.builds, 3);
+  EXPECT_EQ(emptied.view(2).get().vertex_count(), 5);
+  EXPECT_EQ(emptied.builds, 3);
 }
 
 }  // namespace

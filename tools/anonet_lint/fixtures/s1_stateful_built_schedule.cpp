@@ -1,8 +1,8 @@
 // Negative fixture — anonet_lint MUST flag this file under rule S1.
 //
 // Generated schedules derive from the lending base BuiltSchedule, not from
-// DynamicGraph directly, and implement a pure build(t). This one keeps a
-// mersenne twister as a member and advances it inside build(): the graph
+// DynamicGraph directly, and implement a pure build(t, into). This one keeps
+// a mersenne twister as a member and advances it inside build(): the graph
 // lent for round t then depends on which rounds were built before, and a
 // lookahead, a replay or a second schedule instance sees different
 // topologies. The sanctioned pattern (a LOCAL generator keyed by
@@ -27,16 +27,16 @@ class DynamicGraph {
   [[nodiscard]] virtual const Digraph* view(int t) const = 0;
 };
 
-// The lending base: two slots, filled by the subclass's build(t).
+// The lending base: slots the subclass's build(t, into) fills in place.
 class BuiltSchedule : public DynamicGraph {
  public:
   [[nodiscard]] const Digraph* view(int t) const final {
-    slot_ = build(t);
+    build(t, slot_);
     return &slot_;
   }
 
  protected:
-  [[nodiscard]] virtual Digraph build(int t) const = 0;
+  virtual void build(int t, Digraph& into) const = 0;
 
  private:
   mutable Digraph slot_;
@@ -54,8 +54,8 @@ class DriftingBuiltSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int /*t*/) const override {
-    return Digraph{static_cast<Vertex>(rng_() % n_)};
+  void build(int /*t*/, Digraph& into) const override {
+    into = Digraph{static_cast<Vertex>(rng_() % n_)};
   }
 
   Vertex n_;
@@ -71,9 +71,9 @@ class PureBuiltSchedule final : public BuiltSchedule {
   [[nodiscard]] Vertex vertex_count() const override { return n_; }
 
  private:
-  [[nodiscard]] Digraph build(int t) const override {
+  void build(int t, Digraph& into) const override {
     std::mt19937_64 rng(mix_seed(seed_, t));
-    return Digraph{static_cast<Vertex>(rng() % n_)};
+    into = Digraph{static_cast<Vertex>(rng() % n_)};
   }
 
   Vertex n_;

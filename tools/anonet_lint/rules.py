@@ -32,7 +32,7 @@
                        replay even when C1-safe.
   S1 schedule purity   DynamicGraph and BuiltSchedule subclasses must
                        not hold stateful generator members: round t's
-                       graph (view(t), build(t)) is contractually a pure
+                       graph (view(t), build(t, into)) is contractually a pure
                        function of (constructor arguments, t), and an
                        advancing member RNG makes the topology depend on
                        call history and replay order. Per-call local
@@ -117,10 +117,13 @@ ASSIGN_RE = re.compile(
     r"\s*(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|=(?![=]))")
 INCR_RE = re.compile(r"(?:\+\+|--)\s*([A-Za-z_]\w*)|"
                      r"\b([A-Za-z_]\w*)\s*(?:\+\+|--)")
+# Builtin type keywords; they combine ("unsigned char", "long long").
+BUILTIN_TYPE_RE = (r"(?:auto|bool|char|char8_t|char16_t|char32_t|wchar_t|"
+                   r"short|int|long|signed|unsigned|float|double)")
 LOCAL_DECL_RE = re.compile(
     r"(?:^|[;{}(])\s*(?:const\s+)?"
-    r"(?:auto|int|bool|long|float|double|unsigned|std\s*::\s*[\w:]+"
-    r"(?:<[^;]*?>)?|[A-Z]\w*(?:<[^;]*?>)?)"
+    r"(?:" + BUILTIN_TYPE_RE + r"(?:\s+" + BUILTIN_TYPE_RE + r")*"
+    r"|std\s*::\s*[\w:]+(?:<[^;]*?>)?|[A-Z]\w*(?:<[^;]*?>)?)"
     r"[\s&*]+([A-Za-z_]\w*)\s*[=;{(,]")
 
 

@@ -62,6 +62,7 @@ FIXTURE_RULES = {
     "w1_partial_traits.cpp": "W1",
     "w1_raw_payload_frame.cpp": "W1",
     "c1_shared_accumulator.cpp": "C1",
+    "c1_builtin_locals_ok.cpp": None,
     "f1_float_accumulation.cpp": "F1",
     "s1_stateful_schedule.cpp": "S1",
     "s1_stateful_built_schedule.cpp": "S1",
