@@ -1,17 +1,16 @@
 // Round-engine scaling benchmark — emits BENCH_executor.json.
 //
-// Two sweeps on outdegree-aware Push-Sum over a static bidirectional ring
-// (the workload behind the Theorem 5.2 convergence experiments), whose
-// scalar messages the arena copies:
-//   (a) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5};
-//   (b) block-grain sweep at n = 1e4 (set_block_grain override vs the
-//       adaptive policy), sizing the claim-amortization sweet spot.
-// And (c), serial vs pooled at n = 1e5 over 20 rounds of a fresh random
-// graph each round, for the two frequency engines, whose messages (each an
-// inline list of ten entries, one contiguous block in the outbox) the
-// arena delivers by slot: metered frequency Push-Sum on
-// RandomStronglyConnectedSchedule and frequency Metropolis on
-// RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
+// Two sweeps:
+//   (a) serial vs pooled thread scaling 1/2/4/8 at n in {1e3, 1e4, 1e5}, on
+//       outdegree-aware Push-Sum over a static bidirectional ring (the
+//       workload behind the Theorem 5.2 convergence experiments), whose
+//       scalar messages the arena copies;
+//   (b) serial vs pooled at n = 1e5 over 20 rounds of a fresh random graph
+//       each round, for the two frequency engines, whose messages (each an
+//       inline list of ten entries, one contiguous block in the outbox) the
+//       arena delivers by slot: metered frequency Push-Sum on
+//       RandomStronglyConnectedSchedule and frequency Metropolis on
+//       RandomSymmetricSchedule (the shapes of perfbench's `large_n`).
 // Every row records its validate, send and deliver seconds, the engine's
 // ns per delivered message, and the seconds the pooled engine spent
 // fetching and checking the next round's graph during delivery
@@ -92,7 +91,6 @@ struct Row {
   std::int64_t messages = 0;
   PhaseTimings phases{};  // the executor's own split of the rounds
   double checksum = 0.0;  // Σ agent outputs — guards against dead-code elim
-  std::int64_t grain = 0;  // forced block grain; 0 = adaptive policy
 };
 
 void record(Row& row, const ExecutorStats& stats) {
@@ -171,46 +169,14 @@ int main() {
     }
   }
 
-  // Sweep (b): block-grain sensitivity at n = 1e4. grain = 0 is the adaptive
-  // policy (per-phase EWMA targeting ~128us per claim); forced grains map the
-  // claim-amortization curve that policy navigates.
-  const Vertex n_grain_sweep = 10000;
-  const int grain_threads = std::min(4, ThreadPool::hardware_threads());
-  std::printf("executor_scaling (b) — grain sweep at n=%d, threads=%d\n",
-              n_grain_sweep, grain_threads);
-  {
-    auto net =
-        std::make_shared<StaticSchedule>(bidirectional_ring(n_grain_sweep));
-    const int rounds = rounds_for(n_grain_sweep);
-    for (std::int64_t grain : {std::int64_t{64}, std::int64_t{256},
-                               std::int64_t{1024}, std::int64_t{4096},
-                               std::int64_t{0}}) {
-      rows.push_back(timed("ring", "pooled", n_grain_sweep, grain_threads,
-                           rounds, 3, [&](Row& row) {
-        row.grain = grain;
-        Executor<PushSumAgent> exec(net, make_agents(n_grain_sweep),
-                                    CommModel::kOutdegreeAware, 0x5eedull,
-                                    grain_threads);
-        exec.set_block_grain(grain);
-        exec.run(rounds);
-        record(row, exec.stats());
-        double sum = 0.0;
-        for (const auto& a : exec.agents()) sum += a.output();
-        return sum;
-      }));
-      std::printf("  grain=%-5lld", static_cast<long long>(grain));
-      print_row(rows.back());
-    }
-  }
-
-  // Sweep (c): the frequency engines on fresh random graphs, serial vs
+  // Sweep (b): the frequency engines on fresh random graphs, serial vs
   // pooled. Two repetitions each: a row runs for seconds, not milliseconds.
   const Vertex n_fresh = 100000;
   const int fresh_rounds = 20;
   const int fresh_threads =
       std::clamp(ThreadPool::hardware_threads(), 2, 4);
   const std::uint64_t fresh_seed = 11;
-  std::printf("executor_scaling (c) — frequency engines on fresh random "
+  std::printf("executor_scaling (b) — frequency engines on fresh random "
               "graphs, n=%d, %d rounds\n",
               n_fresh, fresh_rounds);
   for (int threads : {1, fresh_threads}) {
@@ -266,14 +232,14 @@ int main() {
     const Row& row = rows[i];
     std::fprintf(out,
                  "    {\"workload\": \"%s\", \"engine\": \"%s\", \"n\": %d, "
-                 "\"threads\": %d, \"grain\": %lld, \"rounds\": %d, "
+                 "\"threads\": %d, \"rounds\": %d, "
                  "\"seconds\": %.6f, \"rounds_per_sec\": %.2f, "
                  "\"messages_per_sec\": %.2f, \"validate_s\": %.6f, "
                  "\"send_s\": %.6f, \"deliver_s\": %.6f, "
                  "\"lookahead_s\": %.6f, \"ns_per_msg\": %.2f, "
                  "\"checksum\": %.6f}%s\n",
                  row.workload.c_str(), row.engine.c_str(), row.n, row.threads,
-                 static_cast<long long>(row.grain), row.rounds, row.seconds,
+                 row.rounds, row.seconds,
                  row.rounds / row.seconds,
                  static_cast<double>(row.messages) / row.seconds,
                  row.phases.validate_seconds, row.phases.send_seconds,

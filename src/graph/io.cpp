@@ -1,5 +1,8 @@
 #include "graph/io.hpp"
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,6 +44,33 @@ std::string to_edge_list(const Digraph& g) {
   return os.str();
 }
 
+namespace {
+
+// The space- or tab-separated tokens of one line.
+std::vector<std::string_view> split_tokens(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t at = line.find_first_not_of(" \t");
+  while (at != std::string_view::npos) {
+    const std::size_t end = line.find_first_of(" \t", at);
+    tokens.push_back(line.substr(at, end - at));
+    at = line.find_first_not_of(" \t", end);
+  }
+  return tokens;
+}
+
+// The token as a whole decimal int32 of at least `min`, or nothing: a sign
+// other than '-', a trailing character or an overflow all fail.
+std::optional<std::int32_t> parse_int(std::string_view token,
+                                      std::int32_t min) {
+  std::int32_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, value);
+  if (error != std::errc() || stop != end || value < min) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 Digraph parse_edge_list(std::string_view text) {
   std::istringstream input{std::string(text)};
   std::string line;
@@ -48,34 +78,32 @@ Digraph parse_edge_list(std::string_view text) {
   int line_number = 0;
   while (std::getline(input, line)) {
     ++line_number;
-    const auto first = line.find_first_not_of(" \t");
-    if (first == std::string::npos || line[first] == '#') continue;
-    std::istringstream fields(line);
-    std::string directive;
-    fields >> directive;
-    if (directive == "n") {
-      Vertex n = -1;
-      if (!(fields >> n) || n < 0 || graph.has_value()) {
-        throw std::invalid_argument("parse_edge_list: bad header at line " +
-                                    std::to_string(line_number));
-      }
-      graph.emplace(n);
-    } else if (directive == "e") {
+    const std::vector<std::string_view> tokens = split_tokens(line);
+    if (tokens.empty() || tokens[0].front() == '#') continue;
+    const auto bad = [&](const std::string& what) {
+      return std::invalid_argument("parse_edge_list: " + what + " at line " +
+                                   std::to_string(line_number));
+    };
+    if (tokens[0] == "n") {
+      const std::optional<Vertex> n =
+          tokens.size() == 2 ? parse_int(tokens[1], 0) : std::nullopt;
+      if (!n.has_value() || graph.has_value()) throw bad("bad header");
+      graph.emplace(*n);
+    } else if (tokens[0] == "e") {
       if (!graph.has_value()) {
         throw std::invalid_argument("parse_edge_list: edge before header");
       }
-      Vertex source = -1, target = -1;
-      EdgeColor color = kNoColor;
-      if (!(fields >> source >> target)) {
-        throw std::invalid_argument("parse_edge_list: bad edge at line " +
-                                    std::to_string(line_number));
-      }
-      fields >> color;  // optional
-      graph->add_edge(source, target, color);  // range-checks internally
+      if (tokens.size() != 3 && tokens.size() != 4) throw bad("bad edge");
+      // Any int32 vertex parses; add_edge rejects one outside [0, n).
+      constexpr Vertex kAny = std::numeric_limits<Vertex>::min();
+      const std::optional<Vertex> source = parse_int(tokens[1], kAny);
+      const std::optional<Vertex> target = parse_int(tokens[2], kAny);
+      const std::optional<EdgeColor> color =
+          tokens.size() == 4 ? parse_int(tokens[3], 1) : kNoColor;
+      if (!source || !target || !color) throw bad("bad edge");
+      graph->add_edge(*source, *target, *color);
     } else {
-      throw std::invalid_argument("parse_edge_list: unknown directive '" +
-                                  directive + "' at line " +
-                                  std::to_string(line_number));
+      throw bad("unknown directive '" + std::string(tokens[0]) + "'");
     }
   }
   if (!graph.has_value()) {

@@ -312,15 +312,14 @@ class Executor {
     update_perturbed();
   }
 
-  // Overrides the adaptive block grain (see grain_for below) with a fixed
-  // item count per block for both phases; 0 restores adaptive sizing. Grain
-  // choices never change results — block boundaries affect only which worker
-  // runs what and how partial statistics are chunked before their
-  // block-order reduction — so this is a measurement knob (the bench's grain
-  // sweep), not a semantic one.
-  void set_block_grain(std::int64_t grain) {
-    forced_grain_ = grain < 0 ? 0 : grain;
-  }
+  // Vertices per block in both phases of a pooled executor. A serial
+  // executor runs each phase as one block of n. Block boundaries decide
+  // only which worker runs which vertices and how per-block statistics are
+  // chunked before their block-order reduction, so the grain changes no
+  // result. A phase of at most kBlockGrain vertices is one block, which the
+  // pool runs on its serial path without waking a worker.
+  static constexpr std::int64_t kBlockGrain = 1024;
+
   // Per-round bit accounting; empty unless a metered/bounded policy was
   // installed before the rounds of interest ran.
   [[nodiscard]] const wire::BandwidthMeter& bandwidth_meter() const {
@@ -382,6 +381,15 @@ class Executor {
     const std::size_t slot_count = port_aware ? edge_total : n;
     if (outbox_.size() < slot_count) outbox_.resize(slot_count);
     if (arena_.size() < edge_total) arena_.resize(edge_total);
+    // The block partials grow here, before the optional buffers below: with
+    // them last, perfbench `large_n` set-ups stayed in their slow heap mode
+    // (docs/round_engine.md, "Block grain").
+    const auto n64 = static_cast<std::int64_t>(n);
+    const std::int64_t grain = pool_ != nullptr ? kBlockGrain : n64;
+    const std::int64_t blocks = ThreadPool::block_count(n64, grain);
+    if (partials_.size() < static_cast<std::size_t>(blocks)) {
+      partials_.resize(static_cast<std::size_t>(blocks));
+    }
 
     // Channel accounting is armed per run, not per round: `metering` is a
     // loop-invariant local, so the unbounded path costs one predicted
@@ -397,22 +405,10 @@ class Executor {
     const bool perturbed = perturbed_;
     if (perturbed && sender_active_.size() < n) sender_active_.resize(n);
 
-    const auto n64 = static_cast<std::int64_t>(n);
-    const std::int64_t send_grain = grain_for(send_ns_per_item_, n64);
-    const std::int64_t send_blocks = ThreadPool::block_count(n64, send_grain);
-    const std::int64_t deliver_grain = grain_for(deliver_ns_per_item_, n64);
-    const std::int64_t deliver_blocks =
-        ThreadPool::block_count(n64, deliver_grain);
-    const std::int64_t max_blocks = std::max(send_blocks, deliver_blocks);
-    if (partials_.size() < static_cast<std::size_t>(max_blocks)) {
-      partials_.resize(static_cast<std::size_t>(max_blocks));
-    }
-    const auto t_send_blocks = Clock::now();
-
     // Send phase: evaluate each sender's sending function exactly once per
     // model contract. Senders only write their own outbox slots, so vertex
     // blocks are independent.
-    parallel(n64, send_grain,
+    parallel(n64, grain,
              [&](std::int64_t begin, std::int64_t end, std::int64_t b) {
                Partial local;
                for (std::int64_t i = begin; i < end; ++i) {
@@ -452,7 +448,7 @@ class Executor {
     // (the same contract as DeadlineExceeded).
     wire::RoundBandwidth round_bits;
     if (metering) {
-      for (std::int64_t b = 0; b < send_blocks; ++b) {
+      for (std::int64_t b = 0; b < blocks; ++b) {
         const Partial& p = partials_[static_cast<std::size_t>(b)];
         round_bits.bits_sent += p.sent_bits;
         if (p.max_bits > round_bits.max_message_bits) {
@@ -497,7 +493,7 @@ class Executor {
     // blocks are independent and the outcome is thread-count-invariant.
     // Slot delivery first prefetches a later receiver's messages (see
     // kPrefetchReceivers).
-    parallel(n64, deliver_grain,
+    parallel(n64, grain,
              [&](std::int64_t begin, std::int64_t end, std::int64_t b) {
                Partial local;
                for (std::int64_t i = begin; i < end; ++i) {
@@ -588,7 +584,7 @@ class Executor {
                partials_[static_cast<std::size_t>(b)] = local;
              },
              pool_ != nullptr && look_ahead ? TaskFn(lookahead) : TaskFn());
-    for (std::int64_t b = 0; b < deliver_blocks; ++b) {
+    for (std::int64_t b = 0; b < blocks; ++b) {
       const Partial& p = partials_[static_cast<std::size_t>(b)];
       stats_.messages_delivered += p.messages;
       round_bits.bits_received += p.recv_bits;
@@ -601,9 +597,6 @@ class Executor {
     stats_.timings.send_seconds += seconds(t_send, t_deliver);
     stats_.timings.deliver_seconds += seconds(t_deliver, t_end);
     stats_.timings.lookahead_seconds += lookahead_seconds;
-    update_phase_cost(send_ns_per_item_, seconds(t_send_blocks, t_deliver),
-                      n);
-    update_phase_cost(deliver_ns_per_item_, seconds(t_deliver, t_end), n);
   }
 
   // Per-block partial statistics, reduced in block order after each phase
@@ -622,37 +615,6 @@ class Executor {
     std::int64_t max_bits = 0;   // send phase: largest single message
     std::int64_t recv_bits = 0;  // deliver phase: bits gathered from in-edges
   };
-
-  // Items per block for a phase. The grain is a throughput knob only: block
-  // boundaries decide worker assignment and partial-statistics chunking,
-  // both invisible after the block-order reduction, so any grain yields
-  // bitwise-identical results. Policy: a phase cheaper than ~2 futex wakes
-  // runs as a single block (the pool's serial fast path — dispatch must
-  // never dominate); otherwise aim for ~kGrainTargetNs of measured work per
-  // cursor claim, clamped so every worker still sees a few blocks. The cost
-  // estimate is the phase's own EWMA from previous rounds; round 1 falls
-  // back to the pure load-balance grain.
-  [[nodiscard]] std::int64_t grain_for(double ns_per_item,
-                                       std::int64_t n) const {
-    if (forced_grain_ > 0) return forced_grain_;
-    if (pool_ == nullptr) return n;  // serial: one block, no claim traffic
-    const std::int64_t balance = std::max<std::int64_t>(
-        64, n / (4ll * static_cast<std::int64_t>(threads_)));
-    if (ns_per_item <= 0.0) return balance;
-    if (ns_per_item * static_cast<double>(n) < kSerialCutoffNs) return n;
-    const auto target = static_cast<std::int64_t>(kGrainTargetNs / ns_per_item);
-    return std::clamp<std::int64_t>(target, 64, balance);
-  }
-
-  static void update_phase_cost(double& ewma, double phase_seconds,
-                                std::size_t n) {
-    if (n == 0) return;
-    const double ns = phase_seconds * 1e9 / static_cast<double>(n);
-    ewma = ewma <= 0.0 ? ns : 0.75 * ewma + 0.25 * ns;
-  }
-
-  static constexpr double kGrainTargetNs = 128.0 * 1000.0;  // ~128 µs/claim
-  static constexpr double kSerialCutoffNs = 30.0 * 1000.0;
 
   // kSymmetricOnly agents get their network-class assumption verified
   // under every model (Metropolis runs under kOutdegreeAware but is only
@@ -771,11 +733,6 @@ class Executor {
   std::vector<Entry> arena_;       // deliveries, receiver-major
   std::vector<Message> outbox_;    // one message per slot (sender or edge)
   std::vector<Partial> partials_;  // per-block per-phase stats
-  // Adaptive-grain state (grain_for): measured per-item phase cost EWMAs
-  // and the bench's fixed-grain override (0 = adaptive).
-  double send_ns_per_item_ = 0.0;
-  double deliver_ns_per_item_ = 0.0;
-  std::int64_t forced_grain_ = 0;
   std::vector<std::int64_t> outbox_bits_;  // per-slot bits (metered only)
 };
 

@@ -91,7 +91,7 @@ class ThreadPool {
   // Larger grains amortize claim traffic, smaller grains balance load; the
   // boundaries are a pure function of (count, block_size), never of the
   // worker count, which is what keeps block-order reductions deterministic.
-  // The executor chooses the grain adaptively (see runtime/executor.hpp).
+  // The executor uses one fixed grain (Executor::kBlockGrain).
   //
   // `side`, when set, runs exactly once per call on the calling thread,
   // concurrently with the workers: the caller releases the job, runs

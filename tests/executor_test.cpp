@@ -729,38 +729,39 @@ LookaheadOutcome lookahead_outcome(const Executor<Alg>& exec) {
 }
 
 TEST(ExecutorDeterminism, LookaheadDoesNotChangeDelivery) {
-  // The shapes of perfbench's large_n at n = 5000: a fresh random graph
-  // every round, so every pooled round builds the next one during delivery.
-  static constexpr Vertex kN = 5000;
+  // The shapes of perfbench's large_n: a fresh random graph every round, so
+  // every pooled round builds the next one during delivery. A pooled round
+  // cuts n = 5000 into four full blocks and a 904-vertex tail, and
+  // n = 2 * kBlockGrain + 1 into two full blocks and a one-vertex tail.
   static constexpr int kRounds = 8;
-  auto run_pushsum = [](int threads) {
+  auto run_pushsum = [](Vertex n, int threads) {
     std::vector<FrequencyPushSumAgent> agents;
-    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 10);
+    for (Vertex v = 0; v < n; ++v) agents.emplace_back(v % 10);
     Executor<FrequencyPushSumAgent> exec(
-        std::make_shared<RandomStronglyConnectedSchedule>(kN, 3, 11),
+        std::make_shared<RandomStronglyConnectedSchedule>(n, 3, 11),
         std::move(agents), CommModel::kOutdegreeAware, 11, threads);
     exec.set_channel_policy(wire::ChannelPolicy::metered());
     exec.run(kRounds);
     return lookahead_outcome(exec);
   };
-  auto run_metropolis = [](int threads) {
+  auto run_metropolis = [](Vertex n, int threads) {
     std::vector<FrequencyMetropolisAgent> agents;
-    for (Vertex v = 0; v < kN; ++v) agents.emplace_back(v % 10);
+    for (Vertex v = 0; v < n; ++v) agents.emplace_back(v % 10);
     Executor<FrequencyMetropolisAgent> exec(
-        std::make_shared<RandomSymmetricSchedule>(kN, 3, 12),
+        std::make_shared<RandomSymmetricSchedule>(n, 3, 12),
         std::move(agents), CommModel::kOutdegreeAware, 11, threads);
     exec.set_channel_policy(wire::ChannelPolicy::metered());
     exec.run(kRounds);
     return lookahead_outcome(exec);
   };
-  const auto expect_unchanged = [](const auto& run) {
-    const LookaheadOutcome serial = run(1);
+  const auto expect_unchanged = [](const auto& run, Vertex n) {
+    const LookaheadOutcome serial = run(n, 1);
     EXPECT_EQ(serial.rounds, kRounds);
     EXPECT_EQ(serial.meter.size(), 3u * kRounds);
     EXPECT_EQ(serial.lookahead_seconds, 0.0);
     for (const int threads : {2, 4, 8}) {
       SCOPED_TRACE(threads);
-      const LookaheadOutcome pooled = run(threads);
+      const LookaheadOutcome pooled = run(n, threads);
       EXPECT_EQ(pooled.estimates, serial.estimates);
       EXPECT_EQ(pooled.rounds, serial.rounds);
       EXPECT_EQ(pooled.messages, serial.messages);
@@ -768,8 +769,13 @@ TEST(ExecutorDeterminism, LookaheadDoesNotChangeDelivery) {
       EXPECT_GT(pooled.lookahead_seconds, 0.0);
     }
   };
-  expect_unchanged(run_pushsum);
-  expect_unchanged(run_metropolis);
+  static constexpr auto kTailOfOne =
+      static_cast<Vertex>(2 * Executor<FrequencyPushSumAgent>::kBlockGrain + 1);
+  for (const Vertex n : {Vertex{5000}, kTailOfOne}) {
+    SCOPED_TRACE(n);
+    expect_unchanged(run_pushsum, n);
+    expect_unchanged(run_metropolis, n);
+  }
 }
 
 TEST(ExecutorDeterminism, LookaheadCoversEveryScheduleKind) {

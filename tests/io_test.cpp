@@ -69,6 +69,16 @@ TEST(GraphIo, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse_edge_list("n 2\ne 0 5\n"), std::out_of_range);
   EXPECT_THROW(parse_edge_list("n 2\ne 0\n"), std::invalid_argument);
   EXPECT_THROW(parse_edge_list("n -1\n"), std::invalid_argument);
+  // Each line is exactly `n N` or `e S T [C]`, every token a whole int32 in
+  // range, and a written color at least 1.
+  EXPECT_THROW(parse_edge_list("n 2\ne 0 1 x\n"), std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2\ne 0 1x\n"), std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2 3\n"), std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2.5\n"), std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2\ne 0 1 2 9\n"), std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2\ne 0 1 99999999999\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_edge_list("n 2\ne 0 1 -4\n"), std::invalid_argument);
 }
 
 }  // namespace
